@@ -16,12 +16,11 @@ from .equivalence import random_indexed, round_trip_report, to_fibred, \
     to_indexed
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
-from .indexed import check_coh_frame, check_coh_painting, emit_indexed, \
-    parse_indexed, validate_indexed
+from .indexed import coherence_sweep, emit_indexed, parse_indexed, \
+    validate_indexed
 from .parametricity import iterate_types, normalize, parse_type, print_type, \
     telescope_stats
 from .presheaf import check_functor_laws, emit_nuset, parse_nuset
-from .report import Report
 from .shapes import geometric_inventory, standard_shape, to_dot
 from .streams import extend_singleton, take
 from .words import compose, hom_count, hom_enumerate, parse_word
@@ -119,18 +118,7 @@ def _cmd_convert(args):
 
 def _cmd_coh_check(args):
     S = parse_indexed(_read(args.file))
-    rep = Report("coherence sweep")
-    for n in range(2, S.trunc + 1):
-        for p in range(n - 1):
-            for r in range(p, n - 1):
-                for q in range(r, n - 1):
-                    for eps in range(S.nu):
-                        for omega in range(S.nu):
-                            rep.extend(check_coh_frame(
-                                S, eps, omega, q, r, n, p))
-                            rep.extend(check_coh_painting(
-                                S, eps, omega, q, r, n, p))
-    return _emit_report(rep, args.json)
+    return _emit_report(coherence_sweep(S), args.json)
 
 
 def _cmd_param(args):
@@ -165,6 +153,12 @@ def _cmd_roundtrip(args):
     return _emit_report(round_trip_report(obj), args.json)
 
 
+def _natural(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a natural, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="nusets",
@@ -180,8 +174,8 @@ def _build_parser():
 
     p = add("hom", _cmd_hom, "list the words from p to n")
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-p", type=_natural, required=True)
+    p.add_argument("-n", type=_natural, required=True)
 
     p = add("compose", _cmd_compose,
             "compose two words (shell-quote the '*'s)")
@@ -191,7 +185,7 @@ def _build_parser():
 
     p = add("shape", _cmd_shape, "standard shape at dimension n")
     p.add_argument("--nu", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_natural, required=True)
     p.add_argument("--dot", action="store_true", help="DOT graph text")
 
     p = add("validate", _cmd_validate,
@@ -211,20 +205,21 @@ def _build_parser():
     p.add_argument("file", nargs="?",
                    help="type in the surface syntax; path or - for stdin")
     p.add_argument("--nu", type=int, default=2)
-    p.add_argument("-n", "--steps", dest="steps", type=int, default=None,
+    p.add_argument("-n", "--steps", dest="steps", type=_natural,
+                   default=None,
                    help="emit the step-n iterated telescope instead")
 
     p = add("extend", _cmd_extend,
             "extend an indexed file by singleton levels")
     p.add_argument("file", nargs="?", help="path or - for stdin")
-    p.add_argument("--levels", type=int, required=True,
+    p.add_argument("--levels", type=_natural, required=True,
                    help="number of levels to add")
 
     p = add("roundtrip", _cmd_roundtrip,
             "round-trip a nu-set file through the other form")
     p.add_argument("file", nargs="?", help="path or - for stdin")
     p.add_argument("--nu", type=int, default=2)
-    p.add_argument("-n", type=int, default=2)
+    p.add_argument("-n", type=_natural, default=2)
     p.add_argument("--seed", type=int, default=0,
                    help="randomized instance when no file is given")
 
@@ -243,6 +238,10 @@ def main(argv=None):
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The parsers and the term code recurse on the input's nesting.
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .indexed import (
     FrameVal, IndexedNuSet, LayerVal, PaintingVal, enumerate_frames,
-    frame_key, full_frame, restr_frame, validate_indexed,
+    check_totality, frame_key, full_frame, restr_frame,
 )
 from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
 from .report import Report
@@ -158,8 +158,17 @@ def _layout(S):
 
 def to_fibred(S):
     """Lay the fibres out as carriers, one block per frame, and read the
-    codimension-1 face maps off the frames' layers."""
-    rep = validate_indexed(S)
+    codimension-1 face maps off the frames' layers.
+
+    The input is checked for totality only. The restriction operators
+    project tree positions and never consult the fibres, so on a set whose
+    families are exactly its enumerated frames every frame and every
+    component of its layers comes out of the enumeration, and no coherence
+    check of the sweep can fail: coherence holds by construction. The
+    functor laws of the output are checked instead, as a cheap oracle for
+    the layout and face-map code below (LawViolation if they fail).
+    """
+    rep = check_totality(S)
     if not rep.ok:
         raise ValidationFailure(f"invalid input: {rep.violations[0]}")
     items, offsets = _layout(S)
@@ -187,7 +196,13 @@ def to_fibred(S):
                     arr.append(offsets[n - 1][fkey] + pt.cell)
                 maps[str(face_word(S.nu, omega, q, n))] = tuple(arr)
         faces[n] = maps
-    return TruncatedPresheaf(S.nu, S.trunc, carriers, faces)
+    P = TruncatedPresheaf(S.nu, S.trunc, carriers, faces)
+    laws = check_functor_laws(P)
+    if not laws.ok:
+        raise LawViolation(
+            f"converted structure breaks the functor laws: "
+            f"{laws.violations[0]}")
+    return P
 
 
 # ------------------------------------------------------------ round trips

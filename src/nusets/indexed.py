@@ -564,28 +564,34 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
     return rep
 
 
-def validate_indexed(S):
-    """Totality of every family over its frame enumeration, plus all legal
-    coherence checks up to the truncation."""
-    rep = Report("indexed validation")
-    total = True
+def check_totality(S):
+    """Every family is keyed by exactly the full frames its dimension
+    enumerates: no fibre missing, no key that is not a frame of S.
+
+    Stops at the first dimension whose frames cannot be enumerated, since
+    the dimensions above it read that one."""
+    rep = Report("totality")
     for n in range(S.trunc + 1):
         try:
             expected = [frame_key(d) for d in enumerate_frames(S, n, n)]
         except UnknownFrame as exc:
             rep.add("enumeration-failed", dimension=n, detail=str(exc))
-            total = False
             break
         present = set(S.families[n])
         for key in expected:
             if key not in present:
                 rep.add("missing-fibre", dimension=n, frame=key)
-                total = False
         for key in sorted(present - set(expected)):
             rep.add("orphan-frame-key", dimension=n, frame=key)
-            total = False
-    if not total:
-        return rep
+    return rep
+
+
+def coherence_sweep(S):
+    """All legal frame and painting coherence checks up to the truncation.
+
+    Totality is not checked here (see check_totality); on a set that is not
+    total, enumeration may raise UnknownFrame."""
+    rep = Report("coherence sweep")
     for n in range(2, S.trunc + 1):
         for p in range(n - 1):
             for r in range(p, n - 1):
@@ -596,6 +602,16 @@ def validate_indexed(S):
                                 S, eps, omega, q, r, n, p))
                             rep.extend(check_coh_painting(
                                 S, eps, omega, q, r, n, p))
+    return rep
+
+
+def validate_indexed(S):
+    """Totality of every family over its frame enumeration, plus all legal
+    coherence checks up to the truncation; the sweep is skipped when
+    totality fails."""
+    rep = Report("indexed validation").extend(check_totality(S))
+    if rep.ok:
+        rep.extend(coherence_sweep(S))
     return rep
 
 
@@ -637,8 +653,8 @@ def parse_indexed(text):
     """Parse the indexed JSON format; structural errors are precise.
 
     Frame keys are checked for well-formedness here (they must parse as
-    full frames of their dimension); totality against the enumeration is
-    validate_indexed's job.
+    full frames of their dimension and be written in canonical text);
+    totality against the enumeration is check_totality's job.
     """
     try:
         doc = json.loads(text)
@@ -651,9 +667,10 @@ def parse_indexed(text):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
     nu, trunc = doc["nu"], doc["trunc"]
-    if not isinstance(nu, int) or nu < 1:
+    # type(x) is int: JSON true and false are ints to isinstance
+    if type(nu) is not int or nu < 1:
         raise ArityError(f"field 'nu' must be a positive integer, got {nu!r}")
-    if not isinstance(trunc, int) or trunc < 0:
+    if type(trunc) is not int or trunc < 0:
         raise ParseError(f"field 'trunc' must be a natural, got {trunc!r}")
     raw = doc["families"]
     if not isinstance(raw, dict):
@@ -673,12 +690,17 @@ def parse_indexed(text):
         fam = {}
         for key, entry in block.items():
             try:
-                parse_value(key, nu, n, n, "frame")
+                frame = parse_value(key, nu, n, n, "frame")
             except ParseError:
                 raise ParseError(
                     f"families[{n}] key {key!r} is not a full frame "
                     f"at dimension {n}")
-            if isinstance(entry, int):
+            canonical = serialize_frame(frame)
+            if canonical != key:
+                raise ParseError(
+                    f"families[{n}] key {key!r} is not canonical, "
+                    f"expected {canonical!r}")
+            if type(entry) is int:
                 if entry < 0:
                     raise RangeError(
                         f"families[{n}][{key!r}] has negative size")

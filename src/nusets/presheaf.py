@@ -182,9 +182,10 @@ def parse_nuset(text):
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
     nu, trunc = doc["nu"], doc["trunc"]
-    if not isinstance(nu, int) or nu < 1:
+    # type(x) is int: JSON true and false are ints to isinstance
+    if type(nu) is not int or nu < 1:
         raise ArityError(f"field 'nu' must be a positive integer, got {nu!r}")
-    if not isinstance(trunc, int) or trunc < 0:
+    if type(trunc) is not int or trunc < 0:
         raise ParseError(f"field 'trunc' must be a natural, got {trunc!r}")
     raw_carriers = doc["carriers"]
     if not isinstance(raw_carriers, list) or len(raw_carriers) != trunc + 1:
@@ -193,7 +194,7 @@ def parse_nuset(text):
             f"({trunc + 1} entries)")
     carriers = []
     for dim, entry in enumerate(raw_carriers):
-        if isinstance(entry, int):
+        if type(entry) is int:
             if entry < 0:
                 raise RangeError(f"carrier {dim} has negative size")
             carriers.append(FinSet(entry))
@@ -230,7 +231,7 @@ def parse_nuset(text):
                     f"face {wtext!r} at dimension {n} must list "
                     f"{carriers[n].size} images")
             for x, img in enumerate(arr):
-                if not isinstance(img, int) or not (
+                if type(img) is not int or not (
                         0 <= img < carriers[n - 1].size):
                     raise RangeError(
                         f"face {wtext!r} at dimension {n} sends {x} to "

@@ -11,8 +11,8 @@ next() advances the prefix by exactly that family.
 import threading
 
 from .errors import ValidationFailure
-from .indexed import IndexedNuSet, enumerate_frames, frame_key, \
-    validate_indexed
+from .indexed import IndexedNuSet, check_totality, enumerate_frames, \
+    frame_key
 from .presheaf import FinSet
 
 
@@ -85,8 +85,13 @@ class NuSetStream:
 
 def extend_singleton(D):
     """The canonical total extension: one cell over every frame from the
-    base truncation upward."""
-    rep = validate_indexed(D)
+    base truncation upward.
+
+    The base is checked for totality only: on a total set the coherence
+    sweep cannot fail, since the restriction operators are structural and
+    every frame they are applied to comes from the enumeration (see
+    ``equivalence.to_fibred``)."""
+    rep = check_totality(D)
     if not rep.ok:
         raise ValidationFailure(
             f"base is not a valid indexed set: {rep.violations[0]}")

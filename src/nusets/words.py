@@ -168,27 +168,33 @@ def hom_enumerate(nu, p, n):
     nu = _as_nu(nu)
     if p < 0 or n < 0 or p > n:
         return []
-    out = []
-    buf = [STAR] * n
-
-    def go(pos, stars_left):
-        remaining = n - pos
-        if remaining == 0:
-            out.append(Word(nu, tuple(buf)))
-            return
-        if stars_left > remaining:
-            return
-        if stars_left > 0:
-            buf[pos] = STAR
-            go(pos + 1, stars_left - 1)
-        if remaining - 1 >= stars_left:
-            for d in range(nu):
-                buf[pos] = d
-                go(pos + 1, stars_left)
-        buf[pos] = STAR
-
-    go(0, p)
-    return out
+    # An odometer, so that long words need no recursion: start from the
+    # least word (stars first) and step in place. A step raises the
+    # rightmost letter that can still rise (a star becomes direction 0
+    # only if the suffix after it has room for one more star) and resets
+    # that suffix to its least form.
+    word = [STAR] * p + [0] * (n - p)
+    out = [Word(nu, tuple(word))]
+    while True:
+        i = n - 1
+        stars = 0  # stars in word[i + 1:]
+        while i >= 0:
+            if word[i] == STAR:
+                if n - 1 - i > stars:
+                    break
+                stars += 1
+            elif word[i] < nu - 1:
+                break
+            i -= 1
+        if i < 0:
+            return out
+        if word[i] == STAR:
+            word[i] = 0
+            stars += 1
+        else:
+            word[i] += 1
+        word[i + 1:] = [STAR] * stars + [0] * (n - 1 - i - stars)
+        out.append(Word(nu, tuple(word)))
 
 
 def hom_count(nu, p, n):

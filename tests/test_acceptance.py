@@ -16,15 +16,14 @@ from nusets.equivalence import (
 )
 from nusets.errors import CoherenceMismatch
 from nusets.indexed import (
-    FrameVal, LayerVal, PaintingVal, check_coh_frame, check_coh_painting,
-    enumerate_frames, frame_key, full_frame, grow_indexed, parse_value,
-    restr_frame, restr_layer, restr_painting,
+    FrameVal, LayerVal, PaintingVal, coherence_sweep, enumerate_frames,
+    frame_key, full_frame, grow_indexed, parse_value, restr_frame,
+    restr_layer, restr_painting,
 )
 from nusets.parametricity import (
     iterate_types, parse_type, same_telescope, telescope_stats,
 )
 from nusets.presheaf import TruncatedPresheaf, check_functor_laws
-from nusets.report import Report
 from nusets.shapes import geometric_inventory, standard_shape
 from nusets.streams import extend_singleton, take
 from nusets.words import compose, hom_count, hom_enumerate, identity, \
@@ -112,21 +111,6 @@ def test_criterion_3_presheaf_laws():
     _budget(t0, 10)
 
 
-def _coherence_sweep(S):
-    rep = Report("sweep")
-    for n in range(2, S.trunc + 1):
-        for p in range(n - 1):
-            for r in range(p, n - 1):
-                for q in range(r, n - 1):
-                    for eps in range(S.nu):
-                        for omega in range(S.nu):
-                            rep.extend(check_coh_frame(
-                                S, eps, omega, q, r, n, p))
-                            rep.extend(check_coh_painting(
-                                S, eps, omega, q, r, n, p))
-    return rep
-
-
 def _criterion_4_corpus():
     """20 randomized valid instances; binary arity at truncation 3 only
     with a single point, which keeps frame enumeration at desk scale."""
@@ -164,10 +148,10 @@ def test_criterion_4_coherence_sweep():
     for nu in (1, 2):
         for n in range(4):
             S = to_indexed(standard_shape(nu, n))
-            rep = _coherence_sweep(S)
+            rep = coherence_sweep(S)
             assert rep.ok, (nu, n, rep)
     for k, S in enumerate(_criterion_4_corpus()):
-        rep = _coherence_sweep(S)
+        rep = coherence_sweep(S)
         assert rep.ok, (k, rep)
     # the cube's top boundary frame mentions 8 + 12 + 6 = 26 cells
     cube = standard_shape(2, 3)

@@ -228,3 +228,30 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("p, n", [("-1", "1"), ("0", "-1")])
+def test_hom_negative_object_is_usage_error(p, n, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["hom", "--nu", "1", "-p", p, "-n", n])
+    assert e.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu", ["0", "-1"])
+def test_hom_non_positive_arity_exits_two(nu, capsys):
+    assert main(["hom", "--nu", nu, "-p", "0", "-n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_hom_long_word_does_not_recurse(capsys):
+    assert main(["hom", "--nu", "1", "-p", "0", "-n", "1200"]) == 0
+    assert capsys.readouterr().out == "0" * 1200 + "\n"
+
+
+def test_param_nested_too_deep_exits_two(monkeypatch, capsys):
+    nested = "(" * 5000 + "X0" + ")" * 5000 + " -> U"
+    monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+    assert main(["param"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -9,6 +9,7 @@ frame in the first place.
 
 import pytest
 
+from nusets.cli import main
 from nusets.equivalence import (
     _layout, boundary_frame, random_indexed, round_trip_report, to_fibred,
     to_indexed,
@@ -17,13 +18,15 @@ from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from nusets.indexed import (
-    FrameVal, IndexedNuSet, frame_key, full_frame, restr_frame,
+    FrameVal, IndexedNuSet, emit_indexed, frame_key, full_frame, restr_frame,
     validate_indexed,
 )
 from nusets.presheaf import (
     FinSet, TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )
+from nusets.report import Report
 from nusets.shapes import standard_shape
+from nusets.streams import extend_singleton, take
 from nusets.words import face_word
 
 
@@ -193,6 +196,43 @@ def test_to_fibred_rejects_invalid():
     fams = {0: {"()": FinSet(1)}, 1: {"(bogus)": FinSet(1)}}
     with pytest.raises(ValidationFailure):
         to_fibred(IndexedNuSet(2, 1, fams))
+
+
+def test_to_fibred_raises_when_its_output_breaks_the_functor_laws(
+        monkeypatch, tmp_path, capsys):
+    S = to_indexed(standard_shape(2, 2))
+    path = tmp_path / "square.indexed.json"
+    path.write_text(emit_indexed(S))
+    broken = Report("functor laws").add("functor-law", n=2)
+    monkeypatch.setattr("nusets.equivalence.check_functor_laws",
+                        lambda P: broken)
+    with pytest.raises(LawViolation):
+        to_fibred(S)
+    assert main(["convert", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("violation:")
+
+
+class _SweepCalled(Exception):
+    pass
+
+
+def test_conversions_check_totality_not_the_sweep(monkeypatch, tmp_path):
+    def sweep(S):
+        raise _SweepCalled
+    monkeypatch.setattr("nusets.indexed.coherence_sweep", sweep)
+    monkeypatch.setattr("nusets.cli.coherence_sweep", sweep)
+    cube = standard_shape(2, 3)
+    S = to_indexed(cube)
+    assert carrier_sizes(to_fibred(S)) == carrier_sizes(cube)
+    assert round_trip_report(cube).ok
+    assert round_trip_report(S).ok
+    assert take(extend_singleton(S), 4).trunc == 4
+    with pytest.raises(_SweepCalled):
+        validate_indexed(S)
+    path = tmp_path / "cube.indexed.json"
+    path.write_text(emit_indexed(S))
+    with pytest.raises(_SweepCalled):
+        main(["coh-check", str(path)])
 
 
 def test_to_fibred_functor_laws_exhaustive():

@@ -7,6 +7,7 @@ enumerators: with every fibre a singleton except |X_0| = k, a frame at
 per-test comments for the exact small cases used.
 """
 
+import json
 import random
 
 import pytest
@@ -217,6 +218,28 @@ def test_emit_parse_roundtrip(S22, S13):
     assert parse_indexed(emit_indexed(S22)) == S22
     assert parse_indexed(emit_indexed(S13)) == S13
     assert emit_indexed(S22).endswith("\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"nu": True, "trunc": 0, "families": {"0": {"()": 1}}},
+    {"nu": 1, "trunc": False, "families": {"0": {"()": 1}}},
+    {"nu": 1, "trunc": 0, "families": {"0": {"()": True}}},
+])
+def test_parse_rejects_booleans_as_integers(doc):
+    with pytest.raises(ParseError):
+        parse_indexed(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n, key, bad", [
+    (0, "()", "( )"),
+    (1, "([{1}])", "([{01}])"),
+])
+def test_parse_rejects_non_canonical_frame_keys(n, key, bad):
+    doc = json.loads(emit_indexed(grow_indexed(1, 1, two_points)))
+    doc["families"][str(n)][bad] = doc["families"][str(n)].pop(key)
+    with pytest.raises(ParseError) as e:
+        parse_indexed(json.dumps(doc))
+    assert f"families[{n}]" in str(e.value) and repr(bad) in str(e.value)
 
 
 # ------------------------------------------------------------ transport

@@ -151,5 +151,17 @@ def test_parse_syntax_errors():
         parse_nuset(json.dumps(doc))
 
 
+@pytest.mark.parametrize("doc", [
+    {"nu": True, "trunc": 0, "carriers": [1], "faces": {}},
+    {"nu": 1, "trunc": False, "carriers": [1], "faces": {}},
+    {"nu": 1, "trunc": 0, "carriers": [True], "faces": {}},
+    {"nu": 1, "trunc": 1, "carriers": [2, 1], "faces": {"1": {"0": [True]}}},
+])
+def test_parse_rejects_booleans_as_integers(doc):
+    import json
+    with pytest.raises(ParseError):
+        parse_nuset(json.dumps(doc))
+
+
 def test_carrier_sizes_helper():
     assert carrier_sizes(standard_shape(2, 2)) == (4, 4, 1)
