@@ -16,8 +16,8 @@ from .equivalence import random_indexed, round_trip_report, to_fibred, \
     to_indexed
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
-from .indexed import coherence_sweep, emit_indexed, parse_indexed, \
-    validate_indexed
+from .indexed import IndexedNuSet, coherence_sweep, emit_indexed, \
+    parse_indexed, validate_indexed
 from .parametricity import iterate_types, normalize, parse_type, print_type, \
     telescope_stats
 from .presheaf import check_functor_laws, emit_nuset, parse_nuset
@@ -27,10 +27,13 @@ from .words import compose, hom_count, hom_enumerate, parse_word
 
 
 def _read(path):
-    if path in (None, "-"):
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path in (None, "-"):
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"input is not UTF-8: {e.reason} at byte {e.start}")
 
 
 def _load_any(text):
@@ -100,7 +103,7 @@ def _cmd_shape(args):
 
 def _cmd_validate(args):
     obj = _load_any(_read(args.file))
-    if hasattr(obj, "families"):
+    if isinstance(obj, IndexedNuSet):
         rep = validate_indexed(obj)
     else:
         rep = check_functor_laws(obj)
@@ -109,7 +112,7 @@ def _cmd_validate(args):
 
 def _cmd_convert(args):
     obj = _load_any(_read(args.file))
-    if hasattr(obj, "families"):
+    if isinstance(obj, IndexedNuSet):
         sys.stdout.write(emit_nuset(to_fibred(obj)))
     else:
         sys.stdout.write(emit_indexed(to_indexed(obj)))

@@ -33,17 +33,10 @@ from .words import face_word
 # ------------------------------------------------------------ boundaries
 
 
-def _memo(P):
-    cache = getattr(P, "_boundary_cache", None)
-    if cache is None:
-        cache = P._boundary_cache = {}
-    return cache
-
-
 def _rank(P, m, y):
     """Fibre-relative index of cell y: its rank, in carrier order, among
     the dimension-m cells sharing its boundary frame."""
-    memo = _memo(P)
+    memo = P._memo
     key = ("r", m, y)
     if key not in memo:
         mine = frame_key(boundary_frame(P, m, y))
@@ -56,7 +49,7 @@ def _rank(P, m, y):
 
 
 def _painting_of(P, m, p, y):
-    memo = _memo(P)
+    memo = P._memo
     key = ("p", m, p, y)
     if key not in memo:
         layers = tuple(_layer_of(P, m, j, y) for j in range(p, m))
@@ -65,7 +58,7 @@ def _painting_of(P, m, p, y):
 
 
 def _layer_of(P, m, j, y):
-    memo = _memo(P)
+    memo = P._memo
     key = ("l", m, j, y)
     if key not in memo:
         comps = []
@@ -88,7 +81,7 @@ def boundary_frame(P, n, x):
     if not (0 <= x < P.carriers[n].size):
         raise IndexOutOfRange(
             f"element {x} outside carrier of size {P.carriers[n].size}")
-    memo = _memo(P)
+    memo = P._memo
     key = ("b", n, x)
     if key not in memo:
         memo[key] = FrameVal(n, n, tuple(_layer_of(P, n, j, x)
@@ -109,16 +102,15 @@ def to_indexed(P):
     laws = check_functor_laws(P)
     if not laws.ok:
         raise LawViolation(f"functor laws fail: {laws.violations[0]}")
-    families = {}
+    S = None
     for n in range(P.trunc + 1):
         groups = defaultdict(list)
         for x in range(P.carriers[n].size):
             groups[frame_key(boundary_frame(P, n, x))].append(x)
-        if n == 0:
+        if S is None:
             keys = ["()"]
         else:
-            partial = IndexedNuSet(P.nu, n - 1, families)
-            keys = [frame_key(d) for d in enumerate_frames(partial, n, n)]
+            keys = [frame_key(d) for d in enumerate_frames(S, n, n)]
         fam = {}
         has_labels = P.carriers[n].labels is not None
         for key in keys:
@@ -130,8 +122,8 @@ def to_indexed(P):
             stray = sorted(groups)[0]
             raise LawViolation(
                 f"boundary frame not enumerable at dimension {n}: {stray}")
-        families[n] = fam
-    return IndexedNuSet(P.nu, P.trunc, families)
+        S = IndexedNuSet(P.nu, 0, {0: fam}) if S is None else S.extended(fam)
+    return S
 
 
 def _layout(S):
@@ -191,7 +183,8 @@ def to_fibred(S):
                 arr = []
                 for d, _ in items[n]:
                     pt = d.layers[q].components[omega]
-                    base = restr_frame(omega, q, n, q, d.prefix(q))
+                    base = restr_frame(omega, q, n, q, d.prefix(q),
+                                       _memo=S._memo)
                     fkey = frame_key(full_frame(base, pt))
                     arr.append(offsets[n - 1][fkey] + pt.cell)
                 maps[str(face_word(S.nu, omega, q, n))] = tuple(arr)

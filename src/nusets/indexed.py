@@ -44,7 +44,7 @@ from .report import Report
 
 # ----------------------------------------------------------------- values
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameVal:
     """A p-frame at dimension n: the first p strata of a boundary."""
 
@@ -70,7 +70,7 @@ class FrameVal:
         return f"Frame({self.n},{self.p},{serialize_frame(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerVal:
     """One stratum: nu paintings of dimension n-1, indexed by direction."""
 
@@ -93,7 +93,7 @@ class LayerVal:
         return f"Layer({self.n},{self.p},{serialize_frame(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaintingVal:
     """Layers p..n-1 plus the top cell (a fibre-relative index)."""
 
@@ -221,7 +221,10 @@ def _parse_value(sc, nu, n, p, kind):
 
 class IndexedNuSet:
     """Truncated indexed nu-set: per dimension, fibres keyed by full-frame
-    canonical text. Treated as immutable after construction."""
+    canonical text. Treated as immutable after construction. ``_memo`` is
+    its only memo: frame enumerations, painting keys and restrictions, all
+    functions of the families (so never stale). It is owned by the set and
+    freed with it; ``extended`` hands it on to the next level."""
 
     def __init__(self, nu, trunc, families):
         if nu < 1:
@@ -232,7 +235,20 @@ class IndexedNuSet:
         self.trunc = trunc
         self.families = {n: dict(families.get(n, {}))
                          for n in range(trunc + 1)}
-        self._frames_cache = {}
+        self._memo = {}
+
+    def extended(self, family):
+        """This set plus ``family`` at trunc + 1, taking over this set's memo.
+
+        Every entry stays true of the extension, since nothing memoized
+        about a set reads a level above it (frames at n read the families
+        below n, paintings at n those up to n). This set starts a new memo,
+        so it never sees entries about the added level, and a second
+        extension of it never sees the first one's."""
+        out = IndexedNuSet(self.nu, self.trunc + 1,
+                           {**self.families, self.trunc + 1: family})
+        out._memo, self._memo = self._memo, {}
+        return out
 
     def fibre(self, n, key):
         if n > self.trunc:
@@ -266,7 +282,8 @@ def enumerate_frames(S, n, p):
         raise DimensionOutOfRange(
             f"frames at {n} need families up to {n - 1}, "
             f"truncation is {S.trunc}")
-    cached = S._frames_cache.get((n, p))
+    key = ("frames", n, p)
+    cached = S._memo.get(key)
     if cached is not None:
         return list(cached)
     if p == 0:
@@ -277,7 +294,7 @@ def enumerate_frames(S, n, p):
             for d in enumerate_frames(S, n, p - 1)
             for layer in _enumerate_layers(S, n, p - 1, d)
         ]
-    S._frames_cache[(n, p)] = tuple(result)
+    S._memo[key] = tuple(result)
     return result
 
 
@@ -285,7 +302,7 @@ def _enumerate_layers(S, n, p, d):
     """All layers extending frame d from stratum p, direction-major order."""
     per_direction = []
     for omega in range(S.nu):
-        base = restr_frame(omega, p, n, p, d)
+        base = restr_frame(omega, p, n, p, d, _memo=S._memo)
         per_direction.append(enumerate_paintings(S, n - 1, p, base))
     return [LayerVal(n, p, combo) for combo in product(*per_direction)]
 
@@ -321,40 +338,30 @@ def enumerate_paintings(S, n, p, d):
 # indexed set as context (``within``): with it, restr_layer checks that
 # every layer component is one of the paintings enumerable over the
 # restricted frame it must sit over, and a component over the wrong frame
-# raises CoherenceMismatch. Without ``within`` the operators are pure
-# projections.
-
-_CACHE = {}
-
-
-def clear_restriction_cache():
-    _CACHE.clear()
+# raises CoherenceMismatch. Results go into within._memo. The enumerators
+# and to_fibred pass their set's memo as ``_memo`` and skip the check,
+# which cannot fail on values enumerated from that set. With neither, the
+# operators are pure projections and memoize nothing beyond the call.
 
 
-def _cache_for(within):
-    if within is None:
-        return _CACHE
-    cache = getattr(within, "_restr_cache", None)
-    if cache is None:
-        cache = within._restr_cache = {}
-    return cache
+def _memo_for(within, memo):
+    """The memo a restriction goes through."""
+    if within is not None:
+        return within._memo
+    return {} if memo is None else memo
 
 
 def _painting_keys(S, n, p, d):
-    """Canonical keys of all paintings over d, memoized per instance."""
-    cache = getattr(S, "_painting_keys_cache", None)
-    if cache is None:
-        cache = S._painting_keys_cache = {}
-    key = (n, p, frame_key(d))
-    hit = cache.get(key)
+    """Canonical keys of all paintings over d, memoized in S."""
+    key = ("paintings", n, p, frame_key(d))
+    hit = S._memo.get(key)
     if hit is None:
-        hit = frozenset(
+        hit = S._memo[key] = frozenset(
             frame_key(c) for c in enumerate_paintings(S, n, p, d))
-        cache[key] = hit
     return hit
 
 
-def restr_frame(eps, q, n, p, d, within=None):
+def restr_frame(eps, q, n, p, d, within=None, _memo=None):
     """Face of a p-frame: direction eps, stratum q; p <= q <= n-1.
 
     Structural recursion: the empty frame restricts to the empty frame, and
@@ -367,23 +374,21 @@ def restr_frame(eps, q, n, p, d, within=None):
     if d.n != n or d.p != p:
         raise SideConditionViolated(
             f"frame at ({d.n},{d.p}) passed to restr_frame({n},{p})")
-    cache = _cache_for(within)
+    if p == 0:
+        return FrameVal(n - 1, 0, ())
+    memo = _memo_for(within, _memo)
     key = ("f", eps, q, d)
-    hit = cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    if p == 0:
-        result = FrameVal(n - 1, 0, ())
-    else:
-        head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within)
-        top = restr_layer(eps, q - 1, n, p - 1, d.prefix(p - 1),
-                          d.layers[p - 1], within)
-        result = head.extend(top)
-    cache[key] = result
+    head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within, memo)
+    top = restr_layer(eps, q - 1, n, p - 1, d.prefix(p - 1),
+                      d.layers[p - 1], within, memo)
+    result = memo[key] = head.extend(top)
     return result
 
 
-def restr_layer(eps, q, n, p, d, layer, within=None):
+def restr_layer(eps, q, n, p, d, layer, within=None, _memo=None):
     """Face of a layer over frame d; p <= q <= n-2.
 
     Component w of the result is the (eps, q)-restriction of component w,
@@ -400,15 +405,15 @@ def restr_layer(eps, q, n, p, d, layer, within=None):
         raise SideConditionViolated(
             f"layer/frame at ({layer.n},{layer.p})/({d.n},{d.p}) passed "
             f"to restr_layer({n},{p})")
-    cache = _cache_for(within)
+    memo = _memo_for(within, _memo)
     key = ("l", eps, q, d, layer)
-    hit = cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    expected_base = restr_frame(eps, q + 1, n, p, d, within)
+    expected_base = restr_frame(eps, q + 1, n, p, d, within, memo)
     comps = []
     for omega, comp in enumerate(layer.components):
-        base = restr_frame(omega, p, n, p, d, within)
+        base = restr_frame(omega, p, n, p, d, within, memo)
         if within is not None:
             try:
                 ok = frame_key(comp) in _painting_keys(
@@ -421,22 +426,21 @@ def restr_layer(eps, q, n, p, d, layer, within=None):
                 raise CoherenceMismatch(
                     f"component {omega} is not a painting over "
                     f"{serialize_frame(base)}: {serialize_frame(comp)}")
-        out = restr_painting(eps, q, n - 1, p, base, comp, within)
-        via_projection = restr_frame(eps, q, n - 1, p, base, within)
+        out = restr_painting(eps, q, n - 1, p, base, comp, within, memo)
+        via_projection = restr_frame(eps, q, n - 1, p, base, within, memo)
         via_restriction = restr_frame(omega, p, n - 1, p, expected_base,
-                                      within)
+                                      within, memo)
         if via_projection != via_restriction:
             raise CoherenceMismatch(
                 f"transport failed at direction {omega}: "
                 f"{serialize_frame(via_projection)} vs "
                 f"{serialize_frame(via_restriction)}")
         comps.append(out)
-    result = LayerVal(n - 1, p, tuple(comps))
-    cache[key] = result
+    result = memo[key] = LayerVal(n - 1, p, tuple(comps))
     return result
 
 
-def restr_painting(eps, q, n, p, d, c, within=None):
+def restr_painting(eps, q, n, p, d, c, within=None, _memo=None):
     """Face of a painting over frame d; p <= q <= n-1.
 
     At p == q the first layer's eps component is the whole answer (the rest
@@ -457,16 +461,16 @@ def restr_painting(eps, q, n, p, d, c, within=None):
                 f"direction {eps} out of range for width "
                 f"{len(first.components)}")
         return first.components[eps]
-    cache = _cache_for(within)
+    memo = _memo_for(within, _memo)
     key = ("p", eps, q, d, c)
-    hit = cache.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within)
+    first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within, memo)
     rest = restr_painting(eps, q, n, p + 1, d.extend(c.first_layer), c.rest,
-                          within)
-    result = PaintingVal(n - 1, p, (first,) + rest.layers, rest.cell)
-    cache[key] = result
+                          within, memo)
+    result = memo[key] = PaintingVal(n - 1, p, (first,) + rest.layers,
+                                     rest.cell)
     return result
 
 
@@ -530,7 +534,6 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
         items = [(d, c)
                  for d in enumerate_frames(S, n, p)
                  for c in enumerate_paintings(S, n, p, d)]
-    member_cache = {}
     for d, c in items:
         try:
             base_r = restr_frame(omega, r, n, p, d, S)
@@ -553,12 +556,7 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
             rep.add("coh-painting", frame=frame_key(d), painting=frame_key(c),
                     lhs=frame_key(lhs), rhs=frame_key(rhs))
             continue
-        base_key = frame_key(over_lhs)
-        if base_key not in member_cache:
-            member_cache[base_key] = {
-                frame_key(x)
-                for x in enumerate_paintings(S, n - 2, p, over_lhs)}
-        if frame_key(lhs) not in member_cache[base_key]:
+        if frame_key(lhs) not in _painting_keys(S, n - 2, p, over_lhs):
             rep.add("not-enumerable", frame=frame_key(d),
                     painting=frame_key(c), result=frame_key(lhs))
     return rep
@@ -624,13 +622,8 @@ def grow_indexed(nu, trunc, size_at):
     unit_key = frame_key(FrameVal(0, 0, ()))
     S = IndexedNuSet(nu, 0, {0: {unit_key: FinSet(size_at(0, unit_key))}})
     for n in range(1, trunc + 1):
-        block = {}
-        for d in enumerate_frames(S, n, n):
-            key = frame_key(d)
-            block[key] = FinSet(size_at(n, key))
-        families = dict(S.families)
-        families[n] = block
-        S = IndexedNuSet(nu, n, families)
+        keys = [frame_key(d) for d in enumerate_frames(S, n, n)]
+        S = S.extended({key: FinSet(size_at(n, key)) for key in keys})
     return S
 
 

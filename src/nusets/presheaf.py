@@ -63,6 +63,8 @@ class TruncatedPresheaf:
     carriers: list of FinSet, index = dimension.
     faces: dict n -> dict word text -> tuple of images in carrier n-1.
     Treated as immutable after construction; all operations are pure.
+    ``_memo``, its only memo, holds what equivalence derives from it (the
+    boundary frames, paintings, layers and ranks of cells); freed with it.
     """
 
     def __init__(self, nu, trunc, carriers, faces):
@@ -76,6 +78,7 @@ class TruncatedPresheaf:
         self.trunc = trunc
         self.carriers = list(carriers)
         self.faces = {n: dict(fs) for n, fs in faces.items()}
+        self._memo = {}
 
     def face(self, n, word_text):
         """The stored codim-1 map at dimension n for the given word text."""

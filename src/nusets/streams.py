@@ -63,9 +63,8 @@ class NuSetStream:
                     raise ValidationFailure(
                         f"head rule at dimension {n} names a frame that "
                         f"does not occur: {stray[0]}")
-                families = dict(cur.families)
-                families[n] = {k: FinSet(produced[k]) for k in expected}
-                self._prefixes[n] = IndexedNuSet(cur.nu, n, families)
+                self._prefixes[n] = cur.extended(
+                    {k: FinSet(produced[k]) for k in expected})
                 top = n
             return self._prefixes[to]
 

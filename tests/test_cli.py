@@ -3,6 +3,10 @@ subcommand, and the documented example invocations."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +259,33 @@ def test_param_nested_too_deep_exits_two(monkeypatch, capsys):
     assert main(["param"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+FILE_COMMANDS = [["validate"], ["convert"], ["coh-check"], ["param"],
+                 ["extend", "--levels", "1"], ["roundtrip"]]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+def test_file_not_utf8_exits_two(command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+# Under the C locale Python reads stdin with surrogateescape, so the bytes
+# arrive as text that is not JSON; with a UTF-8 locale it decodes strictly.
+# Both end in exit 2.
+@pytest.mark.parametrize(
+    "env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8"}],
+    ids=["c-locale", "strict-utf8"])
+def test_stdin_not_utf8_exits_two(env):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nusets.cli", "validate", "-"],
+        input=b"\xff\xfe", capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src), **env))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
