@@ -35,17 +35,19 @@ from .words import face_word
 
 def _rank(P, m, y):
     """Fibre-relative index of cell y: its rank, in carrier order, among
-    the dimension-m cells sharing its boundary frame."""
+    the dimension-m cells sharing its boundary frame. One pass ranks the
+    whole carrier."""
     memo = P._memo
-    key = ("r", m, y)
+    key = ("r", m)
     if key not in memo:
-        mine = frame_key(boundary_frame(P, m, y))
-        rank = 0
-        for z in range(y):
-            if frame_key(boundary_frame(P, m, z)) == mine:
-                rank += 1
-        memo[key] = rank
-    return memo[key]
+        seen = defaultdict(int)
+        ranks = []
+        for z in range(P.carriers[m].size):
+            frame = boundary_frame(P, m, z)
+            ranks.append(seen[frame])
+            seen[frame] += 1
+        memo[key] = ranks
+    return memo[key][y]
 
 
 def _painting_of(P, m, p, y):
@@ -156,9 +158,11 @@ def to_fibred(S):
     project tree positions and never consult the fibres, so on a set whose
     families are exactly its enumerated frames every frame and every
     component of its layers comes out of the enumeration, and no coherence
-    check of the sweep can fail: coherence holds by construction. The
-    functor laws of the output are checked instead, as a cheap oracle for
-    the layout and face-map code below (LawViolation if they fail).
+    check of the sweep can fail: coherence holds by construction. The face
+    maps restrict within S, as the sweep does, so each component read off
+    a layer is checked against S's painting table. The functor laws of the
+    output are checked instead of the sweep, as a cheap oracle for the
+    layout and face-map code below (LawViolation if they fail).
     """
     rep = check_totality(S)
     if not rep.ok:
@@ -183,8 +187,7 @@ def to_fibred(S):
                 arr = []
                 for d, _ in items[n]:
                     pt = d.layers[q].components[omega]
-                    base = restr_frame(omega, q, n, q, d.prefix(q),
-                                       _memo=S._memo)
+                    base = restr_frame(omega, q, n, q, d.prefix(q), S)
                     fkey = frame_key(full_frame(base, pt))
                     arr.append(offsets[n - 1][fkey] + pt.cell)
                 maps[str(face_word(S.nu, omega, q, n))] = tuple(arr)

@@ -222,7 +222,8 @@ def _parse_value(sc, nu, n, p, kind):
 class IndexedNuSet:
     """Truncated indexed nu-set: per dimension, fibres keyed by full-frame
     canonical text. Treated as immutable after construction. ``_memo`` is
-    its only memo: frame enumerations, painting keys and restrictions, all
+    its only memo: the frame and painting tables (ordered sets of values,
+    which serve both enumeration and membership) and restrictions, all
     functions of the families (so never stale). It is owned by the set and
     freed with it; ``extended`` hands it on to the next level."""
 
@@ -274,7 +275,8 @@ def enumerate_frames(S, n, p):
     """All p-frames at dimension n over S, in canonical order.
 
     Frames at n read families strictly below n, so n may exceed the
-    truncation by one (that is how the next level gets built).
+    truncation by one (that is how the next level gets built). The list is
+    fresh; the memoized table behind it is ``_frames``.
     """
     if not (0 <= p <= n):
         raise SideConditionViolated(f"need 0 <= p <= n, got p={p}, n={n}")
@@ -282,33 +284,37 @@ def enumerate_frames(S, n, p):
         raise DimensionOutOfRange(
             f"frames at {n} need families up to {n - 1}, "
             f"truncation is {S.trunc}")
+    return list(_frames(S, n, p))
+
+
+def _frames(S, n, p):
+    """The p-frames at n as an ordered set (a dict), memoized in S."""
     key = ("frames", n, p)
-    cached = S._memo.get(key)
-    if cached is not None:
-        return list(cached)
-    if p == 0:
-        result = [FrameVal(n, 0, ())]
-    else:
-        result = [
-            d.extend(layer)
-            for d in enumerate_frames(S, n, p - 1)
-            for layer in _enumerate_layers(S, n, p - 1, d)
-        ]
-    S._memo[key] = tuple(result)
-    return result
+    table = S._memo.get(key)
+    if table is None:
+        if p == 0:
+            table = dict.fromkeys([FrameVal(n, 0, ())])
+        else:
+            table = dict.fromkeys(
+                d.extend(layer)
+                for d in _frames(S, n, p - 1)
+                for layer in _enumerate_layers(S, n, p - 1, d))
+        S._memo[key] = table
+    return table
 
 
 def _enumerate_layers(S, n, p, d):
     """All layers extending frame d from stratum p, direction-major order."""
     per_direction = []
     for omega in range(S.nu):
-        base = restr_frame(omega, p, n, p, d, _memo=S._memo)
-        per_direction.append(enumerate_paintings(S, n - 1, p, base))
+        base = restr_frame(omega, p, n, p, d, S)
+        per_direction.append(_paintings(S, n - 1, p, base))
     return [LayerVal(n, p, combo) for combo in product(*per_direction)]
 
 
 def enumerate_paintings(S, n, p, d):
-    """All paintings completing frame d up to a top n-cell."""
+    """All paintings completing frame d up to a top n-cell, as a fresh
+    list; the table behind it is ``_paintings``."""
     if not (0 <= p <= n):
         raise SideConditionViolated(f"need 0 <= p <= n, got p={p}, n={n}")
     if n > S.trunc:
@@ -317,14 +323,25 @@ def enumerate_paintings(S, n, p, d):
     if d.n != n or d.p != p:
         raise SideConditionViolated(
             f"frame at ({d.n},{d.p}) passed to paintings at ({n},{p})")
+    return list(_paintings(S, n, p, d))
+
+
+def _paintings(S, n, p, d):
+    """The paintings over d as an ordered set (a dict), memoized in S for
+    p < n under d itself, which fixes n and p. At p == n they are the cells
+    of one fibre, which is cheaper to list again than to keep. Most tables
+    are empty; those all share the empty tuple."""
     if p == n:
         fib = S.fibre(n, frame_key(d))
-        return [PaintingVal(n, n, (), c) for c in range(fib.size)]
-    out = []
-    for layer in _enumerate_layers(S, n, p, d):
-        for rest in enumerate_paintings(S, n, p + 1, d.extend(layer)):
-            out.append(PaintingVal(n, p, (layer,) + rest.layers, rest.cell))
-    return out
+        return dict.fromkeys(PaintingVal(n, n, (), c)
+                             for c in range(fib.size))
+    table = S._memo.get(d)
+    if table is None:
+        table = S._memo[d] = dict.fromkeys(
+            PaintingVal(n, p, (layer,) + rest.layers, rest.cell)
+            for layer in _enumerate_layers(S, n, p, d)
+            for rest in _paintings(S, n, p + 1, d.extend(layer))) or ()
+    return table
 
 
 # ------------------------------------------------------------ restriction
@@ -337,31 +354,15 @@ def enumerate_paintings(S, n, p, d):
 # runtime shadow of the type-theoretic transport therefore takes the
 # indexed set as context (``within``): with it, restr_layer checks that
 # every layer component is one of the paintings enumerable over the
-# restricted frame it must sit over, and a component over the wrong frame
-# raises CoherenceMismatch. Results go into within._memo. The enumerators
-# and to_fibred pass their set's memo as ``_memo`` and skip the check,
-# which cannot fail on values enumerated from that set. With neither, the
-# operators are pure projections and memoize nothing beyond the call.
+# restricted frame it must sit over (one lookup in the set's painting
+# table), a component over the wrong frame raises CoherenceMismatch, and
+# results go into within._memo. Without it, the operators are pure
+# projections and memoize nothing beyond one call, so each recursive step
+# starts afresh and the cost grows exponentially with p; everything in
+# the package restricts within a set.
 
 
-def _memo_for(within, memo):
-    """The memo a restriction goes through."""
-    if within is not None:
-        return within._memo
-    return {} if memo is None else memo
-
-
-def _painting_keys(S, n, p, d):
-    """Canonical keys of all paintings over d, memoized in S."""
-    key = ("paintings", n, p, frame_key(d))
-    hit = S._memo.get(key)
-    if hit is None:
-        hit = S._memo[key] = frozenset(
-            frame_key(c) for c in enumerate_paintings(S, n, p, d))
-    return hit
-
-
-def restr_frame(eps, q, n, p, d, within=None, _memo=None):
+def restr_frame(eps, q, n, p, d, within=None):
     """Face of a p-frame: direction eps, stratum q; p <= q <= n-1.
 
     Structural recursion: the empty frame restricts to the empty frame, and
@@ -376,19 +377,19 @@ def restr_frame(eps, q, n, p, d, within=None, _memo=None):
             f"frame at ({d.n},{d.p}) passed to restr_frame({n},{p})")
     if p == 0:
         return FrameVal(n - 1, 0, ())
-    memo = _memo_for(within, _memo)
+    memo = {} if within is None else within._memo
     key = ("f", eps, q, d)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within, memo)
+    head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within)
     top = restr_layer(eps, q - 1, n, p - 1, d.prefix(p - 1),
-                      d.layers[p - 1], within, memo)
+                      d.layers[p - 1], within)
     result = memo[key] = head.extend(top)
     return result
 
 
-def restr_layer(eps, q, n, p, d, layer, within=None, _memo=None):
+def restr_layer(eps, q, n, p, d, layer, within=None):
     """Face of a layer over frame d; p <= q <= n-2.
 
     Component w of the result is the (eps, q)-restriction of component w,
@@ -405,19 +406,18 @@ def restr_layer(eps, q, n, p, d, layer, within=None, _memo=None):
         raise SideConditionViolated(
             f"layer/frame at ({layer.n},{layer.p})/({d.n},{d.p}) passed "
             f"to restr_layer({n},{p})")
-    memo = _memo_for(within, _memo)
+    memo = {} if within is None else within._memo
     key = ("l", eps, q, d, layer)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    expected_base = restr_frame(eps, q + 1, n, p, d, within, memo)
+    expected_base = restr_frame(eps, q + 1, n, p, d, within)
     comps = []
     for omega, comp in enumerate(layer.components):
-        base = restr_frame(omega, p, n, p, d, within, memo)
+        base = restr_frame(omega, p, n, p, d, within)
         if within is not None:
             try:
-                ok = frame_key(comp) in _painting_keys(
-                    within, n - 1, p, base)
+                ok = comp in _paintings(within, n - 1, p, base)
             except UnknownFrame as exc:
                 raise CoherenceMismatch(
                     f"component {omega} sits over a frame that does not "
@@ -426,10 +426,10 @@ def restr_layer(eps, q, n, p, d, layer, within=None, _memo=None):
                 raise CoherenceMismatch(
                     f"component {omega} is not a painting over "
                     f"{serialize_frame(base)}: {serialize_frame(comp)}")
-        out = restr_painting(eps, q, n - 1, p, base, comp, within, memo)
-        via_projection = restr_frame(eps, q, n - 1, p, base, within, memo)
+        out = restr_painting(eps, q, n - 1, p, base, comp, within)
+        via_projection = restr_frame(eps, q, n - 1, p, base, within)
         via_restriction = restr_frame(omega, p, n - 1, p, expected_base,
-                                      within, memo)
+                                      within)
         if via_projection != via_restriction:
             raise CoherenceMismatch(
                 f"transport failed at direction {omega}: "
@@ -440,7 +440,7 @@ def restr_layer(eps, q, n, p, d, layer, within=None, _memo=None):
     return result
 
 
-def restr_painting(eps, q, n, p, d, c, within=None, _memo=None):
+def restr_painting(eps, q, n, p, d, c, within=None):
     """Face of a painting over frame d; p <= q <= n-1.
 
     At p == q the first layer's eps component is the whole answer (the rest
@@ -461,14 +461,14 @@ def restr_painting(eps, q, n, p, d, c, within=None, _memo=None):
                 f"direction {eps} out of range for width "
                 f"{len(first.components)}")
         return first.components[eps]
-    memo = _memo_for(within, _memo)
+    memo = {} if within is None else within._memo
     key = ("p", eps, q, d, c)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within, memo)
+    first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within)
     rest = restr_painting(eps, q, n, p + 1, d.extend(c.first_layer), c.rest,
-                          within, memo)
+                          within)
     result = memo[key] = PaintingVal(n - 1, p, (first,) + rest.layers,
                                      rest.cell)
     return result
@@ -502,7 +502,7 @@ def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
         f"coh_frame eps={eps} omega={omega} q={q} r={r} n={n} p={p}")
     if frames is None:
         frames = enumerate_frames(S, n, p)
-    members = {frame_key(x) for x in enumerate_frames(S, n - 2, p)}
+    members = _frames(S, n - 2, p)
     for d in frames:
         try:
             lhs = restr_frame(eps, q, n - 1, p,
@@ -515,7 +515,7 @@ def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
         if lhs != rhs:
             rep.add("coh-frame", frame=frame_key(d),
                     lhs=frame_key(lhs), rhs=frame_key(rhs))
-        elif frame_key(lhs) not in members:
+        elif lhs not in members:
             rep.add("not-enumerable", frame=frame_key(d),
                     result=frame_key(lhs))
     return rep
@@ -556,7 +556,7 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
             rep.add("coh-painting", frame=frame_key(d), painting=frame_key(c),
                     lhs=frame_key(lhs), rhs=frame_key(rhs))
             continue
-        if frame_key(lhs) not in _painting_keys(S, n - 2, p, over_lhs):
+        if lhs not in _paintings(S, n - 2, p, over_lhs):
             rep.add("not-enumerable", frame=frame_key(d),
                     painting=frame_key(c), result=frame_key(lhs))
     return rep

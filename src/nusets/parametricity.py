@@ -27,7 +27,7 @@ Binders named "_" print as arrows.
 import re
 from dataclasses import dataclass
 
-from .errors import NotATelescope, ParseError, UnsupportedConstruct
+from .errors import ArityError, NotATelescope, ParseError, UnsupportedConstruct
 
 
 # ------------------------------------------------------------------ AST
@@ -346,6 +346,8 @@ def iterate_types(nu, steps):
     Start from the universe; each step applies the translation of the
     previous type to the diagonal tuple of the previous family.
     """
+    if nu < 1:
+        raise ArityError(f"arity must be >= 1, got {nu}")
     S = Univ()
     for k in range(steps):
         env = {f"X{j}": (tuple(Var(f"X{j}") for _ in range(nu)),

@@ -9,8 +9,6 @@ is the geometric dimension.
 
 from .errors import AllLetters
 from .presheaf import FinSet, TruncatedPresheaf
-from .report import Report
-from .presheaf import check_functor_laws
 from .words import STAR, Word, compose, hom_enumerate
 
 
@@ -94,8 +92,3 @@ def to_dot(P):
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def shape_report(nu, n):
-    """Functor-law report for the standard shape (delegated check)."""
-    rep = Report(f"standard shape nu={nu} n={n}")
-    return rep.extend(check_functor_laws(standard_shape(nu, n)))

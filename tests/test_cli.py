@@ -107,7 +107,7 @@ def test_validate_json_document(square_indexed, capsys):
 
 
 def test_validate_missing_fibre_exits_one(grown_indexed, tmp_path, capsys):
-    doc = json.loads(open(grown_indexed).read())
+    doc = json.loads(Path(grown_indexed).read_text())
     doc["families"]["1"].popitem()
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
@@ -246,6 +246,14 @@ def test_hom_negative_object_is_usage_error(p, n, capsys):
 def test_hom_non_positive_arity_exits_two(nu, capsys):
     assert main(["hom", "--nu", nu, "-p", "0", "-n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_param_non_positive_arity_exits_two(steps, capsys):
+    assert main(["param", "--nu", "0", "-n", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: arity must be >= 1, got 0\n"
 
 
 def test_hom_long_word_does_not_recurse(capsys):

@@ -7,12 +7,14 @@ checked against the carriers, not against the recursion that built the
 frame in the first place.
 """
 
+import time
+
 import pytest
 
 from nusets.cli import main
 from nusets.equivalence import (
-    _layout, boundary_frame, random_indexed, round_trip_report, to_fibred,
-    to_indexed,
+    _layout, _rank, boundary_frame, random_indexed, round_trip_report,
+    to_fibred, to_indexed,
 )
 from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
@@ -287,6 +289,35 @@ def test_round_trip_empty_above_zero():
 def test_round_trip_rejects_other_types():
     with pytest.raises(TypeError):
         round_trip_report("nonsense")
+
+
+def _rank_reference(P, m, y):
+    """Rank of y as first defined: the earlier cells of carrier m whose
+    boundary frame renders to the same text."""
+    mine = frame_key(boundary_frame(P, m, y))
+    return sum(1 for z in range(y)
+               if frame_key(boundary_frame(P, m, z)) == mine)
+
+
+def test_rank_matches_its_reference():
+    shapes = [standard_shape(nu, n) for nu in (1, 2) for n in range(4)]
+    shapes += [to_fibred(random_indexed(nu, 4 - nu, seed, sizes=(1, 2),
+                                        dim0=3 - nu))
+               for nu in (1, 2) for seed in range(3)]
+    for P in shapes:
+        for m in range(P.trunc + 1):
+            for y in range(P.carriers[m].size):
+                assert _rank(P, m, y) == _rank_reference(P, m, y)
+
+
+def test_round_trip_of_a_large_carrier_is_not_quadratic():
+    P = to_fibred(random_indexed(2, 2, 1, sizes=(1, 2), dim0=4))
+    assert carrier_sizes(P) == (4, 25, 2401)
+    t0 = time.monotonic()
+    rep = round_trip_report(P)
+    elapsed = time.monotonic() - t0
+    assert rep.ok, rep.to_json()
+    assert elapsed < 10, f"ran {elapsed:.1f}s, budget 10s"
 
 
 def test_random_indexed_deterministic():

@@ -1,14 +1,17 @@
 """The per-structure memo: one table per set, handed on by ``extended``,
 range checks before it is read, and nothing memoized at module level."""
 
+from itertools import product
+
 import pytest
 
 from nusets import equivalence, indexed
 from nusets.equivalence import to_fibred, to_indexed
-from nusets.errors import DimensionOutOfRange
+from nusets.errors import CoherenceMismatch, DimensionOutOfRange
 from nusets.indexed import (
-    check_totality, emit_indexed, enumerate_frames, enumerate_paintings,
-    frame_key, grow_indexed, parse_indexed, restr_frame, restr_layer,
+    FrameVal, LayerVal, PaintingVal, check_totality, coherence_sweep,
+    emit_indexed, enumerate_frames, enumerate_paintings, frame_key,
+    grow_indexed, parse_indexed, parse_value, restr_frame, restr_layer,
     restr_painting, validate_indexed,
 )
 from nusets.presheaf import FinSet
@@ -41,14 +44,138 @@ def _cases(S):
 
 
 def test_three_restriction_modes_agree(text):
-    source, unchecked, checked = (parse_indexed(text) for _ in range(3))
+    """Plain projection, checked within a fresh set, and checked within a
+    set whose memo the coherence sweep has filled give the same faces."""
+    source, fresh, warm = (parse_indexed(text) for _ in range(3))
+    assert coherence_sweep(warm).ok and warm._memo
     count = 0
     for op, head, values in _cases(source):
         plain = op(*head, *values)
-        assert op(*head, *values, _memo=unchecked._memo) == plain
-        assert op(*head, *values, checked) == plain
+        assert op(*head, *values, fresh) == plain
+        assert op(*head, *values, warm) == plain
         count += 1
     assert count > 100
+
+
+def _agrees(values, table, reference):
+    """Membership of each value in a table equals membership of its text
+    among the texts of the reference enumeration; returns the count."""
+    keys = {frame_key(v) for v in reference}
+    for v in values:
+        assert (v in table) == (frame_key(v) in keys), frame_key(v)
+    return len(values)
+
+
+def _foreign(d):
+    """A frame of d's shape that is no frame of the fixtures: the first
+    component of its last layer names a cell past every fibre."""
+    top = d.layers[-1]
+    c = top.components[0]
+    far = PaintingVal(c.n, c.p, c.layers, c.cell + 10 ** 6)
+    return d.prefix(d.p - 1).extend(
+        LayerVal(top.n, top.p, (far,) + top.components[1:]))
+
+
+def test_membership_by_value_agrees_with_text_keys(text):
+    """Frames (with same-shape frames that are not frames of S) against
+    the frame tables, every painting of a shape against the table of each
+    frame of that shape, and every composite the sweep tests for
+    membership: by value exactly when by canonical text."""
+    S = parse_indexed(text)
+    checked = 0
+    for n in range(S.trunc + 1):
+        for p in range(n + 1):
+            frames = enumerate_frames(S, n, p)
+            foreign = [_foreign(d) for d in frames] if p else []
+            checked += _agrees(frames + foreign, indexed._frames(S, n, p),
+                               frames)
+            shape = [c for d in frames
+                     for c in enumerate_paintings(S, n, p, d)]
+            for d in frames:
+                checked += _agrees(shape, indexed._paintings(S, n, p, d),
+                                   enumerate_paintings(S, n, p, d))
+    for n in range(2, S.trunc + 1):
+        for p in range(n - 1):
+            for r in range(p, n - 1):
+                for q in range(r, n - 1):
+                    for eps, omega in product(range(S.nu), repeat=2):
+                        for d in enumerate_frames(S, n, p):
+                            base = restr_frame(omega, r, n, p, d, S)
+                            lhs = restr_frame(eps, q, n - 1, p, base, S)
+                            checked += _agrees(
+                                [lhs], indexed._frames(S, n - 2, p),
+                                enumerate_frames(S, n - 2, p))
+                            tops = [restr_painting(
+                                eps, q, n - 1, p, base,
+                                restr_painting(omega, r, n, p, d, c, S), S)
+                                for c in enumerate_paintings(S, n, p, d)]
+                            checked += _agrees(
+                                tops, indexed._paintings(S, n - 2, p, lhs),
+                                enumerate_paintings(S, n - 2, p, lhs))
+    assert checked > 100
+    assert coherence_sweep(S).ok
+
+
+def test_corruptions_caught_after_the_sweep_filled_the_memo():
+    """The five corrupted values of the acceptance criterion on coherence
+    raise CoherenceMismatch even when the set's memo holds every table and
+    restriction that the sweep and the next level's frames up to stratum
+    2 (where the corruptions sit) need."""
+    def uneven(n, key):
+        if n == 0:
+            return 2
+        if n == 1:
+            return 2 if key == "([{0} {0}])" else 1
+        return 1
+
+    SU = grow_indexed(2, 2, uneven)
+    assert coherence_sweep(SU).ok
+    for p in range(3):
+        enumerate_frames(SU, 3, p)
+    sqA = parse_value("{[{[{1} {0}] 0} {[{1} {0}] 0}] [{0} {0}] 0}",
+                      2, 2, 0, "painting")
+    sqB = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {0}] 0}",
+                      2, 2, 0, "painting")
+    l0 = LayerVal(3, 0, (sqA, sqB))
+    d31 = FrameVal(3, 1, (l0,))
+    good = parse_value("{[{0} {0}] 0}", 2, 2, 1, "painting")
+    bad = parse_value("{[{1} {0}] 0}", 2, 2, 1, "painting")
+    lay2 = indexed._enumerate_layers(
+        SU, 3, 2, d31.extend(LayerVal(3, 1, (good, good))))[0]
+    sq_bad = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {1}] 0}",
+                         2, 2, 0, "painting")
+    corruptions = [
+        lambda: restr_layer(0, 1, 3, 1, d31, LayerVal(3, 1, (bad, good)),
+                            SU),
+        lambda: restr_layer(1, 1, 3, 1, d31, LayerVal(3, 1, (good, bad)),
+                            SU),
+        lambda: restr_frame(
+            0, 2, 3, 2, FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))),
+            SU),
+        lambda: restr_painting(
+            0, 2, 3, 1, d31,
+            PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2), 0), SU),
+        lambda: restr_layer(0, 1, 3, 0, FrameVal(3, 0, ()),
+                            LayerVal(3, 0, (sq_bad, sqB)), SU),
+    ]
+    for corrupt in corruptions:
+        with pytest.raises(CoherenceMismatch):
+            corrupt()
+
+
+def test_enumerations_return_fresh_lists():
+    S = grow_indexed(2, 2, lambda n, key: 2 if n == 0 else 1)
+    frames = enumerate_frames(S, 2, 1)
+    expected = list(frames)
+    frames.clear()
+    assert enumerate_frames(S, 2, 1) == expected
+    d = expected[0]
+    paintings = enumerate_paintings(S, 2, 1, d)
+    assert paintings
+    expected = list(paintings)
+    paintings.append(paintings[0])
+    paintings.reverse()
+    assert enumerate_paintings(S, 2, 1, d) == expected
 
 
 def test_memo_per_set_and_handed_on_by_extended(text):
