@@ -18,8 +18,6 @@ from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
 from .indexed import IndexedNuSet, coherence_sweep, emit_indexed, \
     parse_indexed, validate_indexed
-from .parametricity import iterate_types, normalize, parse_type, print_type, \
-    telescope_stats
 from .presheaf import check_functor_laws, emit_nuset, parse_nuset
 from .shapes import geometric_inventory, standard_shape, to_dot
 from .streams import extend_singleton, take
@@ -125,6 +123,12 @@ def _cmd_coh_check(args):
 
 
 def _cmd_param(args):
+    # Imported here: every CLI call compiles what it imports, and only
+    # param needs the term engine.
+    from .parametricity import (
+        iterate_types, normalize, parse_type, print_type, telescope_stats,
+    )
+
     if args.steps is not None:
         T = iterate_types(args.nu, args.steps)
     else:

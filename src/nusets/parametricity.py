@@ -117,128 +117,334 @@ def _prod(items):
 
 
 # ------------------------------------------------------------ scoping
+#
+# Terms stay named, because the printed names are output: they come from
+# the order of the capture-avoiding renames below. So that no pass
+# rescans a term, each node caches one _Info the first time a pass looks
+# at it: its free variables and every name bound inside it, as bitmasks
+# over a name table, and whether normalize returns it unchanged. It is
+# one attribute, _cache, so the node keeps its compact attribute storage.
+#
+# A table gives each name one bit. It belongs to the call that made it
+# and to the nodes stamped with it, never to the module, so it lives as
+# long as the terms do. A node met under another table is stamped anew.
 
 
-def free_vars(e):
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Univ):
-        return set()
+class _Names:
+    """A name table: each name gets one bit, in order of first use."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self):
+        self.bits = {}
+
+    def bit(self, name):
+        b = self.bits.get(name)
+        if b is None:
+            b = self.bits[name] = 1 << len(self.bits)
+        return b
+
+    def decode(self, mask):
+        return {name for name, b in self.bits.items() if b & mask}
+
+
+class _Info:
+    """What a node caches under one name table: free variables (fv),
+    names bound anywhere inside (bv), and normal form (nf)."""
+
+    __slots__ = ("names", "fv", "bv", "nf")
+
+    def __init__(self, names, fv, bv, nf):
+        self.names = names
+        self.fv = fv
+        self.bv = bv
+        self.nf = nf
+
+
+def _table(*terms):
+    """The name table of the first of the terms that has one, else a new
+    one: a term's masks travel with it from call to call."""
+    for t in terms:
+        info = getattr(t, "_cache", None)
+        if info is not None:
+            return info.names
+    return _Names()
+
+
+def _info(e, names):
+    """e's _Info under names, stamping e and what lies below it first if
+    it has none."""
+    info = getattr(e, "_cache", None)
+    if info is not None and info.names is names:
+        return info
+    return _scan(e, names)
+
+
+def _kids(e):
+    """The children of a node, in field order."""
+    if isinstance(e, (Var, Univ)):
+        return ()
     if isinstance(e, DepFun):
-        return free_vars(e.domain) | (free_vars(e.codomain) - {e.binder})
+        return (e.domain, e.codomain)
     if isinstance(e, Lam):
-        return free_vars(e.body) - {e.binder}
-    if isinstance(e, Prod):
-        return set().union(*map(free_vars, e.items))
-    if isinstance(e, Tuple):
-        return set().union(*map(free_vars, e.items)) if e.items else set()
+        return (e.body,)
+    if isinstance(e, (Prod, Tuple)):
+        return e.items
     if isinstance(e, FamApp):
-        return free_vars(e.head).union(*map(free_vars, e.args)) \
-            if e.args else free_vars(e.head)
+        return (e.head,) + e.args
     if isinstance(e, Proj):
-        return free_vars(e.tuple_)
+        return (e.tuple_,)
     raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
 
 
-def _fresh(base, avoid):
+def _stamp(e, kids, names):
+    """Cache e's _Info from its children's, which are stamped already.
+
+    nf holds exactly when every child is normal and e is no redex and
+    nothing normalize reshapes: no product domain, no projection of a
+    tuple, no one-item tuple, no application with no arguments or with
+    an application or a lambda as head. Then normalize(e) == e."""
+    fv = bv = 0
+    nf = True
+    for k in kids:
+        info = k._cache
+        fv |= info.fv
+        bv |= info.bv
+        nf = nf and info.nf
+    if isinstance(e, Var):
+        fv = names.bit(e.name)
+    elif isinstance(e, DepFun):
+        b = names.bit(e.binder)
+        fv = e.domain._cache.fv | (e.codomain._cache.fv & ~b)
+        bv |= b
+        nf = nf and not isinstance(e.domain, Prod)
+    elif isinstance(e, Lam):
+        b = names.bit(e.binder)
+        fv &= ~b
+        bv |= b
+    elif isinstance(e, Tuple):
+        nf = nf and len(e.items) != 1
+    elif isinstance(e, Proj):
+        nf = nf and not isinstance(e.tuple_, Tuple)
+    elif isinstance(e, FamApp):
+        nf = nf and bool(e.args) and not isinstance(e.head, (FamApp, Lam))
+    info = _Info(names, fv, bv, nf)
+    object.__setattr__(e, "_cache", info)
+    return info
+
+
+def _scan(e, names):
+    """Stamp e and every node below it not stamped under names; return
+    e's _Info. Iterative, so a long spine does not recurse."""
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        kids = _kids(node)
+        waiting = False
+        for k in kids:
+            info = getattr(k, "_cache", None)
+            if info is None or info.names is not names:
+                todo.append(k)
+                waiting = True
+        if waiting:
+            continue
+        todo.pop()
+        info = getattr(node, "_cache", None)
+        if info is None or info.names is not names:
+            _stamp(node, kids, names)
+    return e._cache
+
+
+def free_vars(e):
+    """The free variables of e.
+
+    Each node caches in ``_cache`` its free variables and the names bound
+    inside it, as bitmasks over a name table, and whether it is normal.
+    This reads e's mask; only nodes not yet stamped under e's table are
+    scanned, once."""
+    names = _table(e)
+    return names.decode(_info(e, names).fv)
+
+
+def _fresh(base, avoid, names):
+    """base, or base2, base3, ...: the first whose bit is not in avoid."""
     base = base.rstrip("0123456789")
     if base in ("", "_"):
         base = "x"
-    if base not in avoid:
+    bits = names.bits
+    if not bits.get(base, 0) & avoid:
         return base
     k = 2
-    while f"{base}{k}" in avoid:
+    while bits.get(f"{base}{k}", 0) & avoid:
         k += 1
     return f"{base}{k}"
 
 
 def subst(e, name, value):
-    """Capture-avoiding substitution of value for the free variable."""
-    if isinstance(e, Var):
-        return value if e.name == name else e
-    if isinstance(e, Univ):
-        return e
-    if isinstance(e, (DepFun, Lam)):
-        binder, inner = (e.binder, e.codomain if isinstance(e, DepFun)
-                         else e.body)
-        if binder == name:
-            new_inner = inner
-            new_binder = binder
+    """Capture-avoiding substitution of value for the free variable.
+
+    A binder that would capture a free variable of value is renamed, even
+    where name does not occur below it; those renames give the printed
+    names. So a subterm is returned as it is exactly when name is not
+    free in it and none of its binders is free in value: then the
+    traversal would rebuild every node equal and rename nothing. Both
+    tests read the cached masks, so only the paths down to an occurrence
+    or a renamed binder are rebuilt."""
+    return _subst(e, name, value, _table(e, value))
+
+
+def _subst(e, name, value, names):
+    return _sub(e, name, names.bit(name), value, _info(value, names).fv,
+                names)
+
+
+def _sub(e, name, xbit, value, vfv, names):
+    """_subst with the masks of name and of value's free variables."""
+    # Binders and applications on the way down, rebuilt on the way back;
+    # the loop walks codomains, bodies and heads, so spines do not recurse.
+    outer = []
+    while True:
+        info = getattr(e, "_cache", None)
+        if info is None or info.names is not names:
+            info = _scan(e, names)
+        if not (info.fv & xbit or info.bv & vfv):
+            break
+        if isinstance(e, (DepFun, Lam)):
+            dep = isinstance(e, DepFun)
+            inner = e.codomain if dep else e.body
+            dom = (_sub(e.domain, name, xbit, value, vfv, names) if dep
+                   else None)
+            binder = e.binder
+            if binder != name and names.bit(binder) & vfv:
+                avoid = vfv | _info(inner, names).fv | xbit
+                binder = _fresh(e.binder, avoid, names)
+                inner = _subst(inner, e.binder, Var(binder), names)
+            outer.append((e, binder, dom))
+            e = inner
+            if binder == name:
+                break  # name is bound here: the body stays as it is
+        elif isinstance(e, FamApp):
+            outer.append((e, None, tuple(
+                _sub(a, name, xbit, value, vfv, names) for a in e.args)))
+            e = e.head
+        elif isinstance(e, Var):
+            e = value  # a variable is reached only when it is name
+            break
+        elif isinstance(e, Proj):
+            e = Proj(e.index, _sub(e.tuple_, name, xbit, value, vfv, names))
+            break
+        else:  # Prod or Tuple
+            e = type(e)(tuple(_sub(i, name, xbit, value, vfv, names)
+                              for i in e.items))
+            break
+    for node, binder, part in reversed(outer):
+        if isinstance(node, DepFun):
+            e = DepFun(binder, part, e)
+        elif isinstance(node, Lam):
+            e = Lam(binder, e)
         else:
-            if binder in free_vars(value):
-                new_binder = _fresh(
-                    binder, free_vars(value) | free_vars(inner) | {name})
-                inner = subst(inner, binder, Var(new_binder))
-            else:
-                new_binder = binder
-            new_inner = subst(inner, name, value)
-        if isinstance(e, DepFun):
-            return DepFun(new_binder, subst(e.domain, name, value), new_inner)
-        return Lam(new_binder, new_inner)
-    if isinstance(e, Prod):
-        return Prod(tuple(subst(i, name, value) for i in e.items))
-    if isinstance(e, Tuple):
-        return Tuple(tuple(subst(i, name, value) for i in e.items))
-    if isinstance(e, FamApp):
-        return FamApp(subst(e.head, name, value),
-                      tuple(subst(a, name, value) for a in e.args))
-    if isinstance(e, Proj):
-        return Proj(e.index, subst(e.tuple_, name, value))
-    raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
+            e = FamApp(e, part)
+    return e
 
 
 # --------------------------------------------------------- normalization
 
 
+_DEP, _LAM, _APP, _BETA = range(4)
+
+
 def normalize(e):
     """Beta and projection reduction, plus telescope shaping: a dependent
     function whose domain is a product splits into one binder per factor.
-    Terminating on this fragment; idempotent by construction."""
-    if isinstance(e, (Univ, Var)):
-        return e
-    if isinstance(e, DepFun):
-        dom = normalize(e.domain)
-        if isinstance(dom, Prod):
-            avoid = (free_vars(e.codomain) | free_vars(dom)
-                     | {e.binder})
-            parts = []
-            for item in dom.items:
-                nm = _fresh(e.binder, avoid)
-                avoid.add(nm)
-                parts.append(nm)
-            body = subst(e.codomain, e.binder,
-                         Tuple(tuple(Var(nm) for nm in parts)))
-            for nm, item in zip(reversed(parts), reversed(dom.items)):
-                body = DepFun(nm, item, body)
-            return normalize(body)
-        return DepFun(e.binder, dom, normalize(e.codomain))
-    if isinstance(e, Lam):
-        return Lam(e.binder, normalize(e.body))
+    Terminating on this fragment; idempotent by construction.
+
+    A node whose cached flag says normal (see _stamp) is returned at
+    once, so after a beta step only the nodes the substitution rebuilt
+    are looked at. The flag is read off the node and its children, and
+    it implies normalize(e) == e, so returning e is exact."""
+    return _normalize(e, _table(e))
+
+
+def _normalize(e, names):
+    # Contexts still to rebuild, innermost last: a binder over its
+    # normalized domain, a lambda, or an application waiting for its
+    # head. _APP holds the raw arguments, normalized once the head is (in
+    # that order, as errors must come out in the same order), and
+    # flattens the head's spine; _BETA holds the arguments left after a
+    # beta step and flattens nothing.
+    todo = []
+    while True:
+        while not _info(e, names).nf:
+            if isinstance(e, DepFun):
+                dom = _normalize(e.domain, names)
+                if isinstance(dom, Prod):
+                    e = _split(e, dom, names)
+                    continue
+                todo.append((_DEP, e.binder, dom))
+                e = e.codomain
+            elif isinstance(e, Lam):
+                todo.append((_LAM, e.binder, None))
+                e = e.body
+            elif isinstance(e, FamApp):
+                todo.append((_APP, None, e.args))
+                e = e.head
+            else:
+                e = _normalize_items(e, names)
+                break
+        while todo:
+            kind, binder, part = todo.pop()
+            if kind == _DEP:
+                e = DepFun(binder, part, e)
+            elif kind == _LAM:
+                e = Lam(binder, e)
+            else:
+                args = part
+                if kind == _APP:
+                    args = [_normalize(a, names) for a in args]
+                    while isinstance(e, FamApp):
+                        args = list(e.args) + args
+                        e = e.head
+                if args and isinstance(e, Lam):
+                    arg = args.pop(0)
+                    todo.append((_BETA, None, args))
+                    e = _subst(e.body, e.binder, arg, names)
+                    break  # normalize the contractum, then come back
+                if args:
+                    e = FamApp(e, tuple(args))
+        else:
+            return e
+
+
+def _split(e, dom, names):
+    """Pi x:(A * B). C  becomes  Pi x:A. Pi x2:B. C[(x, x2)/x]."""
+    avoid = (_info(e.codomain, names).fv | _info(dom, names).fv
+             | names.bit(e.binder))
+    parts = []
+    for _ in dom.items:
+        nm = _fresh(e.binder, avoid, names)
+        avoid |= names.bit(nm)
+        parts.append(nm)
+    body = _subst(e.codomain, e.binder,
+                  Tuple(tuple(Var(nm) for nm in parts)), names)
+    for nm, item in zip(reversed(parts), reversed(dom.items)):
+        body = DepFun(nm, item, body)
+    return body
+
+
+def _normalize_items(e, names):
+    """Normalize a product, tuple or projection."""
     if isinstance(e, Prod):
-        return Prod(tuple(normalize(i) for i in e.items))
+        return Prod(tuple(_normalize(i, names) for i in e.items))
     if isinstance(e, Tuple):
-        items = tuple(normalize(i) for i in e.items)
+        items = tuple(_normalize(i, names) for i in e.items)
         return items[0] if len(items) == 1 else Tuple(items)
-    if isinstance(e, Proj):
-        t = normalize(e.tuple_)
-        if isinstance(t, Tuple):
-            if not (0 <= e.index < len(t.items)):
-                raise UnsupportedConstruct(
-                    f"projection {e.index} on width {len(t.items)}")
-            return t.items[e.index]
-        return Proj(e.index, t)
-    if isinstance(e, FamApp):
-        head = normalize(e.head)
-        args = [normalize(a) for a in e.args]
-        while isinstance(head, FamApp):
-            args = list(head.args) + args
-            head = head.head
-        while args and isinstance(head, Lam):
-            head = normalize(subst(head.body, head.binder, args.pop(0)))
-        if not args:
-            return head
-        return FamApp(head, tuple(args))
-    raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
+    t = _normalize(e.tuple_, names)
+    if isinstance(t, Tuple):
+        if not (0 <= e.index < len(t.items)):
+            raise UnsupportedConstruct(
+                f"projection {e.index} on width {len(t.items)}")
+        return t.items[e.index]
+    return Proj(e.index, t)
 
 
 # ------------------------------------------------------------ translation
@@ -276,19 +482,66 @@ def translate(T, nu, env=None):
 
     env maps each free variable to (its nu copies, its witness). The
     result, applied to a nu-tuple of copies of T's inhabitants, is the
-    type of witnesses relating them.
+    type of witnesses relating them. Fresh names avoid the names of env
+    and the free variables of T and of env's terms, read as masks.
     """
     if env is None:
         env = {}
-    avoid = set(env) | free_vars(T)
-    for copies, witness in env.values():
+    names = _table(T)
+    return _translate(T, nu, env, _env_mask(env, names), names)
+
+
+def _env_mask(env, names):
+    """The names of env and the free variables of its copies and
+    witnesses, as a mask."""
+    mask = 0
+    for name, (copies, witness) in env.items():
+        mask |= names.bit(name)
         for c in copies:
-            avoid |= free_vars(c)
+            mask |= _info(c, names).fv
         if witness is not None:
-            avoid |= free_vars(witness)
+            mask |= _info(witness, names).fv
+    return mask
+
+
+def _translate(T, nu, env, env_mask, names):
+    # A dependent function's codomain is translated under one more binder
+    # and wrapped in the binder's witness; the loop walks that spine and
+    # wraps on the way back, so a long telescope does not recurse.
+    outer = []
+    while isinstance(T, DepFun):
+        avoid = env_mask | _info(T, names).fv
+        f = _fresh("f", avoid, names)
+        avoid |= names.bit(f)
+        abar = _fresh(T.binder, avoid, names)
+        avoid |= names.bit(abar)
+        astar = _fresh(T.binder + "s", avoid, names)
+        dom = _prod([_copy(T.domain, i, nu, env) for i in range(nu)])
+        projs = [_proj(i, Var(abar), nu) for i in range(nu)]
+        dstar = FamApp(_translate(T.domain, nu, env, env_mask, names),
+                       (_tuple(projs),))
+        applied = _tuple([App(_proj(i, Var(f), nu), projs[i])
+                          for i in range(nu)])
+        outer.append((f, abar, dom, astar, dstar, applied))
+        entry = {T.binder: (tuple(projs), Var(astar))}
+        shadows = T.binder in env  # then the old entry's names go
+        env = {**env, **entry}
+        env_mask = (_env_mask(env, names) if shadows
+                    else env_mask | _env_mask(entry, names))
+        T = T.codomain
+    out = _translate_other(T, nu, env, env_mask, names)
+    for f, abar, dom, astar, dstar, applied in reversed(outer):
+        cstar = FamApp(out, (applied,))
+        out = Lam(f, DepFun(abar, dom, DepFun(astar, dstar, cstar)))
+    return out
+
+
+def _translate_other(T, nu, env, env_mask, names):
+    """_translate of anything but a dependent function."""
+    avoid = env_mask | _info(T, names).fv
 
     if isinstance(T, Univ):
-        a = _fresh("A", avoid)
+        a = _fresh("A", avoid, names)
         return Lam(a, DepFun(
             "_", _prod([_proj(i, Var(a), nu) for i in range(nu)]), Univ()))
 
@@ -299,42 +552,28 @@ def translate(T, nu, env=None):
                 f"variable {T.name} has no relational witness")
         return witness
 
-    if isinstance(T, DepFun):
-        f = _fresh("f", avoid)
-        avoid.add(f)
-        abar = _fresh(T.binder, avoid)
-        avoid.add(abar)
-        astar = _fresh(T.binder + "s", avoid)
-        avoid.add(astar)
-        dom = _prod([_copy(T.domain, i, nu, env) for i in range(nu)])
-        projs = [_proj(i, Var(abar), nu) for i in range(nu)]
-        dstar = FamApp(translate(T.domain, nu, env), (_tuple(projs),))
-        env2 = dict(env)
-        env2[T.binder] = (tuple(projs), Var(astar))
-        applied = _tuple([App(_proj(i, Var(f), nu), projs[i])
-                          for i in range(nu)])
-        cstar = FamApp(translate(T.codomain, nu, env2), (applied,))
-        return Lam(f, DepFun(abar, dom, DepFun(astar, dstar, cstar)))
-
     if isinstance(T, Prod):
-        p = _fresh("p", avoid)
+        p = _fresh("p", avoid, names)
         width = len(T.items)
         comps = []
         for j, item in enumerate(T.items):
             picks = _tuple([_proj(j, _proj(i, Var(p), nu), width)
                             for i in range(nu)])
-            comps.append(FamApp(translate(item, nu, env), (picks,)))
+            comps.append(FamApp(_translate(item, nu, env, env_mask, names),
+                                (picks,)))
         return Lam(p, _prod(comps))
 
     if isinstance(T, FamApp):
-        out = translate(T.head, nu, env)
+        out = _translate(T.head, nu, env, env_mask, names)
         for a in T.args:
             copies = _tuple([_copy(a, i, nu, env) for i in range(nu)])
-            out = FamApp(out, (copies, translate(a, nu, env)))
+            out = FamApp(out, (copies,
+                               _translate(a, nu, env, env_mask, names)))
         return out
 
     if isinstance(T, Tuple):
-        return Tuple(tuple(translate(x, nu, env) for x in T.items))
+        return Tuple(tuple(_translate(x, nu, env, env_mask, names)
+                           for x in T.items))
 
     raise UnsupportedConstruct(
         f"cannot translate {type(T).__name__} in this fragment")
@@ -344,18 +583,21 @@ def iterate_types(nu, steps):
     """The normalized type of the family X_steps.
 
     Start from the universe; each step applies the translation of the
-    previous type to the diagonal tuple of the previous family.
+    previous type to the diagonal tuple of the previous family. One name
+    table serves every step, so each step reads the masks the last one
+    cached.
     """
     if nu < 1:
         raise ArityError(f"arity must be >= 1, got {nu}")
+    names = _Names()
     S = Univ()
     for k in range(steps):
         env = {f"X{j}": (tuple(Var(f"X{j}") for _ in range(nu)),
                          Var(f"X{j + 1}"))
                for j in range(k)}
-        t = translate(S, nu, env)
+        t = _translate(S, nu, env, _env_mask(env, names), names)
         diag = _tuple([Var(f"X{k}") for _ in range(nu)])
-        S = normalize(FamApp(t, (diag,)))
+        S = _normalize(FamApp(t, (diag,)), names)
     return S
 
 
@@ -529,32 +771,44 @@ _PREC_TYPE, _PREC_PROD, _PREC_APP, _PREC_ATOM = 0, 1, 2, 3
 
 
 def print_type(e, prec=_PREC_TYPE):
+    """The surface text of e. A binder prints as "Pi" when its codomain's
+    cached mask has it free, else as an arrow; a spine of binders is read
+    in a loop and joined once, so printing is linear in the output."""
+    return _print(e, prec, _table(e))
+
+
+def _print(e, prec, names):
     if isinstance(e, Univ):
         return "U"
     if isinstance(e, Var):
         return e.name
     if isinstance(e, DepFun):
-        if e.binder not in free_vars(e.codomain):
-            body = (f"{print_type(e.domain, _PREC_PROD)} -> "
-                    f"{print_type(e.codomain)}")
-        else:
-            body = (f"Pi {e.binder}:{print_type(e.domain, _PREC_PROD)}. "
-                    f"{print_type(e.codomain)}")
+        parts = []
+        while isinstance(e, DepFun):
+            dom = _print(e.domain, _PREC_PROD, names)
+            if names.bit(e.binder) & _info(e.codomain, names).fv:
+                parts.append(f"Pi {e.binder}:{dom}. ")
+            else:
+                parts.append(f"{dom} -> ")
+            e = e.codomain
+        parts.append(_print(e, _PREC_TYPE, names))
+        body = "".join(parts)
         return f"({body})" if prec > _PREC_TYPE else body
     if isinstance(e, Prod):
-        body = " * ".join(print_type(i, _PREC_APP) for i in e.items)
+        body = " * ".join(_print(i, _PREC_APP, names) for i in e.items)
         return f"({body})" if prec > _PREC_PROD else body
     if isinstance(e, FamApp):
-        parts = [print_type(e.head, _PREC_APP)]
-        parts += [print_type(a, _PREC_ATOM) for a in e.args]
+        parts = [_print(e.head, _PREC_APP, names)]
+        parts += [_print(a, _PREC_ATOM, names) for a in e.args]
         body = " ".join(parts)
         return f"({body})" if prec > _PREC_APP else body
     if isinstance(e, Tuple):
-        return "(" + ", ".join(print_type(i) for i in e.items) + ")"
+        return "(" + ", ".join(_print(i, _PREC_TYPE, names)
+                               for i in e.items) + ")"
     if isinstance(e, Lam):
-        return f"(\\{e.binder}. {print_type(e.body)})"
+        return f"(\\{e.binder}. {_print(e.body, _PREC_TYPE, names)})"
     if isinstance(e, Proj):
-        return f"{print_type(e.tuple_, _PREC_ATOM)}.{e.index}"
+        return f"{_print(e.tuple_, _PREC_ATOM, names)}.{e.index}"
     raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
 
 
@@ -603,25 +857,40 @@ class _Parser:
         raise ParseError(message, line=ln, col=col)
 
     def type_(self):
-        if self.peek() == "Pi":
-            self.next()
-            tok, ln, col = self.next()
-            if tok is None or not re.fullmatch(r"[A-Za-z_]\w*", tok) \
-                    or tok in ("Pi", "U"):
-                raise ParseError(f"expected binder name, found {tok!r}",
-                                 line=ln, col=col)
-            self.expect(":")
-            dom = self.arrow()
-            self.expect(".")
-            return DepFun(tok, dom, self.type_())
-        return self.arrow()
+        return self._spine([])
 
     def arrow(self):
         left = self.prod()
         if self.peek() == "->":
             self.next()
-            return DepFun("_", left, self.type_())
+            return self._spine([("_", left)])
         return left
+
+    def _spine(self, binders):
+        """The rest of a type after the given (binder, domain) pairs: read
+        "Pi x:A." and "A ->" in a loop, so a long telescope does not
+        recurse, then nest the binders around the final product."""
+        while True:
+            if self.peek() == "Pi":
+                self.next()
+                tok, ln, col = self.next()
+                if tok is None or not re.fullmatch(r"[A-Za-z_]\w*", tok) \
+                        or tok in ("Pi", "U"):
+                    raise ParseError(f"expected binder name, found {tok!r}",
+                                     line=ln, col=col)
+                self.expect(":")
+                dom = self.arrow()
+                self.expect(".")
+                binders.append((tok, dom))
+                continue
+            out = self.prod()
+            if self.peek() != "->":
+                break
+            self.next()
+            binders.append(("_", out))
+        for binder, dom in reversed(binders):
+            out = DepFun(binder, dom, out)
+        return out
 
     def prod(self):
         items = [self.app()]

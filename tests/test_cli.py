@@ -13,8 +13,10 @@ import pytest
 from nusets.cli import main
 from nusets.equivalence import to_indexed
 from nusets.indexed import emit_indexed, grow_indexed
+from nusets.parametricity import iterate_types, print_type
 from nusets.presheaf import emit_nuset
 from nusets.shapes import standard_shape
+from nusets.words import hom_count
 
 
 @pytest.fixture
@@ -181,6 +183,29 @@ def test_param_file(tmp_path, capsys):
     assert main(["param", str(f), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stats"] == {"0": 1, "1": 2}
+
+
+@pytest.fixture(scope="module")
+def telescope_1_9():
+    return print_type(iterate_types(1, 9))
+
+
+def test_param_511_binders_exits_zero(telescope_1_9, capsys):
+    """The step-9 unary telescope has a 511-binder spine, past the
+    recursion limit when every binder took a frame."""
+    assert main(["param", "--nu", "1", "-n", "9", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stats"] == {str(p): hom_count(1, p, 9) for p in range(9)}
+    assert doc["telescope"] == telescope_1_9
+
+
+def test_param_file_reads_511_binders_back(telescope_1_9, tmp_path, capsys):
+    f = tmp_path / "t9.ty"
+    f.write_text(telescope_1_9 + "\n")
+    assert main(["param", str(f), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["telescope"] == telescope_1_9
+    assert doc["stats"] == {str(p): hom_count(1, p, 9) for p in range(9)}
 
 
 def test_param_non_telescope_exits_two(monkeypatch, capsys):

@@ -6,10 +6,14 @@ at level p in the step-n telescope must equal C(n,p) * nu^(n-p), computed
 here by the word-counting routine that knows nothing about type syntax.
 """
 
+import gc
 import random
+import sys
+import time
 
 import pytest
 
+from nusets import parametricity
 from nusets.errors import NotATelescope, ParseError, UnsupportedConstruct
 from nusets.parametricity import (
     DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, alpha_eq,
@@ -330,3 +334,61 @@ def test_same_telescope_distinguishes_diagonal():
     a = parse_type("Pi a:X0. Pi b:X0. X1 (a, b) -> U")
     diag = parse_type("Pi a:X0. Pi b:X0. X1 (a, a) -> U")
     assert not same_telescope(a, diag)
+
+
+# ------------------------------------------------------- scale and memory
+
+def test_iterate_binary_five_steps_within_budget():
+    """242 binders, under the default recursion limit, in under 10 s (the
+    named engine without cached masks took 21 s, near the limit)."""
+    assert sys.getrecursionlimit() <= 1000
+    start = time.perf_counter()
+    T = iterate_types(2, 5)
+    assert time.perf_counter() - start < 10
+    assert telescope_stats(T) == {p: hom_count(2, p, 5) for p in range(5)}
+
+
+def test_long_spines_do_not_recurse():
+    """Pi and arrow spines are read, normalized, scanned and printed in
+    loops: 5000 binders, five times the recursion limit."""
+    text = "Pi a:X0. " + "X1 a -> " * 4999 + "U"
+    T = parse_type(text)
+    assert telescope_stats(normalize(T)) == {0: 1, 1: 4999}
+    assert free_vars(T) == {"X0", "X1"}
+    assert print_type(T) == text
+
+
+def _module_containers():
+    return {name: len(obj) for name, obj in vars(parametricity).items()
+            if isinstance(obj, (dict, list, set)) and name != "__builtins__"}
+
+
+def test_name_tables_live_with_their_terms():
+    """No module-level cache, and no cycle: with the cycle collector off,
+    every name table iterate_types and normalize made is freed once their
+    terms are dropped, and no module-level container grew."""
+    def tables():
+        return sum(isinstance(o, parametricity._Names)
+                   for o in gc.get_objects())
+
+    containers = _module_containers()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = tables()
+        for nu, steps in ((2, 3), (1, 5)):
+            T = iterate_types(nu, steps)
+            N = normalize(parse_type(print_type(T)))
+            assert print_type(N) == print_type(T)
+            assert tables() > before
+        del T, N
+        after = tables()
+    finally:
+        if enabled:
+            gc.enable()
+    assert after <= before
+    grown = _module_containers()
+    assert all(grown[k] <= containers.get(k, 0) for k in grown), grown
+    assert not any(isinstance(o, parametricity._Names)
+                   for o in vars(parametricity).values())
