@@ -12,16 +12,11 @@ import argparse
 import json
 import sys
 
-from .equivalence import random_indexed, round_trip_report, to_fibred, \
-    to_indexed
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
-from .indexed import IndexedNuSet, coherence_sweep, emit_indexed, \
-    parse_indexed, validate_indexed
-from .presheaf import check_functor_laws, emit_nuset, parse_nuset
-from .shapes import geometric_inventory, standard_shape, to_dot
-from .streams import extend_singleton, take
-from .words import compose, hom_count, hom_enumerate, parse_word
+
+# Each subcommand imports the modules it uses when it runs: a call
+# compiles what it imports, so no call pays for the others' modules.
 
 
 def _read(path):
@@ -36,6 +31,9 @@ def _read(path):
 
 def _load_any(text):
     """Parse either nu-set JSON format, telling them apart by their keys."""
+    from .indexed import parse_indexed
+    from .presheaf import parse_nuset
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -56,6 +54,8 @@ def _emit_report(rep, as_json):
 
 
 def _cmd_hom(args):
+    from .words import hom_count, hom_enumerate
+
     ws = [str(w) for w in hom_enumerate(args.nu, args.p, args.n)]
     assert len(ws) == hom_count(args.nu, args.p, args.n)
     if args.json:
@@ -69,6 +69,8 @@ def _cmd_hom(args):
 
 
 def _cmd_compose(args):
+    from .words import compose, parse_word
+
     g = parse_word(args.nu, args.g)
     f = parse_word(args.nu, args.f)
     out = str(compose(g, f))
@@ -81,6 +83,8 @@ def _cmd_compose(args):
 
 
 def _cmd_shape(args):
+    from .shapes import geometric_inventory, standard_shape, to_dot
+
     P = standard_shape(args.nu, args.n)
     sizes = [c.size for c in P.carriers]
     if args.dot and not args.json:
@@ -100,6 +104,9 @@ def _cmd_shape(args):
 
 
 def _cmd_validate(args):
+    from .indexed import IndexedNuSet, validate_indexed
+    from .presheaf import check_functor_laws
+
     obj = _load_any(_read(args.file))
     if isinstance(obj, IndexedNuSet):
         rep = validate_indexed(obj)
@@ -109,6 +116,10 @@ def _cmd_validate(args):
 
 
 def _cmd_convert(args):
+    from .equivalence import to_fibred, to_indexed
+    from .indexed import IndexedNuSet, emit_indexed
+    from .presheaf import emit_nuset
+
     obj = _load_any(_read(args.file))
     if isinstance(obj, IndexedNuSet):
         sys.stdout.write(emit_nuset(to_fibred(obj)))
@@ -118,13 +129,13 @@ def _cmd_convert(args):
 
 
 def _cmd_coh_check(args):
+    from .indexed import coherence_sweep, parse_indexed
+
     S = parse_indexed(_read(args.file))
     return _emit_report(coherence_sweep(S), args.json)
 
 
 def _cmd_param(args):
-    # Imported here: every CLI call compiles what it imports, and only
-    # param needs the term engine.
     from .parametricity import (
         iterate_types, normalize, parse_type, print_type, telescope_stats,
     )
@@ -146,6 +157,9 @@ def _cmd_param(args):
 
 
 def _cmd_extend(args):
+    from .indexed import emit_indexed, parse_indexed
+    from .streams import extend_singleton, take
+
     S = parse_indexed(_read(args.file))
     out = take(extend_singleton(S), S.trunc + args.levels)
     sys.stdout.write(emit_indexed(out))
@@ -153,6 +167,8 @@ def _cmd_extend(args):
 
 
 def _cmd_roundtrip(args):
+    from .equivalence import random_indexed, round_trip_report
+
     if args.file is not None:
         obj = _load_any(_read(args.file))
     else:

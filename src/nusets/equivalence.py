@@ -23,7 +23,7 @@ from .errors import (
 )
 from .indexed import (
     FrameVal, IndexedNuSet, LayerVal, PaintingVal, enumerate_frames,
-    check_totality, frame_key, full_frame, restr_frame,
+    check_totality, frame_key, full_frame, grow_indexed, restr_frame,
 )
 from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
 from .report import Report
@@ -289,5 +289,4 @@ def random_indexed(nu, trunc, seed, sizes=(0, 1, 2), dim0=None):
             return dim0
         return rng.choice(sizes)
 
-    from .indexed import grow_indexed
     return grow_indexed(nu, trunc, size_at)

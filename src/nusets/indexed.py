@@ -67,7 +67,7 @@ class FrameVal:
         return FrameVal(self.n, self.p + 1, self.layers + (layer,))
 
     def __repr__(self):
-        return f"Frame({self.n},{self.p},{serialize_frame(self)})"
+        return f"Frame({self.n},{self.p},{frame_key(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +90,7 @@ class LayerVal:
         return len(self.components)
 
     def __repr__(self):
-        return f"Layer({self.n},{self.p},{serialize_frame(self)})"
+        return f"Layer({self.n},{self.p},{frame_key(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +122,7 @@ class PaintingVal:
         return PaintingVal(self.n, self.p + 1, self.layers[1:], self.cell)
 
     def __repr__(self):
-        return f"Painting({self.n},{self.p},{serialize_frame(self)})"
+        return f"Painting({self.n},{self.p},{frame_key(self)})"
 
 
 def full_frame(base, painting):
@@ -136,20 +136,17 @@ def full_frame(base, painting):
 
 # -------------------------------------------------------- canonical text
 
-def serialize_frame(v):
-    """Injective s-expression text for a frame, layer, or painting."""
+def frame_key(v):
+    """Injective s-expression text for a frame, layer, or painting; for a
+    full frame, the key of its fibre."""
     if isinstance(v, FrameVal):
-        return "(" + " ".join(serialize_frame(x) for x in v.layers) + ")"
+        return "(" + " ".join(frame_key(x) for x in v.layers) + ")"
     if isinstance(v, LayerVal):
-        return "[" + " ".join(serialize_frame(x) for x in v.components) + "]"
+        return "[" + " ".join(frame_key(x) for x in v.components) + "]"
     if isinstance(v, PaintingVal):
-        inner = [serialize_frame(x) for x in v.layers] + [str(v.cell)]
+        inner = [frame_key(x) for x in v.layers] + [str(v.cell)]
         return "{" + " ".join(inner) + "}"
     raise TypeError(f"not a frame/layer/painting: {v!r}")
-
-
-def frame_key(d):
-    return serialize_frame(d)
 
 
 class _Scanner:
@@ -186,7 +183,7 @@ class _Scanner:
 
 
 def parse_value(text, nu, n, p, kind="frame"):
-    """Inverse of serialize_frame for a value of known shape (nu, n, p)."""
+    """Inverse of frame_key for a value of known shape (nu, n, p)."""
     sc = _Scanner(text)
     v = _parse_value(sc, nu, n, p, kind)
     sc.skip_ws()
@@ -352,17 +349,14 @@ def _paintings(S, n, p, d):
 # restriction routes extract the same positions from any same-shaped tree,
 # so a corrupted value cannot be detected by comparing routes alone. The
 # runtime shadow of the type-theoretic transport therefore takes the
-# indexed set as context (``within``): with it, restr_layer checks that
-# every layer component is one of the paintings enumerable over the
-# restricted frame it must sit over (one lookup in the set's painting
-# table), a component over the wrong frame raises CoherenceMismatch, and
-# results go into within._memo. Without it, the operators are pure
-# projections and memoize nothing beyond one call, so each recursive step
-# starts afresh and the cost grows exponentially with p; everything in
-# the package restricts within a set.
+# indexed set as context (``within``): restr_layer checks that every layer
+# component is one of the paintings enumerable over the restricted frame
+# it must sit over (one lookup in the set's painting table), a component
+# over the wrong frame raises CoherenceMismatch, and results go into
+# within._memo, which the recursion shares, so each face is computed once.
 
 
-def restr_frame(eps, q, n, p, d, within=None):
+def restr_frame(eps, q, n, p, d, within):
     """Face of a p-frame: direction eps, stratum q; p <= q <= n-1.
 
     Structural recursion: the empty frame restricts to the empty frame, and
@@ -377,27 +371,26 @@ def restr_frame(eps, q, n, p, d, within=None):
             f"frame at ({d.n},{d.p}) passed to restr_frame({n},{p})")
     if p == 0:
         return FrameVal(n - 1, 0, ())
-    memo = {} if within is None else within._memo
     key = ("f", eps, q, d)
-    hit = memo.get(key)
+    hit = within._memo.get(key)
     if hit is not None:
         return hit
     head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within)
     top = restr_layer(eps, q - 1, n, p - 1, d.prefix(p - 1),
                       d.layers[p - 1], within)
-    result = memo[key] = head.extend(top)
+    result = within._memo[key] = head.extend(top)
     return result
 
 
-def restr_layer(eps, q, n, p, d, layer, within=None):
+def restr_layer(eps, q, n, p, d, layer, within):
     """Face of a layer over frame d; p <= q <= n-2.
 
     Component w of the result is the (eps, q)-restriction of component w,
     computed over the w-restriction of d. The transport this step needs in
-    dependent type theory is realized as a runtime check; with ``within``
-    supplied it verifies that each component actually is a painting over
-    the w-restriction of d (CoherenceMismatch otherwise), and in all modes
-    the two frame computations the transport equates are compared.
+    dependent type theory is realized as a runtime check: each component
+    must be a painting of ``within`` over the w-restriction of d, and the
+    two frame computations the transport equates must agree
+    (CoherenceMismatch otherwise).
     """
     if not (0 <= p <= q <= n - 2):
         raise SideConditionViolated(
@@ -406,26 +399,24 @@ def restr_layer(eps, q, n, p, d, layer, within=None):
         raise SideConditionViolated(
             f"layer/frame at ({layer.n},{layer.p})/({d.n},{d.p}) passed "
             f"to restr_layer({n},{p})")
-    memo = {} if within is None else within._memo
     key = ("l", eps, q, d, layer)
-    hit = memo.get(key)
+    hit = within._memo.get(key)
     if hit is not None:
         return hit
     expected_base = restr_frame(eps, q + 1, n, p, d, within)
     comps = []
     for omega, comp in enumerate(layer.components):
         base = restr_frame(omega, p, n, p, d, within)
-        if within is not None:
-            try:
-                ok = comp in _paintings(within, n - 1, p, base)
-            except UnknownFrame as exc:
-                raise CoherenceMismatch(
-                    f"component {omega} sits over a frame that does not "
-                    f"exist in the indexed set: {exc}")
-            if not ok:
-                raise CoherenceMismatch(
-                    f"component {omega} is not a painting over "
-                    f"{serialize_frame(base)}: {serialize_frame(comp)}")
+        try:
+            ok = comp in _paintings(within, n - 1, p, base)
+        except UnknownFrame as exc:
+            raise CoherenceMismatch(
+                f"component {omega} sits over a frame that does not "
+                f"exist in the indexed set: {exc}")
+        if not ok:
+            raise CoherenceMismatch(
+                f"component {omega} is not a painting over "
+                f"{frame_key(base)}: {frame_key(comp)}")
         out = restr_painting(eps, q, n - 1, p, base, comp, within)
         via_projection = restr_frame(eps, q, n - 1, p, base, within)
         via_restriction = restr_frame(omega, p, n - 1, p, expected_base,
@@ -433,14 +424,14 @@ def restr_layer(eps, q, n, p, d, layer, within=None):
         if via_projection != via_restriction:
             raise CoherenceMismatch(
                 f"transport failed at direction {omega}: "
-                f"{serialize_frame(via_projection)} vs "
-                f"{serialize_frame(via_restriction)}")
+                f"{frame_key(via_projection)} vs "
+                f"{frame_key(via_restriction)}")
         comps.append(out)
-    result = memo[key] = LayerVal(n - 1, p, tuple(comps))
+    result = within._memo[key] = LayerVal(n - 1, p, tuple(comps))
     return result
 
 
-def restr_painting(eps, q, n, p, d, c, within=None):
+def restr_painting(eps, q, n, p, d, c, within):
     """Face of a painting over frame d; p <= q <= n-1.
 
     At p == q the first layer's eps component is the whole answer (the rest
@@ -461,15 +452,14 @@ def restr_painting(eps, q, n, p, d, c, within=None):
                 f"direction {eps} out of range for width "
                 f"{len(first.components)}")
         return first.components[eps]
-    memo = {} if within is None else within._memo
     key = ("p", eps, q, d, c)
-    hit = memo.get(key)
+    hit = within._memo.get(key)
     if hit is not None:
         return hit
     first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within)
     rest = restr_painting(eps, q, n, p + 1, d.extend(c.first_layer), c.rest,
                           within)
-    result = memo[key] = PaintingVal(n - 1, p, (first,) + rest.layers,
+    result = within._memo[key] = PaintingVal(n - 1, p, (first,) + rest.layers,
                                      rest.cell)
     return result
 
@@ -688,7 +678,7 @@ def parse_indexed(text):
                 raise ParseError(
                     f"families[{n}] key {key!r} is not a full frame "
                     f"at dimension {n}")
-            canonical = serialize_frame(frame)
+            canonical = frame_key(frame)
             if canonical != key:
                 raise ParseError(
                     f"families[{n}] key {key!r} is not canonical, "

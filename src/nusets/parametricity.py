@@ -25,6 +25,7 @@ Binders named "_" print as arrows.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ArityError, NotATelescope, ParseError, UnsupportedConstruct
@@ -641,45 +642,45 @@ def telescope_stats(T):
     return stats
 
 
-def alpha_rename(e, prefix="#"):
-    """Rename every bound variable to a canonical positional name.
+def _shape(e, env):
+    """e as a flat tuple of tokens in preorder, for comparing terms up to
+    the names of their bound variables (de Bruijn's nameless dummies).
 
-    Binders become "#1", "#2", ... in traversal order; free variables keep
-    their names. Two types are alpha-equivalent exactly when their renamed
-    forms are equal, and the result never contains shadowed binders.
-    """
-    counter = [0]
-
-    def go(e, env):
-        if isinstance(e, Var):
-            return Var(env.get(e.name, e.name))
-        if isinstance(e, Univ):
-            return e
-        if isinstance(e, (DepFun, Lam)):
-            counter[0] += 1
-            new = f"{prefix}{counter[0]}"
-            inner_env = dict(env)
-            inner_env[e.binder] = new
-            if isinstance(e, DepFun):
-                return DepFun(new, go(e.domain, env),
-                              go(e.codomain, inner_env))
-            return Lam(new, go(e.body, inner_env))
-        if isinstance(e, Prod):
-            return Prod(tuple(go(i, env) for i in e.items))
-        if isinstance(e, Tuple):
-            return Tuple(tuple(go(i, env) for i in e.items))
-        if isinstance(e, FamApp):
-            return FamApp(go(e.head, env), tuple(go(a, env) for a in e.args))
-        if isinstance(e, Proj):
-            return Proj(e.index, go(e.tuple_, env))
-        raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
-
-    return go(e, {})
+    A node gives its class, then its width (a projection its index), then
+    its children; a variable gives one token. A name bound inside e
+    becomes the position of its binder's token, a name in env becomes
+    env's value, any other name stays as it is. Iterative, and a flat
+    tuple compares without recursion, so long spines are fine."""
+    out = []
+    bound = {}  # name -> token positions of the binders in scope
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is tuple:  # (name, position) opens a scope, (name,) ends it
+            if len(e) == 2:
+                bound.setdefault(e[0], []).append(e[1])
+            else:
+                bound[e[0]].pop()
+        elif isinstance(e, Var):
+            scope = bound.get(e.name)
+            out.append(scope[-1] if scope else env.get(e.name, e.name))
+        else:
+            kids = _kids(e)
+            out.append(type(e))
+            if isinstance(e, (DepFun, Lam)):
+                # a domain lies outside the binder's scope, the body inside
+                todo += [(e.binder,), kids[-1], (e.binder, len(out) - 1)]
+                todo += kids[:-1]
+            else:
+                out.append(e.index if isinstance(e, Proj) else len(kids))
+                todo += reversed(kids)
+    return tuple(out)
 
 
 def alpha_eq(a, b):
-    """Structural equality up to renaming of bound variables."""
-    return alpha_rename(a) == alpha_rename(b)
+    """Structural equality up to renaming of bound variables: each bound
+    variable is compared by the position of its binder."""
+    return _shape(a, {}) == _shape(b, {})
 
 
 def _splice(e):
@@ -708,60 +709,67 @@ def _splice(e):
     return e
 
 
+def _hypotheses(T):
+    """The domains of T's normalized telescope as shapes, spines spliced.
+    A name bound by an earlier hypothesis becomes that hypothesis's
+    position, as a 1-tuple; a later binder of the same name shadows it.
+    Returns the shapes, the positions some later domain refers to (in
+    order), and the shapes of the other hypotheses."""
+    scope, shapes = {}, []
+    for i, (name, dom) in enumerate(flatten_telescope(normalize(T))):
+        shapes.append(_shape(_splice(dom), scope))
+        scope[name] = (i,)
+    used = {t for dom in shapes for t in dom if type(t) is tuple}
+    return shapes, sorted(used), [d for i, d in enumerate(shapes)
+                                  if (i,) not in used]
+
+
 def same_telescope(a, b):
     """Equality of two telescopes up to binder renaming, hypothesis
     reordering, and currying of application arguments.
 
-    Binders referenced by later hypotheses must correspond one to one;
-    hypotheses whose binders are never used again are compared as a
-    multiset. Domains must match under the correspondence after their
-    application spines are flattened.
+    Hypotheses are compared by binder position: each domain is read with
+    the hypotheses before it in scope. Those referred to by a later
+    domain must correspond one to one; they are matched in order, with
+    backtracking. The rest are compared as a multiset. Domains must match
+    under the correspondence after their application spines are
+    flattened.
     """
-    # Distinct prefixes keep the two binder name spaces disjoint, so the
-    # sequential renaming in render cannot chain.
-    ha = [(n, _splice(d))
-          for n, d in flatten_telescope(alpha_rename(normalize(a), "#"))]
-    hb = [(n, _splice(d))
-          for n, d in flatten_telescope(alpha_rename(normalize(b), "%"))]
-    if len(ha) != len(hb):
+    (ha, named_a, anon_a), (hb, named_b, anon_b) = (_hypotheses(a),
+                                                    _hypotheses(b))
+    if len(ha) != len(hb) or len(named_a) != len(named_b):
         return False
+    want = Counter(anon_b)
+    mapping = {}  # a hypothesis of named_a -> the one of named_b it matches
+    stack = []  # for each matched one of named_a, its index in named_b
+    taken = set()  # the indices on the stack
 
-    def split(hyps):
-        used_later = set()
-        for _, dom in hyps:
-            used_later |= free_vars(dom)
-        named = [(n, d) for n, d in hyps if n in used_later]
-        anon = [d for n, d in hyps if n not in used_later]
-        return named, anon
+    def rename(dom):
+        return tuple(mapping.get(t, t) for t in dom)
 
-    named_a, anon_a = split(ha)
-    named_b, anon_b = split(hb)
-    if len(named_a) != len(named_b) or len(anon_a) != len(anon_b):
-        return False
-
-    def render(d, mapping):
-        for old, new in mapping.items():
-            d = subst(d, old, Var(new))
-        return print_type(d)
-
-    def match(i, mapping, taken):
-        if i == len(named_a):
-            left = sorted(render(d, mapping) for d in anon_a)
-            right = sorted(print_type(d) for d in anon_b)
-            return left == right
-        name_a, dom_a = named_a[i]
-        for j, (name_b, dom_b) in enumerate(named_b):
-            if name_b in taken:
-                continue
-            trial = dict(mapping)
-            trial[name_a] = name_b
-            if render(dom_a, trial) != print_type(dom_b):
-                continue
-            if match(i + 1, trial, taken | {name_b}):
+    start = 0
+    while True:
+        k = len(stack)
+        if k == len(named_a):
+            if Counter(map(rename, anon_a)) == want:
                 return True
-        return False
-
-    return match(0, {}, set())
+            c = None
+        else:
+            target = rename(ha[named_a[k][0]])
+            c = next((c for c in range(start, len(named_b)) if c not in taken
+                      and hb[named_b[c][0]] == target), None)
+        if c is not None:
+            stack.append(c)
+            taken.add(c)
+            mapping[named_a[k]] = named_b[c]
+            start = 0
+        elif not stack:
+            return False
+        else:
+            c = stack.pop()
+            taken.remove(c)
+            del mapping[named_a[k - 1]]
+            start = c + 1
 
 
 # ------------------------------------------------------------ printing

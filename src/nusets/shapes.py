@@ -18,7 +18,6 @@ def standard_shape(nu, n):
     Carrier p lists Hom(p, n) in enumeration order, labelled by word text;
     the face along a codim-1 word w sends g to compose(g, w).
     """
-    nu = nu.nu if hasattr(nu, "nu") else nu
     levels = [hom_enumerate(nu, p, n) for p in range(n + 1)]
     carriers = [FinSet(len(ws), tuple(str(x) for x in ws)) for ws in levels]
     index = [{x: i for i, x in enumerate(ws)} for ws in levels]

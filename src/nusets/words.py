@@ -52,25 +52,6 @@ def parse_letter(nu, ch):
 
 
 @dataclass(frozen=True)
-class Arity:
-    """Number of directions nu >= 1. Directions are 0..nu-1."""
-
-    nu: int
-
-    def __post_init__(self):
-        if self.nu < 1:
-            raise IndexOutOfRange(f"arity must be >= 1, got {self.nu}")
-
-    @property
-    def directions(self):
-        return range(self.nu)
-
-
-def _as_nu(nu):
-    return nu.nu if isinstance(nu, Arity) else int(nu)
-
-
-@dataclass(frozen=True)
 class Word:
     """A morphism of the word category.
 
@@ -115,7 +96,6 @@ def parse_word(nu, text):
     The star glyph and the letter synonyms of parse_letter are accepted; the
     Greek epsilon glyph is accepted as a spelling of the empty word.
     """
-    nu = _as_nu(nu)
     text = text.strip()
     if text in ("", "ε"):
         return Word(nu, ())
@@ -133,7 +113,7 @@ def identity(nu, n):
     """The word of n stars, neutral on both sides of compose."""
     if n < 0:
         raise IndexOutOfRange(f"object must be a natural, got {n}")
-    return Word(_as_nu(nu), (STAR,) * n)
+    return Word(nu, (STAR,) * n)
 
 
 def compose(g, f):
@@ -165,7 +145,6 @@ def hom_enumerate(nu, p, n):
     The letter order is star < direction 0 < direction 1 < ..., which the
     integer encoding gives for free. Empty when p > n.
     """
-    nu = _as_nu(nu)
     if p < 0 or n < 0 or p > n:
         return []
     # An odometer, so that long words need no recursion: start from the
@@ -199,7 +178,6 @@ def hom_enumerate(nu, p, n):
 
 def hom_count(nu, p, n):
     """|Hom(p, n)| in closed form: C(n,p) * nu^(n-p); 0 when p > n."""
-    nu = _as_nu(nu)
     if p < 0 or n < 0 or p > n:
         return 0
     return math.comb(n, p) * nu ** (n - p)
@@ -208,7 +186,6 @@ def hom_count(nu, p, n):
 def face_word(nu, eps, q, n):
     """The codimension-1 word with direction eps at position q (from the
     left, 0-based) and stars elsewhere: a member of Hom(n-1, n)."""
-    nu = _as_nu(nu)
     if not (0 <= q < n):
         raise IndexOutOfRange(f"position q={q} not in [0, {n})")
     if not (0 <= eps < nu):
@@ -221,13 +198,12 @@ def factor_leftmost(f):
 
     Returns (w, rest) with w the codimension-1 word carrying that letter at
     its position and rest = f with the letter deleted; compose(w, rest) == f.
+    That is the first of factorizations(f).
     """
-    for j, a in enumerate(f.letters):
-        if a != STAR:
-            w = face_word(f.nu, a, j, f.length)
-            rest = Word(f.nu, f.letters[:j] + f.letters[j + 1:])
-            return w, rest
-    raise NoLetter(f"{f} is an identity, nothing to factor")
+    found = factorizations(f)
+    if not found:
+        raise NoLetter(f"{f} is an identity, nothing to factor")
+    return found[0]
 
 
 def factorizations(f):

@@ -133,13 +133,14 @@ def _cells_by_dimension(S, P, d):
         D = base
         for j, layer in enumerate(c.layers):
             for tau, sub in enumerate(layer.components):
-                collect(restr_frame(tau, c.p + j, c.n, c.p + j, D), sub, acc)
+                sub_base = restr_frame(tau, c.p + j, c.n, c.p + j, D, S)
+                collect(sub_base, sub, acc)
             D = D.extend(layer)
 
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
-            collect(restr_frame(omega, q, d.n, q, d.prefix(q)), c, acc)
+            collect(restr_frame(omega, q, d.n, q, d.prefix(q), S), c, acc)
     return {m: len(v) for m, v in acc.items()}
 
 

@@ -41,7 +41,7 @@ def _collect(S, offsets, base, c, acc):
     D = base
     for j, layer in enumerate(c.layers):
         for tau, sub in enumerate(layer.components):
-            sub_base = restr_frame(tau, c.p + j, m, c.p + j, D)
+            sub_base = restr_frame(tau, c.p + j, m, c.p + j, D, S)
             _collect(S, offsets, sub_base, sub, acc)
         D = D.extend(layer)
 
@@ -52,7 +52,7 @@ def cells_in_frame(S, d):
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
-            base = restr_frame(omega, q, d.n, q, d.prefix(q))
+            base = restr_frame(omega, q, d.n, q, d.prefix(q), S)
             _collect(S, offsets, base, c, acc)
     return acc
 
@@ -102,6 +102,7 @@ def test_boundary_restriction_compatibility():
     for nu in (1, 2):
         for n in range(1, 4):
             P = standard_shape(nu, n)
+            S = to_indexed(P)
             for m in range(1, n + 1):
                 for x in range(P.carriers[m].size):
                     d = boundary_frame(P, m, x)
@@ -111,10 +112,11 @@ def test_boundary_restriction_compatibility():
                             y = P.face(m, w)[x]
                             dy = boundary_frame(P, m - 1, y)
                             slot = d.layers[q].components[omega]
-                            base = restr_frame(omega, q, m, q, d.prefix(q))
+                            base = restr_frame(omega, q, m, q, d.prefix(q), S)
                             assert full_frame(base, slot) == dy
                             for p in range(q + 1):
-                                got = restr_frame(omega, q, m, p, d.prefix(p))
+                                got = restr_frame(omega, q, m, p,
+                                                  d.prefix(p), S)
                                 assert got == dy.prefix(p)
 
 
@@ -221,8 +223,8 @@ class _SweepCalled(Exception):
 def test_conversions_check_totality_not_the_sweep(monkeypatch, tmp_path):
     def sweep(S):
         raise _SweepCalled
+    # the CLI imports it from nusets.indexed when a command runs
     monkeypatch.setattr("nusets.indexed.coherence_sweep", sweep)
-    monkeypatch.setattr("nusets.cli.coherence_sweep", sweep)
     cube = standard_shape(2, 3)
     S = to_indexed(cube)
     assert carrier_sizes(to_fibred(S)) == carrier_sizes(cube)

@@ -21,8 +21,7 @@ from nusets.indexed import (
     FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_coh_frame,
     check_coh_painting, emit_indexed, enumerate_frames, enumerate_paintings,
     frame_key, full_frame, grow_indexed, parse_indexed, parse_value,
-    restr_frame, restr_layer, restr_painting, serialize_frame,
-    validate_indexed,
+    restr_frame, restr_layer, restr_painting, validate_indexed,
 )
 from nusets.presheaf import FinSet
 
@@ -134,29 +133,35 @@ def _square_frame(le, re_, nu=2):
 
 def test_restr_frame_frozen_example():
     # L-restriction of a square frame picks the L-endpoints of its two
-    # edge components: edges 0->1 and 1->0 give endpoints (0, 1).
+    # edge components: edges 0->1 and 1->0 give endpoints (0, 1). The set
+    # has two points and just those two edges.
+    S = IndexedNuSet(2, 1, {0: {"()": FinSet(2)},
+                            1: {"([{0} {0}])": FinSet(0),
+                                "([{0} {1}])": FinSet(1),
+                                "([{1} {0}])": FinSet(1),
+                                "([{1} {1}])": FinSet(0)}})
     e01 = parse_value("{[{0} {1}] 0}", 2, 1, 0, "painting")
     e10 = parse_value("{[{1} {0}] 0}", 2, 1, 0, "painting")
     d = _square_frame(e01, e10)
-    got = restr_frame(0, 1, 2, 1, d.prefix(1))
+    got = restr_frame(0, 1, 2, 1, d.prefix(1), S)
     assert frame_key(got) == "([{0} {1}])"
-    got_r = restr_frame(1, 1, 2, 1, d.prefix(1))
+    got_r = restr_frame(1, 1, 2, 1, d.prefix(1), S)
     assert frame_key(got_r) == "([{1} {0}])"
 
 
 def test_restr_side_conditions(S22):
     d = next(iter(enumerate_frames(S22, 2, 1)))
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 0, 2, 1, d)               # q < p
+        restr_frame(0, 0, 2, 1, d, S22)                 # q < p
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 2, 2, 1, d)               # q > n-1
+        restr_frame(0, 2, 2, 1, d, S22)                 # q > n-1
     c = next(iter(enumerate_paintings(S22, 2, 1, d)))
     with pytest.raises(SideConditionViolated):
-        restr_layer(0, 1, 2, 1, d, c.first_layer)  # q > n-2
+        restr_layer(0, 1, 2, 1, d, c.first_layer, S22)  # q > n-2
     with pytest.raises(SideConditionViolated):
-        restr_painting(0, 0, 2, 1, d, c)         # q < p
+        restr_painting(0, 0, 2, 1, d, c, S22)           # q < p
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 1, 2, 2, d)               # value at wrong (n, p)
+        restr_frame(0, 1, 2, 2, d, S22)                 # value at wrong (n, p)
 
 
 def test_restriction_typing_exhaustive(S22):
@@ -169,15 +174,15 @@ def test_restriction_typing_exhaustive(S22):
             for d in enumerate_frames(S22, n, p):
                 for q in range(p, n):
                     for eps in range(2):
-                        out = restr_frame(eps, q, n, p, d)
+                        out = restr_frame(eps, q, n, p, d, S22)
                         assert frame_key(out) in lower
                 if n > S22.trunc:
                     continue
                 for c in enumerate_paintings(S22, n, p, d):
                     for q in range(p, n):
                         for eps in range(2):
-                            base = restr_frame(eps, q, n, p, d)
-                            out = restr_painting(eps, q, n, p, d, c)
+                            base = restr_frame(eps, q, n, p, d, S22)
+                            out = restr_painting(eps, q, n, p, d, c, S22)
                             members = {
                                 frame_key(x) for x in
                                 enumerate_paintings(S22, n - 1, p, base)}
@@ -195,7 +200,7 @@ def test_serialize_injective_and_roundtrip(S22):
         assert parse_value(key, 2, 2, 2, "frame") == d
     unit = FrameVal(2, 0, ())
     for c in enumerate_paintings(S22, 2, 0, unit):
-        assert parse_value(serialize_frame(c), 2, 2, 0, "painting") == c
+        assert parse_value(frame_key(c), 2, 2, 0, "painting") == c
 
 
 def test_unit_frame_serializes_bare():

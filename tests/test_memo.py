@@ -44,17 +44,18 @@ def _cases(S):
 
 
 def test_three_restriction_modes_agree(text):
-    """Plain projection, checked within a fresh set, and checked within a
-    set whose memo the coherence sweep has filled give the same faces."""
-    source, fresh, warm = (parse_indexed(text) for _ in range(3))
+    """Restriction gives the same faces from three states of the set's
+    memo: filled by the calls before it in enumeration order, filled by
+    them in reverse order, and filled by the coherence sweep."""
+    source, forward, backward, warm = (parse_indexed(text) for _ in range(4))
     assert coherence_sweep(warm).ok and warm._memo
-    count = 0
-    for op, head, values in _cases(source):
-        plain = op(*head, *values)
-        assert op(*head, *values, fresh) == plain
-        assert op(*head, *values, warm) == plain
-        count += 1
-    assert count > 100
+    cases = list(_cases(source))
+    assert len(cases) > 100
+    faces = [op(*head, *values, forward) for op, head, values in cases]
+    for (op, head, values), face in zip(reversed(cases), reversed(faces)):
+        assert op(*head, *values, backward) == face
+    for (op, head, values), face in zip(cases, faces):
+        assert op(*head, *values, warm) == face
 
 
 def _agrees(values, table, reference):
@@ -235,7 +236,7 @@ def _module_containers():
 
 
 def test_no_module_level_memo():
-    """validate, to_fibred and plain restriction leave nothing behind."""
+    """validate, to_fibred and restriction leave nothing behind."""
     before = _module_containers()
     # point counts no other test uses, so that no value is memoized yet
     for nu, points in ((1, 5), (2, 3)):
@@ -243,6 +244,6 @@ def test_no_module_level_memo():
         assert validate_indexed(S).ok
         to_fibred(S)
         for d in enumerate_frames(S, 2, 1):
-            restr_frame(0, 1, 2, 1, d)
+            restr_frame(0, 1, 2, 1, d, S)
     after = _module_containers()
     assert all(after[k] <= before.get(k, 0) for k in after), after

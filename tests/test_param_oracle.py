@@ -5,14 +5,17 @@ substitution and walks spines in loops; the names it prints must not
 move, because printed telescopes are output. The reference below is the
 named engine as it was before: free_vars, _fresh, subst, normalize,
 translate, iterate_types and print_type copied unchanged, and the
-recursive reader of Pi and arrow spines. Unqualified names in this module
-are the reference; the engine is reached as ``engine``. Each test asserts
-equal terms and byte-equal printed text from both.
+recursive reader of Pi and arrow spines; and alpha_rename, alpha_eq,
+_splice and same_telescope as they were before alpha-equivalence went by
+binder position. Unqualified names in this module are the reference; the
+engine is reached as ``engine``. Each test asserts equal terms and
+byte-equal printed text from both, or equal answers.
 """
 
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +24,7 @@ from nusets import parametricity as engine
 from nusets.errors import ArityError, ParseError, UnsupportedConstruct
 from nusets.parametricity import (
     App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _copy, _Parser,
-    _prod, _proj, _tuple,
+    _prod, _proj, _tuple, flatten_telescope,
 )
 
 
@@ -468,3 +471,252 @@ def test_random_translations_agree_with_the_reference(T, nu):
         diag = _tuple([Var(n) for n in ("a", "f", "as")[:nu]])
         assert (engine.print_type(engine.normalize(FamApp(want[0], (diag,))))
                 == print_type(normalize(FamApp(want[0], (diag,)))))
+
+
+# --------------------------------------------------- alpha-equivalence
+#
+# The reference renames every binder and compares, and compares telescope
+# domains by printing them after a substitution per candidate mapping.
+
+
+def alpha_rename(e, prefix="#"):
+    """Rename every bound variable to a canonical positional name.
+
+    Binders become "#1", "#2", ... in traversal order; free variables keep
+    their names. Two types are alpha-equivalent exactly when their renamed
+    forms are equal, and the result never contains shadowed binders.
+    """
+    counter = [0]
+
+    def go(e, env):
+        if isinstance(e, Var):
+            return Var(env.get(e.name, e.name))
+        if isinstance(e, Univ):
+            return e
+        if isinstance(e, (DepFun, Lam)):
+            counter[0] += 1
+            new = f"{prefix}{counter[0]}"
+            inner_env = dict(env)
+            inner_env[e.binder] = new
+            if isinstance(e, DepFun):
+                return DepFun(new, go(e.domain, env),
+                              go(e.codomain, inner_env))
+            return Lam(new, go(e.body, inner_env))
+        if isinstance(e, Prod):
+            return Prod(tuple(go(i, env) for i in e.items))
+        if isinstance(e, Tuple):
+            return Tuple(tuple(go(i, env) for i in e.items))
+        if isinstance(e, FamApp):
+            return FamApp(go(e.head, env), tuple(go(a, env) for a in e.args))
+        if isinstance(e, Proj):
+            return Proj(e.index, go(e.tuple_, env))
+        raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
+
+    return go(e, {})
+
+
+def alpha_eq(a, b):
+    """Structural equality up to renaming of bound variables."""
+    return alpha_rename(a) == alpha_rename(b)
+
+
+def _splice(e):
+    """Flatten application spines: tuple arguments become plain curried
+    arguments, so "X1 (a, b)" and "X1 a b" compare equal. Used only for
+    telescope comparison; tuples elsewhere are left alone."""
+    if isinstance(e, FamApp):
+        args = []
+        for a in e.args:
+            a = _splice(a)
+            if isinstance(a, Tuple):
+                args.extend(a.items)
+            else:
+                args.append(a)
+        return FamApp(_splice(e.head), tuple(args))
+    if isinstance(e, Tuple):
+        return Tuple(tuple(_splice(i) for i in e.items))
+    if isinstance(e, Prod):
+        return Prod(tuple(_splice(i) for i in e.items))
+    if isinstance(e, DepFun):
+        return DepFun(e.binder, _splice(e.domain), _splice(e.codomain))
+    if isinstance(e, Lam):
+        return Lam(e.binder, _splice(e.body))
+    if isinstance(e, Proj):
+        return Proj(e.index, _splice(e.tuple_))
+    return e
+
+
+def same_telescope(a, b):
+    """Equality of two telescopes up to binder renaming, hypothesis
+    reordering, and currying of application arguments.
+
+    Binders referenced by later hypotheses must correspond one to one;
+    hypotheses whose binders are never used again are compared as a
+    multiset. Domains must match under the correspondence after their
+    application spines are flattened.
+    """
+    # Distinct prefixes keep the two binder name spaces disjoint, so the
+    # sequential renaming in render cannot chain.
+    ha = [(n, _splice(d))
+          for n, d in flatten_telescope(alpha_rename(normalize(a), "#"))]
+    hb = [(n, _splice(d))
+          for n, d in flatten_telescope(alpha_rename(normalize(b), "%"))]
+    if len(ha) != len(hb):
+        return False
+
+    def split(hyps):
+        used_later = set()
+        for _, dom in hyps:
+            used_later |= free_vars(dom)
+        named = [(n, d) for n, d in hyps if n in used_later]
+        anon = [d for n, d in hyps if n not in used_later]
+        return named, anon
+
+    named_a, anon_a = split(ha)
+    named_b, anon_b = split(hb)
+    if len(named_a) != len(named_b) or len(anon_a) != len(anon_b):
+        return False
+
+    def render(d, mapping):
+        for old, new in mapping.items():
+            d = subst(d, old, Var(new))
+        return print_type(d)
+
+    def match(i, mapping, taken):
+        if i == len(named_a):
+            left = sorted(render(d, mapping) for d in anon_a)
+            right = sorted(print_type(d) for d in anon_b)
+            return left == right
+        name_a, dom_a = named_a[i]
+        for j, (name_b, dom_b) in enumerate(named_b):
+            if name_b in taken:
+                continue
+            trial = dict(mapping)
+            trial[name_a] = name_b
+            if render(dom_a, trial) != print_type(dom_b):
+                continue
+            if match(i + 1, trial, taken | {name_b}):
+                return True
+        return False
+
+    return match(0, {}, set())
+
+
+DISPLAYS = (
+    # the square, rewired, smaller, the unary two-step telescope
+    "Pi a:X0. Pi b:X0. Pi c:X0. Pi d:X0. "
+    "X1 (a, b) * X1 (c, d) * X1 (a, c) * X1 (b, d) -> U",
+    "Pi a:X0. Pi b:X0. Pi c:X0. Pi d:X0. "
+    "X1 (a, b) * X1 (c, d) * X1 (a, d) * X1 (b, c) -> U",
+    "Pi a:X0. Pi b:X0. Pi c:X0. X1 (a, b) * X1 (a, c) * X1 (b, c) -> U",
+    "Pi a:X0. X1 a -> X1 a -> U",
+    # an edge, its binders swapped, and the diagonal
+    "Pi a:X0. Pi b:X0. X1 (a, b) -> U",
+    "Pi p:X0. Pi q:X0. X1 (p, q) -> U",
+    "Pi q:X0. Pi p:X0. X1 (p, q) -> U",
+    "Pi a:X0. Pi b:X0. X1 (a, a) -> U",
+    # a shadowed binder: the edge's second end is the later x
+    "Pi x:X0. Pi y:X0. Pi x:X0. X1 (y, x) -> X1 x y -> U",
+)
+
+
+def _alpha_corpus():
+    """Iterates, the displays, and the print/parse round trip of each."""
+    terms = [engine.iterate_types(nu, n)
+             for nu, top in ((1, 4), (2, 3), (3, 2)) for n in range(top + 1)]
+    terms += [engine.parse_type(text) for text in DISPLAYS]
+    return terms + [engine.parse_type(engine.print_type(T)) for T in terms]
+
+
+def test_alpha_equivalence_agrees_with_the_reference_on_a_corpus():
+    corpus = _alpha_corpus()
+    assert len(corpus) == 42
+    answers = set()
+    for a in corpus:
+        for b in corpus:
+            got = (engine.alpha_eq(a, b), engine.same_telescope(a, b))
+            assert got == (alpha_eq(a, b), same_telescope(a, b)), (a, b)
+            answers.add(got)
+    assert answers == {(False, False), (False, True), (True, True)}
+
+
+# Small telescopes with few binder names, so that later binders shadow
+# earlier ones; domains are family applications, curried or on tuples,
+# with products that normalize splits and arrows whose binder is unused.
+TEL_NAMES = ("x", "y", "z")
+ATOMS = st.sampled_from(TEL_NAMES + ("X0",)).map(Var)
+ARGS = st.one_of(ATOMS, st.lists(ATOMS, min_size=2, max_size=3).map(
+    lambda xs: Tuple(tuple(xs))))
+APPS = st.builds(FamApp, st.sampled_from(("X1", "X2", "x")).map(Var),
+                 st.lists(ARGS, min_size=1, max_size=2).map(tuple))
+DOMAINS = st.one_of(
+    ATOMS, APPS,
+    st.lists(APPS, min_size=2, max_size=2).map(lambda xs: Prod(tuple(xs))),
+    st.builds(lambda d, c: DepFun("_", d, c), ATOMS, APPS))
+HYPS = st.lists(st.tuples(st.sampled_from(TEL_NAMES + ("_",)), DOMAINS),
+                max_size=5)
+
+
+def _telescope(hyps):
+    out = Univ()
+    for name, dom in reversed(hyps):
+        out = DepFun(name, dom, out)
+    return out
+
+
+@st.composite
+def _telescope_pairs(draw):
+    """A telescope, and either another one or the same hypotheses
+    reordered with their binder names permuted."""
+    hyps = draw(HYPS)
+    if draw(st.booleans()):
+        other = draw(HYPS)
+    else:
+        order = draw(st.permutations(range(len(hyps))))
+        names = dict(zip(TEL_NAMES, draw(st.permutations(TEL_NAMES))))
+
+        def rename(e):
+            if isinstance(e, Var):
+                return Var(names.get(e.name, e.name))
+            if isinstance(e, DepFun):
+                return DepFun(names.get(e.binder, e.binder),
+                              rename(e.domain), rename(e.codomain))
+            if isinstance(e, FamApp):
+                return FamApp(rename(e.head), tuple(map(rename, e.args)))
+            if isinstance(e, (Prod, Tuple)):
+                return type(e)(tuple(map(rename, e.items)))
+            return e
+
+        other = [(names.get(n, n), rename(d))
+                 for n, d in (hyps[i] for i in order)]
+    return _telescope(hyps), _telescope(other)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_telescope_pairs())
+def test_random_telescopes_agree_with_the_reference(pair):
+    a, b = pair
+    for x, y in ((a, b), (a, a), (b, a)):
+        assert engine.alpha_eq(x, y) == alpha_eq(x, y)
+        assert engine.same_telescope(x, y) == same_telescope(x, y)
+
+
+def test_inner_binders_compare_by_position():
+    """A domain that binds a name it uses is compared up to that name.
+    The reference printed such a domain with a different binder name on
+    each side, so it found the telescope unequal to itself."""
+    T = engine.parse_type("Pi a:X0. Pi f:(Pi y:X0. X1 (a, y)). U")
+    R = engine.parse_type("Pi b:X0. Pi g:(Pi z:X0. X1 (b, z)). U")
+    assert engine.same_telescope(T, T) and engine.same_telescope(T, R)
+    assert not same_telescope(T, T)
+    assert engine.alpha_eq(T, R) and alpha_eq(T, R)
+
+
+def test_alpha_equivalence_at_1023_binders():
+    """(1, 10) is past the reference's recursion at the default limit:
+    both comparisons answer at once, on the term and its printed text."""
+    T = engine.iterate_types(1, 10)
+    t0 = time.monotonic()
+    assert engine.same_telescope(T, T)
+    assert engine.alpha_eq(engine.parse_type(engine.print_type(T)), T)
+    assert time.monotonic() - t0 < 5

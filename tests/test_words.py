@@ -19,7 +19,7 @@ from nusets.errors import (
     ArityMismatch, IndexOutOfRange, NoLetter, NotComposable, ParseError,
 )
 from nusets.words import (
-    STAR, Arity, Word, compose, face_word, factor_leftmost, factorizations,
+    STAR, Word, compose, face_word, factor_leftmost, factorizations,
     hom_count, hom_enumerate, identity, parse_word,
 )
 
@@ -98,7 +98,7 @@ def test_compose_preconditions():
     with pytest.raises(ArityMismatch):
         compose(w(2, "**"), w(1, "0*"))
     with pytest.raises(IndexOutOfRange):
-        Arity(0)
+        Word(0, ())
 
 
 # ------------------------------------------------------------ properties
