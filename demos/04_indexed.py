@@ -3,9 +3,10 @@ Indexed nu-sets
 ===============
 
 The indexed form stores one finite fibre per frame. A frame is the fully
-glued boundary shell of a would-be cell, written as an s-expression;
-restriction acts on these values directly, and the transport steps a
-dependent formalization would discharge by rewriting become runtime checks.
+glued boundary shell of a would-be cell, a value that files write as an
+s-expression; fibres are looked up by the frame itself, restriction acts on
+these values directly, and the transport steps a dependent formalization
+would discharge by rewriting become runtime checks.
 """
 
 from nusets.errors import CoherenceMismatch
@@ -15,13 +16,13 @@ from nusets.indexed import (FrameVal, LayerVal, check_coh_frame,
                             restr_layer, validate_indexed)
 
 # grow a two-point set: 2 vertices, one cell in every higher fibre
-S = grow_indexed(2, 2, lambda n, key: 2 if n == 0 else 1)
+S = grow_indexed(2, 2, lambda n, d: 2 if n == 0 else 1)
 print("fibres per dimension:", {n: len(F) for n, F in S.families.items()})
 
 # a full dimension-2 frame, its fibre, and its text form
 d = next(iter(enumerate_frames(S, 2, 2)))
 print("square shell:", frame_key(d))
-print("fibre size:", S.fibre(2, frame_key(d)).size)
+print("fibre size:", S.fibre(d).size)
 print("text parses back:", parse_value(frame_key(d), 2, 2, 2) == d)
 
 # frames one dimension above the truncation still make sense: they are
@@ -47,8 +48,9 @@ print("validation:", validate_indexed(S))
 # edge fibre, so the edge painting {[{1} {0}] 0} exists but only over the
 # base ([{0} {0}]); planting it in the direction-0 slot of a layer whose
 # base restricts elsewhere is a type error, and restriction refuses it.
-SU = grow_indexed(2, 2, lambda n, key: 2 if n == 0
-                  else (2 if n == 1 and key == "([{0} {0}])" else 1))
+SU = grow_indexed(2, 2, lambda n, d: 2 if n == 0
+                  else (2 if n == 1 and frame_key(d) == "([{0} {0}])"
+                        else 1))
 sqA = parse_value("{[{[{1} {0}] 0} {[{1} {0}] 0}] [{0} {0}] 0}",
                   2, 2, 0, "painting")
 sqB = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {0}] 0}",

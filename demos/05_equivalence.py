@@ -17,8 +17,10 @@ square = standard_shape(2, 2)
 shell = boundary_frame(square, 2, 0)
 print("boundary of the 2-cell:", frame_key(shell))
 
-# over to the indexed form: fibre sizes partition the carrier sizes
+# over to the indexed form, where the shell is the key of its fibre;
+# fibre sizes partition the carrier sizes
 S = to_indexed(square)
+print("cells filling that shell:", S.fibre(shell).size)
 for n, fam in sorted(S.families.items()):
     sizes = [F.size for F in fam.values()]
     print(f"dimension {n}: carrier {square.carriers[n].size} "

@@ -12,7 +12,7 @@ from nusets.indexed import (enumerate_frames, frame_key, grow_indexed,
                             validate_indexed)
 from nusets.streams import NuSetStream, extend_singleton, take
 
-base = grow_indexed(2, 1, lambda n, key: 2 if n == 0 else 1)
+base = grow_indexed(2, 1, lambda n, d: 2 if n == 0 else 1)
 
 # the canonical extension puts exactly one cell over every frame
 s = extend_singleton(base)
@@ -35,9 +35,9 @@ print("next().this() is the dimension-3 head:",
       s.next().this() == S3.families[3])
 
 # user rules may size fibres however they like, as long as every frame
-# of the next dimension gets one
+# of the next dimension gets one; they key the family by the frames
 def doubled(prefix, n):
-    return {frame_key(d): 2 for d in enumerate_frames(prefix, n, n)}
+    return dict.fromkeys(enumerate_frames(prefix, n, n), 2)
 
 t = NuSetStream(base, doubled)
 T2 = take(t, 2)
@@ -48,7 +48,7 @@ print("doubled take(2) validates:", validate_indexed(T2).ok)
 def forgetful(prefix, n):
     out = doubled(prefix, n)
     if n == 3:
-        out.pop(sorted(out)[0])
+        out.pop(sorted(out, key=frame_key)[0])
     return out
 
 u = NuSetStream(base, forgetful)

@@ -32,13 +32,9 @@ def _read(path):
 def _load_any(text):
     """Parse either nu-set JSON format, telling them apart by their keys."""
     from .indexed import parse_indexed
-    from .presheaf import parse_nuset
+    from .presheaf import load_json, parse_nuset
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e.msg}", line=e.lineno,
-                         col=e.colno)
+    doc = load_json(text)
     if isinstance(doc, dict) and "families" in doc:
         return parse_indexed(text)
     if isinstance(doc, dict) and "carriers" in doc:
@@ -54,8 +50,9 @@ def _emit_report(rep, as_json):
 
 
 def _cmd_hom(args):
-    from .words import hom_count, hom_enumerate
+    from .words import check_text_arity, hom_count, hom_enumerate
 
+    check_text_arity(args.nu)
     ws = [str(w) for w in hom_enumerate(args.nu, args.p, args.n)]
     assert len(ws) == hom_count(args.nu, args.p, args.n)
     if args.json:

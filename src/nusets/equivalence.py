@@ -22,8 +22,9 @@ from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from .indexed import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, enumerate_frames,
-    check_totality, frame_key, full_frame, grow_indexed, restr_frame,
+    FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_totality,
+    enumerate_frames, family_gaps, frame_key, full_frame, grow_indexed,
+    restr_frame,
 )
 from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
 from .report import Report
@@ -108,46 +109,40 @@ def to_indexed(P):
     for n in range(P.trunc + 1):
         groups = defaultdict(list)
         for x in range(P.carriers[n].size):
-            groups[frame_key(boundary_frame(P, n, x))].append(x)
+            groups[boundary_frame(P, n, x)].append(x)
         if S is None:
-            keys = ["()"]
+            frames = [FrameVal(0, 0, ())]  # every 0-cell's boundary frame
         else:
-            keys = [frame_key(d) for d in enumerate_frames(S, n, n)]
+            stray = family_gaps(S, n, groups)[1]
+            if stray:
+                raise LawViolation(
+                    f"boundary frame not enumerable at dimension {n}: "
+                    f"{stray[0]}")
+            frames = enumerate_frames(S, n, n)
+        labels = P.carriers[n].labels
         fam = {}
-        has_labels = P.carriers[n].labels is not None
-        for key in keys:
-            members = groups.pop(key, [])
-            labels = (tuple(P.carriers[n].labels[x] for x in members)
-                      if has_labels else None)
-            fam[key] = FinSet(len(members), labels)
-        if groups:
-            stray = sorted(groups)[0]
-            raise LawViolation(
-                f"boundary frame not enumerable at dimension {n}: {stray}")
+        for d in frames:
+            members = groups.get(d, ())
+            fam[d] = FinSet(len(members), None if labels is None else
+                            tuple(labels[x] for x in members))
         S = IndexedNuSet(P.nu, 0, {0: fam}) if S is None else S.extended(fam)
     return S
 
 
 def _layout(S):
-    """Traversal order of an indexed structure: per dimension, the frames
-    in enumeration order with their fibres laid out contiguously.
-
-    Returns (items, offsets): items[n] is a list of (frame, cell index)
-    pairs, offsets[n][frame key] the start of that frame's block.
-    """
-    items = {}
+    """Traversal order of an indexed structure: offsets[n] maps each frame
+    with a cell, in enumeration order, to the start of its block of the
+    carrier and its fibre. No cell sits over the rest, mostly empty."""
     offsets = {}
     for n in range(S.trunc + 1):
-        row = []
-        offs = {}
+        offs = offsets[n] = {}
+        start = 0
         for d in enumerate_frames(S, n, n):
-            key = frame_key(d)
-            offs[key] = len(row)
-            for i in range(S.fibre(n, key).size):
-                row.append((d, i))
-        items[n] = row
-        offsets[n] = offs
-    return items, offsets
+            fs = S.fibre(d)
+            if fs.size:
+                offs[d] = start, fs
+                start += fs.size
+    return offsets
 
 
 def to_fibred(S):
@@ -167,29 +162,25 @@ def to_fibred(S):
     rep = check_totality(S)
     if not rep.ok:
         raise ValidationFailure(f"invalid input: {rep.violations[0]}")
-    items, offsets = _layout(S)
+    offsets = _layout(S)
     carriers = []
     for n in range(S.trunc + 1):
-        labels = []
-        for d, i in items[n]:
-            fs = S.fibre(n, frame_key(d))
-            labels.append(fs.labels[i] if fs.labels is not None else None)
-        if labels and all(l is not None for l in labels) \
-                and len(set(labels)) == len(labels):
-            carriers.append(FinSet(len(items[n]), tuple(labels)))
-        else:
-            carriers.append(FinSet(len(items[n]), None))
+        labels = [x for _, fs in offsets[n].values()
+                  for x in fs.labels or [None] * fs.size]
+        kept = labels and None not in labels \
+            and len(set(labels)) == len(labels)
+        carriers.append(FinSet(len(labels), tuple(labels) if kept else None))
     faces = {}
     for n in range(1, S.trunc + 1):
         maps = {}
         for q in range(n):
             for omega in range(S.nu):
                 arr = []
-                for d, _ in items[n]:
+                for d, (_, fs) in offsets[n].items():  # cells share faces
                     pt = d.layers[q].components[omega]
                     base = restr_frame(omega, q, n, q, d.prefix(q), S)
-                    fkey = frame_key(full_frame(base, pt))
-                    arr.append(offsets[n - 1][fkey] + pt.cell)
+                    arr += [offsets[n - 1][full_frame(base, pt)][0]
+                            + pt.cell] * fs.size
                 maps[str(face_word(S.nu, omega, q, n))] = tuple(arr)
         faces[n] = maps
     P = TruncatedPresheaf(S.nu, S.trunc, carriers, faces)
@@ -208,13 +199,11 @@ def _round_trip_fibred(P):
     rep = Report("round trip fibred -> indexed -> fibred")
     S = to_indexed(P)
     P2 = to_fibred(S)
-    _, offsets = _layout(S)
+    offsets = _layout(S)
     bijections = {}
     for n in range(P.trunc + 1):
-        perm = []
-        for x in range(P.carriers[n].size):
-            key = frame_key(boundary_frame(P, n, x))
-            perm.append(offsets[n][key] + _rank(P, n, x))
+        perm = [offsets[n][boundary_frame(P, n, x)][0] + _rank(P, n, x)
+                for x in range(P.carriers[n].size)]
         if sorted(perm) != list(range(P2.carriers[n].size)):
             rep.add("not-bijective", dimension=n, map=perm,
                     target_size=P2.carriers[n].size)
@@ -244,10 +233,11 @@ def _round_trip_indexed(S):
     S2 = to_indexed(P)
     bijections = {}
     for n in range(S.trunc + 1):
-        keys = set(S.families[n]) | set(S2.families[n])
-        for key in sorted(keys):
-            a = S.families[n].get(key)
-            b = S2.families[n].get(key)
+        texts = {frame_key(d): d
+                 for d in S.families[n].keys() | S2.families[n].keys()}
+        for key in sorted(texts):
+            a = S.families[n].get(texts[key])
+            b = S2.families[n].get(texts[key])
             if a is None or b is None or a.size != b.size:
                 rep.add("fibre-mismatch", dimension=n, frame=key,
                         source=None if a is None else a.size,
@@ -284,7 +274,7 @@ def random_indexed(nu, trunc, seed, sizes=(0, 1, 2), dim0=None):
     dimension-0 fibre size when set. Validity holds by construction."""
     rng = random.Random(seed)
 
-    def size_at(n, key):
+    def size_at(n, d):
         if n == 0 and dim0 is not None:
             return dim0
         return rng.choice(sizes)

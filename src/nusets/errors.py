@@ -45,7 +45,7 @@ class CoherenceMismatch(NuSetError):
 
 
 class UnknownFrame(NuSetError):
-    """A frame key is absent from the family it should index."""
+    """A frame has no fibre in the family it should index."""
 
 
 class LawViolation(NuSetError):

@@ -23,11 +23,12 @@ it equates are evaluated and compared, and a disagreement raises
 CoherenceMismatch. On well-formed values the assertion never fires; it
 exists to catch corrupted values and implementation bugs.
 
-Canonical serialization: frames render as ``(layer ...)``, layers as
+Families are keyed by their full frames, as values. Text is the file and
+report format only: frames render as ``(layer ...)``, layers as
 ``[painting ...]``, paintings as ``{layer ... cell}``. The rendering is
 injective for values of a fixed shape (n, p); the empty frame prints ``()``
-at every n, so frame keys are canonical per dimension, which is how the
-file format uses them (keys grouped under their dimension).
+at every n, so frame text is canonical per dimension, which is how the
+file format uses it (keys grouped under their dimension).
 """
 
 import json
@@ -38,7 +39,7 @@ from .errors import (
     ArityError, CoherenceMismatch, DimensionOutOfRange, IndexOutOfRange,
     ParseError, RangeError, SideConditionViolated, UnknownFrame,
 )
-from .presheaf import FinSet
+from .presheaf import FinSet, load_header, parse_finset
 from .report import Report
 
 
@@ -84,10 +85,6 @@ class LayerVal:
                                         f"got p={self.p}, n={self.n}")
         if not self.components:
             raise SideConditionViolated("layer needs at least one component")
-
-    @property
-    def nu(self):
-        return len(self.components)
 
     def __repr__(self):
         return f"Layer({self.n},{self.p},{frame_key(self)})"
@@ -137,8 +134,8 @@ def full_frame(base, painting):
 # -------------------------------------------------------- canonical text
 
 def frame_key(v):
-    """Injective s-expression text for a frame, layer, or painting; for a
-    full frame, the key of its fibre."""
+    """Injective s-expression text for a frame, layer, or painting: the
+    form values take in files and reports."""
     if isinstance(v, FrameVal):
         return "(" + " ".join(frame_key(x) for x in v.layers) + ")"
     if isinstance(v, LayerVal):
@@ -217,8 +214,9 @@ def _parse_value(sc, nu, n, p, kind):
 # ------------------------------------------------------------ indexed set
 
 class IndexedNuSet:
-    """Truncated indexed nu-set: per dimension, fibres keyed by full-frame
-    canonical text. Treated as immutable after construction. ``_memo`` is
+    """Truncated indexed nu-set: ``families[n]`` maps each full frame at n
+    (a FrameVal) to its fibre, a FinSet; the frame text is only how files
+    write the keys. Treated as immutable after construction. ``_memo`` is
     its only memo: the frame and painting tables (ordered sets of values,
     which serve both enumeration and membership) and restrictions, all
     functions of the families (so never stale). It is owned by the set and
@@ -248,14 +246,15 @@ class IndexedNuSet:
         out._memo, self._memo = self._memo, {}
         return out
 
-    def fibre(self, n, key):
-        if n > self.trunc:
+    def fibre(self, d):
+        if d.n > self.trunc:
             raise DimensionOutOfRange(
-                f"dimension {n} beyond truncation {self.trunc}")
+                f"dimension {d.n} beyond truncation {self.trunc}")
         try:
-            return self.families[n][key]
+            return self.families[d.n][d]
         except KeyError:
-            raise UnknownFrame(f"no fibre for frame {key} at dimension {n}")
+            raise UnknownFrame(
+                f"no fibre for frame {frame_key(d)} at dimension {d.n}")
 
     def __eq__(self, other):
         return (isinstance(other, IndexedNuSet)
@@ -329,9 +328,8 @@ def _paintings(S, n, p, d):
     of one fibre, which is cheaper to list again than to keep. Most tables
     are empty; those all share the empty tuple."""
     if p == n:
-        fib = S.fibre(n, frame_key(d))
         return dict.fromkeys(PaintingVal(n, n, (), c)
-                             for c in range(fib.size))
+                             for c in range(S.fibre(d).size))
     table = S._memo.get(d)
     if table is None:
         table = S._memo[d] = dict.fromkeys(
@@ -552,6 +550,17 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
     return rep
 
 
+def family_gaps(S, n, keys):
+    """The full frames at n that ``keys`` lacks, in enumeration order, and
+    the sorted text of the keys that are none (``str`` of a non-frame).
+    UnknownFrame when the frames at n cannot be enumerated."""
+    frames = _frames(S, n, n)
+    missing = [d for d in frames if d not in keys]
+    stray = sorted(frame_key(k) if isinstance(k, FrameVal) else str(k)
+                   for k in keys if k not in frames)
+    return missing, stray
+
+
 def check_totality(S):
     """Every family is keyed by exactly the full frames its dimension
     enumerates: no fibre missing, no key that is not a frame of S.
@@ -561,15 +570,13 @@ def check_totality(S):
     rep = Report("totality")
     for n in range(S.trunc + 1):
         try:
-            expected = [frame_key(d) for d in enumerate_frames(S, n, n)]
+            missing, stray = family_gaps(S, n, S.families[n])
         except UnknownFrame as exc:
             rep.add("enumeration-failed", dimension=n, detail=str(exc))
             break
-        present = set(S.families[n])
-        for key in expected:
-            if key not in present:
-                rep.add("missing-fibre", dimension=n, frame=key)
-        for key in sorted(present - set(expected)):
+        for d in missing:
+            rep.add("missing-fibre", dimension=n, frame=frame_key(d))
+        for key in stray:
             rep.add("orphan-frame-key", dimension=n, frame=key)
     return rep
 
@@ -606,14 +613,14 @@ def validate_indexed(S):
 def grow_indexed(nu, trunc, size_at):
     """Build an indexed set level by level, totality by construction.
 
-    ``size_at(n, key)`` gives the fibre size for each enumerated full frame;
-    enumeration at each new level only reads the levels already built.
+    ``size_at(n, d)`` gives the fibre size over each enumerated full frame
+    d at n; enumeration at each new level only reads the levels already
+    built.
     """
-    unit_key = frame_key(FrameVal(0, 0, ()))
-    S = IndexedNuSet(nu, 0, {0: {unit_key: FinSet(size_at(0, unit_key))}})
+    unit = FrameVal(0, 0, ())
+    S = IndexedNuSet(nu, 0, {0: {unit: FinSet(size_at(0, unit))}})
     for n in range(1, trunc + 1):
-        keys = [frame_key(d) for d in enumerate_frames(S, n, n)]
-        S = S.extended({key: FinSet(size_at(n, key)) for key in keys})
+        S = S.extended({d: FinSet(size_at(n, d)) for d in _frames(S, n, n)})
     return S
 
 
@@ -624,9 +631,9 @@ def emit_indexed(S):
     families = {}
     for n in range(S.trunc + 1):
         block = {}
-        for key, fib in S.families[n].items():
-            block[key] = list(fib.labels) if fib.labels is not None \
-                else fib.size
+        for d, fib in S.families[n].items():
+            block[frame_key(d)] = list(fib.labels) \
+                if fib.labels is not None else fib.size
         families[str(n)] = block
     doc = {"nu": S.nu, "trunc": S.trunc, "families": families}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -636,25 +643,11 @@ def parse_indexed(text):
     """Parse the indexed JSON format; structural errors are precise.
 
     Frame keys are checked for well-formedness here (they must parse as
-    full frames of their dimension and be written in canonical text);
-    totality against the enumeration is check_totality's job.
+    full frames of their dimension and be written in canonical text) and
+    the families keyed by the parsed frames; totality against the
+    enumeration is check_totality's job.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e.msg}", line=e.lineno,
-                         col=e.colno)
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    for field in ("nu", "trunc", "families"):
-        if field not in doc:
-            raise ParseError(f"missing field {field!r}")
-    nu, trunc = doc["nu"], doc["trunc"]
-    # type(x) is int: JSON true and false are ints to isinstance
-    if type(nu) is not int or nu < 1:
-        raise ArityError(f"field 'nu' must be a positive integer, got {nu!r}")
-    if type(trunc) is not int or trunc < 0:
-        raise ParseError(f"field 'trunc' must be a natural, got {trunc!r}")
+    doc, nu, trunc = load_header(text, "families")
     raw = doc["families"]
     if not isinstance(raw, dict):
         raise ParseError("field 'families' must be an object")
@@ -683,22 +676,6 @@ def parse_indexed(text):
                 raise ParseError(
                     f"families[{n}] key {key!r} is not canonical, "
                     f"expected {canonical!r}")
-            if type(entry) is int:
-                if entry < 0:
-                    raise RangeError(
-                        f"families[{n}][{key!r}] has negative size")
-                fam[key] = FinSet(entry)
-            elif isinstance(entry, list):
-                if not all(isinstance(x, str) for x in entry):
-                    raise ParseError(
-                        f"families[{n}][{key!r}] labels must be strings")
-                try:
-                    fam[key] = FinSet(len(entry), tuple(entry))
-                except RangeError:
-                    raise RangeError(
-                        f"families[{n}][{key!r}] labels are not distinct")
-            else:
-                raise ParseError(
-                    f"families[{n}][{key!r}] must be a size or labels")
+            fam[frame] = parse_finset(entry, f"families[{n}][{key!r}]")
         families[n] = fam
     return IndexedNuSet(nu, trunc, families)

@@ -157,6 +157,60 @@ def carrier_sizes(P):
 
 # ------------------------------------------------------------- file format
 
+def load_json(text):
+    """Decode the JSON of either file format. ParseError for malformed text
+    and for an object naming a key twice (json.loads would keep the last).
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"not valid JSON: {e.msg}", line=e.lineno,
+                         col=e.colno)
+
+
+def load_header(text, *fields):
+    """Decode a file of either format: an object with a positive integer
+    "nu", a natural "trunc" and ``fields``. Returns (doc, nu, trunc)."""
+    doc = load_json(text)
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    for field in ("nu", "trunc") + fields:
+        if field not in doc:
+            raise ParseError(f"missing field {field!r}")
+    nu, trunc = doc["nu"], doc["trunc"]
+    # type(x) is int: JSON true and false are ints to isinstance
+    if type(nu) is not int or nu < 1:
+        raise ArityError(f"field 'nu' must be a positive integer, got {nu!r}")
+    if type(trunc) is not int or trunc < 0:
+        raise ParseError(f"field 'trunc' must be a natural, got {trunc!r}")
+    return doc, nu, trunc
+
+
+def parse_finset(entry, where):
+    """A carrier or fibre as files write it: a size, or a list of distinct
+    string labels. ``where`` names the entry in errors."""
+    if type(entry) is int:
+        if entry < 0:
+            raise RangeError(f"{where} has negative size")
+        return FinSet(entry)
+    if not isinstance(entry, list):
+        raise ParseError(f"{where} must be a size or a label list")
+    if not all(isinstance(x, str) for x in entry):
+        raise ParseError(f"{where} labels must be strings")
+    if len(set(entry)) < len(entry):
+        raise RangeError(f"{where} labels are not distinct")
+    return FinSet(len(entry), tuple(entry))
+
+
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def emit_nuset(P):
     """Serialize to the JSON format; bit-exact (sorted keys, 2-space)."""
     carriers = []
@@ -175,41 +229,14 @@ def parse_nuset(text):
     bad arity, MissingFace when a codim-1 word has no entry, RangeError when
     an image or array length is off.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e.msg}", line=e.lineno, col=e.colno)
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    for key in ("nu", "trunc", "carriers", "faces"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
-    nu, trunc = doc["nu"], doc["trunc"]
-    # type(x) is int: JSON true and false are ints to isinstance
-    if type(nu) is not int or nu < 1:
-        raise ArityError(f"field 'nu' must be a positive integer, got {nu!r}")
-    if type(trunc) is not int or trunc < 0:
-        raise ParseError(f"field 'trunc' must be a natural, got {trunc!r}")
+    doc, nu, trunc = load_header(text, "carriers", "faces")
     raw_carriers = doc["carriers"]
     if not isinstance(raw_carriers, list) or len(raw_carriers) != trunc + 1:
         raise RangeError(
             f"carriers must list dimensions 0..{trunc} "
             f"({trunc + 1} entries)")
-    carriers = []
-    for dim, entry in enumerate(raw_carriers):
-        if type(entry) is int:
-            if entry < 0:
-                raise RangeError(f"carrier {dim} has negative size")
-            carriers.append(FinSet(entry))
-        elif isinstance(entry, list):
-            if not all(isinstance(x, str) for x in entry):
-                raise ParseError(f"carrier {dim} labels must be strings")
-            try:
-                carriers.append(FinSet(len(entry), tuple(entry)))
-            except RangeError:
-                raise RangeError(f"carrier {dim} labels are not distinct")
-        else:
-            raise ParseError(f"carrier {dim} must be a size or a label list")
+    carriers = [parse_finset(entry, f"carrier {dim}")
+                for dim, entry in enumerate(raw_carriers)]
     raw_faces = doc["faces"]
     if not isinstance(raw_faces, dict):
         raise ParseError("field 'faces' must be an object")

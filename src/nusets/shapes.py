@@ -9,15 +9,17 @@ is the geometric dimension.
 
 from .errors import AllLetters
 from .presheaf import FinSet, TruncatedPresheaf
-from .words import STAR, Word, compose, hom_enumerate
+from .words import STAR, Word, check_text_arity, compose, hom_enumerate
 
 
 def standard_shape(nu, n):
     """The representable presheaf of object n, truncated at n.
 
-    Carrier p lists Hom(p, n) in enumeration order, labelled by word text;
-    the face along a codim-1 word w sends g to compose(g, w).
+    Carrier p lists Hom(p, n) in enumeration order, labelled by word text
+    (so ArityError past arity 10); the face along a codim-1 word w sends g
+    to compose(g, w).
     """
+    check_text_arity(nu)
     levels = [hom_enumerate(nu, p, n) for p in range(n + 1)]
     carriers = [FinSet(len(ws), tuple(str(x) for x in ws)) for ws in levels]
     index = [{x: i for i, x in enumerate(ws)} for ws in levels]

@@ -12,7 +12,7 @@ import threading
 
 from .errors import ValidationFailure
 from .indexed import IndexedNuSet, check_totality, enumerate_frames, \
-    frame_key
+    family_gaps, frame_key
 from .presheaf import FinSet
 
 
@@ -20,7 +20,7 @@ class NuSetStream:
     """An indexed set unbounded above its base truncation.
 
     ``head_rule(prefix, n)`` maps a prefix of truncation n-1 to the family
-    at n, as ``{frame key: fibre size}`` over exactly the keys of
+    at n, as ``{frame: fibre size}`` over exactly the frames of
     ``enumerate_frames(prefix, n, n)``; totality is checked when the level
     is first generated. The memo is shared by the streams ``next`` returns,
     so a level is generated at most once however the stream is consumed,
@@ -39,10 +39,6 @@ class NuSetStream:
         """The dimension the next produced family lives at."""
         return self._dim
 
-    @property
-    def base(self):
-        return self._prefixes[self._dim - 1]
-
     def _advance(self, to):
         """Extend the memoized prefixes up to truncation ``to``."""
         with self._lock:
@@ -51,25 +47,23 @@ class NuSetStream:
                 cur = self._prefixes[top]
                 n = top + 1
                 produced = dict(self._rule(cur, n))
-                expected = [frame_key(d)
-                            for d in enumerate_frames(cur, n, n)]
-                missing = [k for k in expected if k not in produced]
+                missing, stray = family_gaps(cur, n, produced)
                 if missing:
                     raise ValidationFailure(
                         f"head rule at dimension {n} misses frame "
-                        f"{missing[0]}")
-                stray = sorted(set(produced) - set(expected))
+                        f"{frame_key(missing[0])}")
                 if stray:
                     raise ValidationFailure(
                         f"head rule at dimension {n} names a frame that "
                         f"does not occur: {stray[0]}")
                 self._prefixes[n] = cur.extended(
-                    {k: FinSet(produced[k]) for k in expected})
+                    {d: FinSet(produced[d])
+                     for d in enumerate_frames(cur, n, n)})
                 top = n
             return self._prefixes[to]
 
     def this(self):
-        """The family at the current dimension, as {frame key: FinSet}."""
+        """The family at the current dimension, as {frame: FinSet}."""
         return dict(self._advance(self._dim).families[self._dim])
 
     def next(self):
@@ -95,8 +89,7 @@ def extend_singleton(D):
         raise ValidationFailure(
             f"base is not a valid indexed set: {rep.violations[0]}")
     return NuSetStream(
-        D, lambda prefix, n: {frame_key(d): 1
-                              for d in enumerate_frames(prefix, n, n)})
+        D, lambda prefix, n: dict.fromkeys(enumerate_frames(prefix, n, n), 1))
 
 
 def take(s, N):

@@ -17,12 +17,23 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    ArityMismatch, NotComposable, IndexOutOfRange, NoLetter, ParseError,
+    ArityError, ArityMismatch, NotComposable, IndexOutOfRange, NoLetter,
+    ParseError,
 )
 
 STAR = -1
 
 _DIR_SYMBOLS = {1: ("0",), 2: ("L", "R")}
+
+# One character per letter. Past it directions take two digits, and only
+# words with one direction letter (face-map keys) keep their text distinct.
+TEXT_ARITY = 10
+
+
+def check_text_arity(nu):
+    if nu > TEXT_ARITY:
+        raise ArityError(f"arity must be <= {TEXT_ARITY} to be written as "
+                         f"text, got {nu}")
 
 
 def letter_symbol(nu, letter):
@@ -92,10 +103,12 @@ class Word:
 
 def parse_word(nu, text):
     """Parse the no-separator text syntax. The empty string is the empty word.
+    ArityError beyond arity TEXT_ARITY, where the syntax is ambiguous.
 
     The star glyph and the letter synonyms of parse_letter are accepted; the
     Greek epsilon glyph is accepted as a spelling of the empty word.
     """
+    check_text_arity(nu)
     text = text.strip()
     if text in ("", "ε"):
         return Word(nu, ())

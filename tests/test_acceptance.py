@@ -125,11 +125,11 @@ def _criterion_4_corpus():
 
 
 def _cells_by_dimension(S, P, d):
-    _, offsets = _layout(S)
+    offsets = _layout(S)
 
     def collect(base, c, acc):
-        key = frame_key(full_frame(base, c))
-        acc.setdefault(c.n, set()).add(offsets[c.n][key] + c.cell)
+        acc.setdefault(c.n, set()).add(
+            offsets[c.n][full_frame(base, c)][0] + c.cell)
         D = base
         for j, layer in enumerate(c.layers):
             for tau, sub in enumerate(layer.components):
@@ -237,11 +237,11 @@ def test_criterion_8_transport_shadow():
 
     # and on each of 5 constructed corruptions it fires; the uneven growth
     # gives one doubled edge fibre so an out-of-range cell index exists
-    def uneven(n, key):
+    def uneven(n, d):
         if n == 0:
             return 2
         if n == 1:
-            return 2 if key == "([{0} {0}])" else 1
+            return 2 if frame_key(d) == "([{0} {0}])" else 1
         return 1
 
     SU = grow_indexed(2, 2, uneven)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from nusets.cli import main
-from nusets.equivalence import to_indexed
+from nusets.equivalence import random_indexed, to_indexed
 from nusets.indexed import emit_indexed, grow_indexed
 from nusets.parametricity import iterate_types, print_type
 from nusets.presheaf import emit_nuset
@@ -35,7 +35,7 @@ def square_fibred(tmp_path):
 
 @pytest.fixture
 def grown_indexed(tmp_path):
-    S = grow_indexed(2, 1, lambda n, key: 2 if n == 0 else 1)
+    S = grow_indexed(2, 1, lambda n, d: 2 if n == 0 else 1)
     path = tmp_path / "grown.indexed.json"
     path.write_text(emit_indexed(S))
     return str(path)
@@ -116,6 +116,75 @@ def test_validate_missing_fibre_exits_one(grown_indexed, tmp_path, capsys):
     assert main(["validate", str(broken), "--json"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert any(v["kind"] == "missing-fibre" for v in out["violations"])
+
+
+def test_validate_orphan_keys_come_out_in_text_order(grown_indexed,
+                                                     tmp_path, capsys):
+    """Two orphan keys written in the reverse of their text order are
+    reported in text order, whatever order the file (and so the family)
+    holds them in."""
+    doc = json.loads(Path(grown_indexed).read_text())
+    doc["families"]["1"]["([{0} {9}])"] = 1
+    doc["families"]["1"]["([{0} {8}])"] = 1
+    broken = tmp_path / "orphans.json"
+    broken.write_text(json.dumps(doc))
+    assert main(["validate", "--json", str(broken)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["violations"] == [
+        {"kind": "orphan-frame-key", "dimension": 1, "frame": key}
+        for key in ("([{0} {8}])", "([{0} {9}])")]
+
+
+@pytest.mark.parametrize("command", ["validate", "convert", "roundtrip"])
+@pytest.mark.parametrize("text, key", [
+    ('{"families": {"0": {"()": 1, "()": 3}}, "nu": 1, "trunc": 0}', "()"),
+    ('{"carriers": [1], "faces": {}, "nu": 1, "nu": 2, "trunc": 0}', "nu"),
+], ids=["indexed", "fibred"])
+def test_repeated_json_key_exits_two(command, text, key, tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: duplicate key {key!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--nu", "12", "-p", "0", "-n", "2"],
+    ["shape", "--nu", "12", "-n", "2"],
+    ["compose", "--nu", "11", "*10", "*"],
+], ids=["hom", "shape", "compose"])
+def test_words_past_arity_ten_have_no_text(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: arity must be <= 10 to be written as "
+                            f"text, got {argv[2]}\n")
+
+
+def test_conversion_past_arity_ten(tmp_path, capsys):
+    """Only word listings are refused past arity 10: face maps are keyed by
+    face words, whose text stays distinct, so files still convert."""
+    S = random_indexed(11, 2, 0, sizes=(0, 1), dim0=1)
+    src = tmp_path / "nu11.indexed.json"
+    src.write_text(emit_indexed(S))
+    for command in ("validate", "roundtrip"):
+        assert main([command, str(src)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(src)]) == 0
+    fibred = tmp_path / "nu11.fibred.json"
+    fibred.write_text(capsys.readouterr().out)
+    assert '"*10"' in fibred.read_text()
+    for command in ("validate", "roundtrip"):
+        assert main([command, str(fibred)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(fibred)]) == 0
+    assert capsys.readouterr().out == src.read_text()
+
+
+def test_hom_at_arity_ten_uses_every_digit(capsys):
+    assert main(["hom", "--nu", "10", "-p", "0", "-n", "1"]) == 0
+    assert capsys.readouterr().out.split() == [str(i) for i in range(10)]
 
 
 def test_validate_bad_json_exits_two(tmp_path, capsys):

@@ -7,9 +7,11 @@ checked against the carriers, not against the recursion that built the
 frame in the first place.
 """
 
+import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nusets.cli import main
 from nusets.equivalence import (
@@ -20,8 +22,9 @@ from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from nusets.indexed import (
-    FrameVal, IndexedNuSet, emit_indexed, frame_key, full_frame, restr_frame,
-    validate_indexed,
+    FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_totality,
+    emit_indexed, frame_key, full_frame, parse_indexed, parse_value,
+    restr_frame, validate_indexed,
 )
 from nusets.presheaf import (
     FinSet, TruncatedPresheaf, carrier_sizes, check_functor_laws,
@@ -37,7 +40,7 @@ def _collect(S, offsets, base, c, acc):
     every cell mentioned below it; base is the frame c sits over."""
     m = c.n
     full = full_frame(base, c)
-    acc.setdefault(m, set()).add(offsets[m][frame_key(full)] + c.cell)
+    acc.setdefault(m, set()).add(offsets[m][full][0] + c.cell)
     D = base
     for j, layer in enumerate(c.layers):
         for tau, sub in enumerate(layer.components):
@@ -48,7 +51,7 @@ def _collect(S, offsets, base, c, acc):
 
 def cells_in_frame(S, d):
     """Absolute carrier positions mentioned anywhere in a full frame."""
-    _, offsets = _layout(S)
+    offsets = _layout(S)
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
@@ -185,19 +188,19 @@ def test_to_fibred_square_counts():
 
 
 def test_to_fibred_all_singletons():
-    fams = {0: {"()": FinSet(1)}}
+    fams = {0: {FrameVal(0, 0, ()): FinSet(1)}}
     S0 = IndexedNuSet(2, 0, fams)
     fams = dict(fams)
     from nusets.indexed import enumerate_frames
-    fams[1] = {frame_key(d): FinSet(1)
-               for d in enumerate_frames(S0, 1, 1)}
+    fams[1] = {d: FinSet(1) for d in enumerate_frames(S0, 1, 1)}
     S = IndexedNuSet(2, 1, fams)
     P = to_fibred(S)
     assert carrier_sizes(P) == (1, 1)
 
 
 def test_to_fibred_rejects_invalid():
-    fams = {0: {"()": FinSet(1)}, 1: {"(bogus)": FinSet(1)}}
+    fams = {0: {FrameVal(0, 0, ()): FinSet(1)},
+            1: {parse_value("([{0} {9}])", 2, 1, 1): FinSet(1)}}
     with pytest.raises(ValidationFailure):
         to_fibred(IndexedNuSet(2, 1, fams))
 
@@ -291,6 +294,76 @@ def test_round_trip_empty_above_zero():
 def test_round_trip_rejects_other_types():
     with pytest.raises(TypeError):
         round_trip_report("nonsense")
+
+
+def test_round_trip_reports_fibre_mismatches_in_text_order(monkeypatch):
+    """Families are keyed by frame value and keep insertion order; the
+    report still walks the keys in the order of their text."""
+    S = random_indexed(2, 1, 0, sizes=(1,), dim0=2)
+    # inserted against text order; a set of these frames iterates them
+    # in the order 8, 7, 9, so neither order passes for text order
+    strays = {parse_value(f"([{{0}} {{{cell}}}])", 2, 1, 1): FinSet(size)
+              for cell, size in ((9, 1), (8, 2), (7, 3))}
+    real = to_indexed
+
+    def with_strays(P):
+        S2 = real(P)
+        return IndexedNuSet(S2.nu, S2.trunc, {
+            0: S2.families[0], 1: {**S2.families[1], **strays}})
+
+    monkeypatch.setattr("nusets.equivalence.to_indexed", with_strays)
+    rep = round_trip_report(S)
+    assert rep.violations == [{"kind": "fibre-mismatch", "dimension": 1,
+                               "frame": "([{0} {7}])", "source": None,
+                               "target": 3}]
+
+
+def _far(d):
+    """d with the top cell of the first component of its last layer moved
+    past every fibre: a full frame of d's shape that is no frame of the
+    set."""
+    top = d.layers[-1]
+    c = top.components[0]
+    far = PaintingVal(c.n, c.p, c.layers, c.cell + 10 ** 6)
+    return d.prefix(d.p - 1).extend(
+        LayerVal(top.n, top.p, (far,) + top.components[1:]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 3), (2, 2), (3, 1)]), st.integers(1, 2),
+       st.integers(0, 10 ** 6), st.data())
+def test_fibred_side_is_an_oracle_for_the_indexed_side(shape, dim0, seed,
+                                                       data):
+    """On small random indexed sets the round trip through the fibred form
+    is the identity, a dropped fibre is reported as exactly that fibre
+    (and the level above it fails to enumerate) and refused by to_fibred,
+    and an orphan key read from a file is reported as exactly that key."""
+    nu, trunc = shape
+    S = random_indexed(nu, trunc, seed, dim0=dim0)
+    assert to_indexed(to_fibred(S)) == S
+
+    n, victim = data.draw(st.sampled_from(
+        [(n, d) for n in range(trunc + 1) for d in S.families[n]]))
+    fams = {m: dict(S.families[m]) for m in S.families}
+    del fams[n][victim]
+    dropped = IndexedNuSet(nu, trunc, fams)
+    text = frame_key(victim)
+    expected = [{"kind": "missing-fibre", "dimension": n, "frame": text}]
+    if n < trunc:
+        expected.append({"kind": "enumeration-failed", "dimension": n + 1,
+                         "detail": f"no fibre for frame {text} at "
+                                   f"dimension {n}"})
+    assert check_totality(dropped).violations == expected
+    with pytest.raises(ValidationFailure):
+        to_fibred(dropped)
+
+    n, d = data.draw(st.sampled_from(
+        [(n, d) for n in range(1, trunc + 1) for d in S.families[n]]))
+    orphan = frame_key(_far(d))
+    doc = json.loads(emit_indexed(S))
+    doc["families"][str(n)][orphan] = 1
+    assert check_totality(parse_indexed(json.dumps(doc))).violations == [
+        {"kind": "orphan-frame-key", "dimension": n, "frame": orphan}]
 
 
 def _rank_reference(P, m, y):

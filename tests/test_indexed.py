@@ -26,11 +26,11 @@ from nusets.indexed import (
 from nusets.presheaf import FinSet
 
 
-def ones(n, key):
+def ones(n, d):
     return 1
 
 
-def two_points(n, key):
+def two_points(n, d):
     return 2 if n == 0 else 1
 
 
@@ -106,9 +106,14 @@ def test_counts_nu1_two_points(S13):
 
 def test_fibre_lookup_and_unknown_frame(S22):
     d = next(iter(enumerate_frames(S22, 2, 2)))
-    assert S22.fibre(2, frame_key(d)) == FinSet(1, None)
+    assert S22.fibre(d) == FinSet(1, None)
+    # a full frame of the right shape whose top cells lie past every fibre
+    far = parse_value("([{[{0} {1}] 0} {[{0} {1}] 0}] [{9} {9}])",
+                      2, 2, 2, "frame")
     with pytest.raises(UnknownFrame):
-        S22.fibre(2, "(not a frame)")
+        S22.fibre(far)
+    with pytest.raises(DimensionOutOfRange):
+        S22.fibre(next(iter(enumerate_frames(S22, 3, 3))))
 
 
 def test_enumerate_dimension_bounds(S22):
@@ -135,11 +140,11 @@ def test_restr_frame_frozen_example():
     # L-restriction of a square frame picks the L-endpoints of its two
     # edge components: edges 0->1 and 1->0 give endpoints (0, 1). The set
     # has two points and just those two edges.
-    S = IndexedNuSet(2, 1, {0: {"()": FinSet(2)},
-                            1: {"([{0} {0}])": FinSet(0),
-                                "([{0} {1}])": FinSet(1),
-                                "([{1} {0}])": FinSet(1),
-                                "([{1} {1}])": FinSet(0)}})
+    edges = {"([{0} {0}])": 0, "([{0} {1}])": 1,
+             "([{1} {0}])": 1, "([{1} {1}])": 0}
+    S = IndexedNuSet(2, 1, {0: {FrameVal(0, 0, ()): FinSet(2)},
+                            1: {parse_value(k, 2, 1, 1): FinSet(size)
+                                for k, size in edges.items()}})
     e01 = parse_value("{[{0} {1}] 0}", 2, 1, 0, "painting")
     e10 = parse_value("{[{1} {0}] 0}", 2, 1, 0, "painting")
     d = _square_frame(e01, e10)
@@ -258,11 +263,11 @@ def test_parse_rejects_non_canonical_frame_keys(n, key, bad):
 # endpoint pair (0,0)) and all others size 1 to make room for them.
 
 
-def uneven(n, key):
+def uneven(n, d):
     if n == 0:
         return 2
     if n == 1:
-        return 2 if key == "([{0} {0}])" else 1
+        return 2 if frame_key(d) == "([{0} {0}])" else 1
     return 1
 
 
@@ -484,17 +489,17 @@ def test_validate_clean(S22, S13, SU):
 
 def test_validate_missing_fibre(S22):
     fams = {n: dict(S22.families[n]) for n in S22.families}
-    victim = sorted(fams[2])[0]
+    victim = sorted(fams[2], key=frame_key)[0]
     del fams[2][victim]
     rep = validate_indexed(IndexedNuSet(2, 2, fams))
     assert not rep.ok
-    assert any(v["kind"] == "missing-fibre" and v["frame"] == victim
-               for v in rep.violations)
+    assert any(v["kind"] == "missing-fibre"
+               and v["frame"] == frame_key(victim) for v in rep.violations)
 
 
 def test_validate_orphan_key(S22):
     fams = {n: dict(S22.families[n]) for n in S22.families}
-    fams[1]["([{0} {9}])"] = FinSet(1, None)
+    fams[1][parse_value("([{0} {9}])", 2, 1, 1)] = FinSet(1, None)
     rep = validate_indexed(IndexedNuSet(2, 2, fams))
     assert not rep.ok
     assert any(v["kind"] == "orphan-frame-key" for v in rep.violations)
@@ -509,11 +514,11 @@ def test_random_instances_validate(seed, nu):
     rng = random.Random(seed)
     chosen = {}
 
-    def sizes(n, key):
-        if (n, key) not in chosen:
+    def sizes(n, d):
+        if (n, d) not in chosen:
             hi = 2 if n == 0 else (2 if nu == 1 else 1)
-            chosen[(n, key)] = rng.randint(1, hi)
-        return chosen[(n, key)]
+            chosen[(n, d)] = rng.randint(1, hi)
+        return chosen[(n, d)]
 
     S = grow_indexed(nu, 2, sizes)
     assert validate_indexed(S).ok

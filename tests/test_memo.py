@@ -122,11 +122,11 @@ def test_corruptions_caught_after_the_sweep_filled_the_memo():
     raise CoherenceMismatch even when the set's memo holds every table and
     restriction that the sweep and the next level's frames up to stratum
     2 (where the corruptions sit) need."""
-    def uneven(n, key):
+    def uneven(n, d):
         if n == 0:
             return 2
         if n == 1:
-            return 2 if key == "([{0} {0}])" else 1
+            return 2 if frame_key(d) == "([{0} {0}])" else 1
         return 1
 
     SU = grow_indexed(2, 2, uneven)
@@ -165,7 +165,7 @@ def test_corruptions_caught_after_the_sweep_filled_the_memo():
 
 
 def test_enumerations_return_fresh_lists():
-    S = grow_indexed(2, 2, lambda n, key: 2 if n == 0 else 1)
+    S = grow_indexed(2, 2, lambda n, d: 2 if n == 0 else 1)
     frames = enumerate_frames(S, 2, 1)
     expected = list(frames)
     frames.clear()
@@ -183,7 +183,7 @@ def test_memo_per_set_and_handed_on_by_extended(text):
     S, T = parse_indexed(text), parse_indexed(text)
     assert S == T and S._memo is not T._memo
     memo = S._memo
-    up = S.extended({frame_key(d): FinSet(1)
+    up = S.extended({d: FinSet(1)
                      for d in enumerate_frames(S, S.trunc + 1,
                                                S.trunc + 1)})
     assert up.trunc == S.trunc + 1 and up._memo is memo
@@ -193,9 +193,9 @@ def test_memo_per_set_and_handed_on_by_extended(text):
 
 
 def test_prefix_keeps_its_range_after_an_extension():
-    S = grow_indexed(2, 1, lambda n, key: 2 if n == 0 else 1)
+    S = grow_indexed(2, 1, lambda n, d: 2 if n == 0 else 1)
     top = S.trunc
-    T = S.extended({frame_key(d): FinSet(1)
+    T = S.extended({d: FinSet(1)
                     for d in enumerate_frames(S, top + 1, top + 1)})
     d = enumerate_frames(T, top + 2, top + 2)[0]
     empty = enumerate_frames(T, top + 1, 0)[0]
@@ -210,7 +210,7 @@ def test_prefix_keeps_its_range_after_an_extension():
 
 
 def _sized(prefix, n, size):
-    return {frame_key(d): size for d in enumerate_frames(prefix, n, n)}
+    return {d: size for d in enumerate_frames(prefix, n, n)}
 
 
 @pytest.mark.parametrize("nu, b", [(1, 1), (2, 0)])
@@ -218,7 +218,7 @@ def test_two_extensions_of_one_set_keep_apart(nu, b):
     """Streams from one base, each taken to b + 2 after the other, equal
     the sets grown afresh with the same sizes."""
     def size_at(top):
-        return lambda n, key: 2 if n <= b else top if n == b + 1 else 1
+        return lambda n, d: 2 if n <= b else top if n == b + 1 else 1
     base = grow_indexed(nu, b, size_at(1))
     for top in (1, 2, 1):
         s = NuSetStream(
@@ -240,7 +240,7 @@ def test_no_module_level_memo():
     before = _module_containers()
     # point counts no other test uses, so that no value is memoized yet
     for nu, points in ((1, 5), (2, 3)):
-        S = grow_indexed(nu, 2, lambda n, key: points if n == 0 else 1)
+        S = grow_indexed(nu, 2, lambda n, d: points if n == 0 else 1)
         assert validate_indexed(S).ok
         to_fibred(S)
         for d in enumerate_frames(S, 2, 1):

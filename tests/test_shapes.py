@@ -8,12 +8,12 @@ Frozen oracle values:
 
 import pytest
 
-from nusets.errors import AllLetters
+from nusets.errors import AllLetters, ArityError
 from nusets.presheaf import carrier_sizes, check_functor_laws
 from nusets.shapes import (
     geometric_inventory, orientation_endpoints, standard_shape, to_dot,
 )
-from nusets.words import hom_count, parse_word
+from nusets.words import Word, hom_count, parse_word
 
 
 def test_square_inventory_and_labels():
@@ -55,6 +55,15 @@ def test_orientation_frozen():
     assert [str(x) for x in orientation_endpoints(parse_word(1, "*"))] == ["0"]
     with pytest.raises(AllLetters):
         orientation_endpoints(parse_word(2, "LR"))
+    with pytest.raises(AllLetters, match="11 has no star"):
+        orientation_endpoints(Word(12, (11,)))
+
+
+def test_standard_shape_labels_need_text():
+    # its labels are word text, which stops at arity 10
+    assert standard_shape(10, 2).carriers[0].labels[:2] == ("00", "01")
+    with pytest.raises(ArityError, match="must be <= 10"):
+        standard_shape(11, 1)
 
 
 def test_orientation_typing():

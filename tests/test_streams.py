@@ -5,6 +5,7 @@ The two unfolding laws are the observable content: this() is exactly the
 family the next take appends, and next() advances by exactly that family.
 """
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,13 +13,13 @@ import pytest
 from nusets.errors import ValidationFailure
 from nusets.indexed import (
     IndexedNuSet, emit_indexed, enumerate_frames, frame_key, grow_indexed,
-    validate_indexed,
+    parse_value, validate_indexed,
 )
 from nusets.presheaf import FinSet
 from nusets.streams import NuSetStream, extend_singleton, take
 
 
-def two_points(n, key):
+def two_points(n, d):
     return 2 if n == 0 else 1
 
 
@@ -102,7 +103,7 @@ def test_rejects_invalid_base():
 
 def test_user_rule_checked_lazily_per_level():
     def missing_at_3(prefix, n):
-        fam = {frame_key(d): 1 for d in enumerate_frames(prefix, n, n)}
+        fam = dict.fromkeys(enumerate_frames(prefix, n, n), 1)
         if n == 3:
             fam.popitem()
         return fam
@@ -113,19 +114,43 @@ def test_user_rule_checked_lazily_per_level():
         take(s, 3)
 
 
+# a full frame at (nu=1, n=2) whose top cell lies past every fibre
+FAR = "([{[{0}] 0}] [{9}])"
+
+
 def test_user_rule_stray_key_rejected():
     def stray(prefix, n):
-        fam = {frame_key(d): 1 for d in enumerate_frames(prefix, n, n)}
-        fam["(bogus)"] = 1
+        fam = dict.fromkeys(enumerate_frames(prefix, n, n), 1)
+        fam[parse_value(FAR, 1, 2, 2)] = 1
         return fam
 
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=re.escape(FAR)):
         take(NuSetStream(base(1), stray), 2)
+
+
+def test_user_rule_keyed_by_text_is_a_validation_failure():
+    """Rules key families by frame value; a text key is a stray that the
+    error names, and a rule keyed by text alone misses every frame."""
+    def one_text_key(prefix, n):
+        fam = dict.fromkeys(enumerate_frames(prefix, n, n), 1)
+        fam[FAR] = 1
+        return fam
+
+    def by_text(prefix, n):
+        return {frame_key(d): 1 for d in enumerate_frames(prefix, n, n)}
+
+    with pytest.raises(ValidationFailure,
+                       match=re.escape(f"does not occur: {FAR}")):
+        take(NuSetStream(base(1), one_text_key), 2)
+    first = frame_key(enumerate_frames(base(1), 2, 2)[0])
+    with pytest.raises(ValidationFailure,
+                       match=re.escape(f"misses frame {first}")):
+        take(NuSetStream(base(1), by_text), 2)
 
 
 def test_user_rule_sizes_respected():
     def doubled(prefix, n):
-        return {frame_key(d): 2 for d in enumerate_frames(prefix, n, n)}
+        return dict.fromkeys(enumerate_frames(prefix, n, n), 2)
 
     S = take(NuSetStream(base(1), doubled), 3)
     assert all(f == FinSet(2) for f in S.families[3].values())
@@ -137,7 +162,7 @@ def test_generation_happens_once():
 
     def counting(prefix, n):
         calls.append(n)
-        return {frame_key(d): 1 for d in enumerate_frames(prefix, n, n)}
+        return dict.fromkeys(enumerate_frames(prefix, n, n), 1)
 
     s = NuSetStream(base(2), counting)
     take(s, 3)
@@ -152,7 +177,7 @@ def test_concurrent_takes_generate_once():
 
     def counting(prefix, n):
         calls.append(n)
-        return {frame_key(d): 1 for d in enumerate_frames(prefix, n, n)}
+        return dict.fromkeys(enumerate_frames(prefix, n, n), 1)
 
     s = NuSetStream(base(2), counting)
     with ThreadPoolExecutor(max_workers=8) as pool:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nusets.errors import (
-    ArityMismatch, IndexOutOfRange, NoLetter, NotComposable, ParseError,
+    ArityError, ArityMismatch, IndexOutOfRange, NoLetter, NotComposable,
+    ParseError,
 )
 from nusets.words import (
     STAR, Word, compose, face_word, factor_leftmost, factorizations,
@@ -92,9 +93,28 @@ def test_parse_and_render():
         parse_word(2, "x")
 
 
+def test_text_stops_at_arity_ten():
+    # one character per letter: the digits 0-9 are the last directions
+    assert str(w(10, "9*0")) == "9*0"
+    assert w(10, "9*0") == Word(10, (9, STAR, 0))
+    with pytest.raises(ArityError, match="must be <= 10"):
+        parse_word(11, "*10")
+    with pytest.raises(ArityError):
+        parse_word(11, "")
+    # past it words still render, ambiguously in general: both are "110"
+    assert str(Word(12, (1, 10))) == str(Word(12, (11, 0)))
+    # but a face word's text stays distinct among the faces of its length
+    for n in (1, 2, 3):
+        faces = [str(face_word(12, eps, q, n))
+                 for q in range(n) for eps in range(12)]
+        assert len(set(faces)) == len(faces)
+
+
 def test_compose_preconditions():
     with pytest.raises(NotComposable):
         compose(w(2, "L*"), w(2, "LL"))
+    with pytest.raises(NotComposable, match=r"g=\*, f="):  # past arity 10
+        compose(Word(12, (STAR,)), Word(12, ()))
     with pytest.raises(ArityMismatch):
         compose(w(2, "**"), w(1, "0*"))
     with pytest.raises(IndexOutOfRange):
