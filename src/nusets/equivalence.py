@@ -105,27 +105,27 @@ def to_indexed(P):
     laws = check_functor_laws(P)
     if not laws.ok:
         raise LawViolation(f"functor laws fail: {laws.violations[0]}")
-    S = None
+    S = IndexedNuSet(P.nu, 0, {})  # its family at 0 is set below
     for n in range(P.trunc + 1):
         groups = defaultdict(list)
         for x in range(P.carriers[n].size):
             groups[boundary_frame(P, n, x)].append(x)
-        if S is None:
-            frames = [FrameVal(0, 0, ())]  # every 0-cell's boundary frame
-        else:
+        if n:  # at 0 every cell's boundary frame is the empty frame
             stray = family_gaps(S, n, groups)[1]
             if stray:
                 raise LawViolation(
                     f"boundary frame not enumerable at dimension {n}: "
                     f"{stray[0]}")
-            frames = enumerate_frames(S, n, n)
         labels = P.carriers[n].labels
         fam = {}
-        for d in frames:
+        for d in enumerate_frames(S, n, n):
             members = groups.get(d, ())
             fam[d] = FinSet(len(members), None if labels is None else
                             tuple(labels[x] for x in members))
-        S = IndexedNuSet(P.nu, 0, {0: fam}) if S is None else S.extended(fam)
+        if n:
+            S = S.extended(fam)
+        else:
+            S.families[0] = fam
     return S
 
 

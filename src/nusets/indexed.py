@@ -23,6 +23,11 @@ it equates are evaluated and compared, and a disagreement raises
 CoherenceMismatch. On well-formed values the assertion never fires; it
 exists to catch corrupted values and implementation bugs.
 
+Values are hash-consed: each hashes once, when it is built, and each set
+builds its values through one intern table in its memo, so within a set
+equal values are one object. Equality across sets is structural (see
+"values" below).
+
 Families are keyed by their full frames, as values. Text is the file and
 report format only: frames render as ``(layer ...)``, layers as
 ``[painting ...]``, paintings as ``{layer ... cell}``. The rendering is
@@ -32,34 +37,59 @@ file format uses it (keys grouped under their dimension).
 """
 
 import json
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
     ArityError, CoherenceMismatch, DimensionOutOfRange, IndexOutOfRange,
     ParseError, RangeError, SideConditionViolated, UnknownFrame,
 )
+from .frozen import Frozen
 from .presheaf import FinSet, load_header, parse_finset
 from .report import Report
 
 
 # ----------------------------------------------------------------- values
+#
+# Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
+# 2006). A value computes its hash once, at construction, from its own
+# fields and its children's stored hashes, so hashing costs O(1) and
+# building a node O(width). Equality checks identity, then the stored
+# hash, then the fields, which reach children by identity when they are
+# shared. Each indexed set interns the values it builds in one table of
+# its memo (``_intern``), so within a set equal values are one object and
+# table lookups and memo hits compare by identity. Values from different
+# sets, or built by hand, still compare structurally. The hashes are
+# those of the field tuples, as a frozen dataclass has them.
 
-@dataclass(frozen=True, slots=True)
-class FrameVal:
+
+class FrameVal(Frozen):
     """A p-frame at dimension n: the first p strata of a boundary."""
 
-    n: int
-    p: int
-    layers: tuple
+    __slots__ = ("n", "p", "layers", "_hash")
 
-    def __post_init__(self):
-        if not (0 <= self.p <= self.n):
+    def __init__(self, n, p, layers):
+        if not (0 <= p <= n):
             raise SideConditionViolated(f"frame needs 0 <= p <= n, "
-                                        f"got p={self.p}, n={self.n}")
-        if len(self.layers) != self.p:
+                                        f"got p={p}, n={n}")
+        if len(layers) != p:
             raise SideConditionViolated(
-                f"frame at p={self.p} must carry {self.p} layers")
+                f"frame at p={p} must carry {p} layers")
+        set_n, set_p, set_layers, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_layers(self, layers)
+        set_hash(self, hash((n, p, layers)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FrameVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.p == other.p and self.layers == other.layers)
 
     def prefix(self, k):
         return FrameVal(self.n, k, self.layers[:k])
@@ -71,44 +101,72 @@ class FrameVal:
         return f"Frame({self.n},{self.p},{frame_key(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class LayerVal:
+class LayerVal(Frozen):
     """One stratum: nu paintings of dimension n-1, indexed by direction."""
 
-    n: int
-    p: int
-    components: tuple
+    __slots__ = ("n", "p", "components", "_hash")
 
-    def __post_init__(self):
-        if not (0 <= self.p < self.n):
+    def __init__(self, n, p, components):
+        if not (0 <= p < n):
             raise SideConditionViolated(f"layer needs 0 <= p < n, "
-                                        f"got p={self.p}, n={self.n}")
-        if not self.components:
+                                        f"got p={p}, n={n}")
+        if not components:
             raise SideConditionViolated("layer needs at least one component")
+        set_n, set_p, set_components, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_components(self, components)
+        set_hash(self, hash((n, p, components)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not LayerVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.p == other.p
+                and self.components == other.components)
 
     def __repr__(self):
         return f"Layer({self.n},{self.p},{frame_key(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class PaintingVal:
+class PaintingVal(Frozen):
     """Layers p..n-1 plus the top cell (a fibre-relative index)."""
 
-    n: int
-    p: int
-    layers: tuple
-    cell: int
+    __slots__ = ("n", "p", "layers", "cell", "_hash")
 
-    def __post_init__(self):
-        if not (0 <= self.p <= self.n):
+    def __init__(self, n, p, layers, cell):
+        if not (0 <= p <= n):
             raise SideConditionViolated(f"painting needs 0 <= p <= n, "
-                                        f"got p={self.p}, n={self.n}")
-        if len(self.layers) != self.n - self.p:
+                                        f"got p={p}, n={n}")
+        if len(layers) != n - p:
             raise SideConditionViolated(
-                f"painting at (n={self.n}, p={self.p}) must carry "
-                f"{self.n - self.p} layers")
-        if self.cell < 0:
-            raise RangeError(f"cell index {self.cell} negative")
+                f"painting at (n={n}, p={p}) must carry "
+                f"{n - p} layers")
+        if cell < 0:
+            raise RangeError(f"cell index {cell} negative")
+        set_n, set_p, set_layers, set_cell, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_layers(self, layers)
+        set_cell(self, cell)
+        set_hash(self, hash((n, p, layers, cell)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not PaintingVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.cell == other.cell
+                and self.n == other.n and self.p == other.p
+                and self.layers == other.layers)
 
     @property
     def first_layer(self):
@@ -120,6 +178,19 @@ class PaintingVal:
 
     def __repr__(self):
         return f"Painting({self.n},{self.p},{frame_key(self)})"
+
+
+_VALUES = "values"  # the intern table's key in a set's memo
+
+
+def _intern(S, v):
+    """S's one object equal to v, and v itself the first time. The intern
+    table maps each value S has built to itself; it is part of S's memo,
+    so ``extended`` hands it on with the rest."""
+    table = S._memo.get(_VALUES)
+    if table is None:
+        table = S._memo[_VALUES] = {}
+    return table.setdefault(v, v)
 
 
 def full_frame(base, painting):
@@ -181,34 +252,45 @@ class _Scanner:
 
 def parse_value(text, nu, n, p, kind="frame"):
     """Inverse of frame_key for a value of known shape (nu, n, p)."""
+    return _parse_text(text, nu, n, p, kind, {})
+
+
+def _parse_text(text, nu, n, p, kind, values):
+    """parse_value, interning in the table ``values``."""
     sc = _Scanner(text)
-    v = _parse_value(sc, nu, n, p, kind)
+    v = _parse_value(sc, nu, n, p, kind, values)
     sc.skip_ws()
     if sc.i != len(sc.text):
         sc.error("trailing input")
     return v
 
 
-def _parse_value(sc, nu, n, p, kind):
+def _parse_value(sc, nu, n, p, kind, values):
+    """One value, each node interned in the table ``values`` (a value
+    mapped to itself, as in ``_intern``), so equal subtrees are one
+    object."""
     if kind == "frame":
         sc.expect("(")
-        layers = tuple(_parse_value(sc, nu, n, j, "layer") for j in range(p))
+        layers = tuple(_parse_value(sc, nu, n, j, "layer", values)
+                       for j in range(p))
         sc.expect(")")
-        return FrameVal(n, p, layers)
-    if kind == "layer":
+        v = FrameVal(n, p, layers)
+    elif kind == "layer":
         sc.expect("[")
-        comps = tuple(
-            _parse_value(sc, nu, n - 1, p, "painting") for _ in range(nu))
+        comps = tuple(_parse_value(sc, nu, n - 1, p, "painting", values)
+                      for _ in range(nu))
         sc.expect("]")
-        return LayerVal(n, p, comps)
-    if kind == "painting":
+        v = LayerVal(n, p, comps)
+    elif kind == "painting":
         sc.expect("{")
-        layers = tuple(
-            _parse_value(sc, nu, n, j, "layer") for j in range(p, n))
+        layers = tuple(_parse_value(sc, nu, n, j, "layer", values)
+                       for j in range(p, n))
         cell = sc.integer()
         sc.expect("}")
-        return PaintingVal(n, p, layers, cell)
-    raise ValueError(f"unknown kind {kind!r}")
+        v = PaintingVal(n, p, layers, cell)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return values.setdefault(v, v)
 
 
 # ------------------------------------------------------------ indexed set
@@ -217,10 +299,11 @@ class IndexedNuSet:
     """Truncated indexed nu-set: ``families[n]`` maps each full frame at n
     (a FrameVal) to its fibre, a FinSet; the frame text is only how files
     write the keys. Treated as immutable after construction. ``_memo`` is
-    its only memo: the frame and painting tables (ordered sets of values,
-    which serve both enumeration and membership) and restrictions, all
-    functions of the families (so never stale). It is owned by the set and
-    freed with it; ``extended`` hands it on to the next level."""
+    its only memo: the intern table of its values, the frame and painting
+    tables (ordered sets of values, which serve both enumeration and
+    membership) and restrictions, all functions of the families (so
+    never stale). It is owned by the set and freed with it; ``extended``
+    hands it on to the next level."""
 
     def __init__(self, nu, trunc, families):
         if nu < 1:
@@ -289,10 +372,10 @@ def _frames(S, n, p):
     table = S._memo.get(key)
     if table is None:
         if p == 0:
-            table = dict.fromkeys([FrameVal(n, 0, ())])
+            table = {_intern(S, FrameVal(n, 0, ())): None}
         else:
             table = dict.fromkeys(
-                d.extend(layer)
+                _intern(S, d.extend(layer))
                 for d in _frames(S, n, p - 1)
                 for layer in _enumerate_layers(S, n, p - 1, d))
         S._memo[key] = table
@@ -305,7 +388,8 @@ def _enumerate_layers(S, n, p, d):
     for omega in range(S.nu):
         base = restr_frame(omega, p, n, p, d, S)
         per_direction.append(_paintings(S, n - 1, p, base))
-    return [LayerVal(n, p, combo) for combo in product(*per_direction)]
+    return [_intern(S, LayerVal(n, p, combo))
+            for combo in product(*per_direction)]
 
 
 def enumerate_paintings(S, n, p, d):
@@ -328,14 +412,15 @@ def _paintings(S, n, p, d):
     of one fibre, which is cheaper to list again than to keep. Most tables
     are empty; those all share the empty tuple."""
     if p == n:
-        return dict.fromkeys(PaintingVal(n, n, (), c)
+        return dict.fromkeys(_intern(S, PaintingVal(n, n, (), c))
                              for c in range(S.fibre(d).size))
     table = S._memo.get(d)
     if table is None:
         table = S._memo[d] = dict.fromkeys(
-            PaintingVal(n, p, (layer,) + rest.layers, rest.cell)
+            _intern(S, PaintingVal(n, p, (layer,) + rest.layers, rest.cell))
             for layer in _enumerate_layers(S, n, p, d)
-            for rest in _paintings(S, n, p + 1, d.extend(layer))) or ()
+            for rest in _paintings(S, n, p + 1,
+                                   _intern(S, d.extend(layer)))) or ()
     return table
 
 
@@ -367,16 +452,19 @@ def restr_frame(eps, q, n, p, d, within):
     if d.n != n or d.p != p:
         raise SideConditionViolated(
             f"frame at ({d.n},{d.p}) passed to restr_frame({n},{p})")
-    if p == 0:
-        return FrameVal(n - 1, 0, ())
     key = ("f", eps, q, d)
     hit = within._memo.get(key)
     if hit is not None:
         return hit
-    head = restr_frame(eps, q, n, p - 1, d.prefix(p - 1), within)
-    top = restr_layer(eps, q - 1, n, p - 1, d.prefix(p - 1),
-                      d.layers[p - 1], within)
-    result = within._memo[key] = head.extend(top)
+    if p == 0:
+        result = FrameVal(n - 1, 0, ())
+    else:
+        head_frame = _intern(within, d.prefix(p - 1))
+        head = restr_frame(eps, q, n, p - 1, head_frame, within)
+        top = restr_layer(eps, q - 1, n, p - 1, head_frame,
+                          d.layers[p - 1], within)
+        result = head.extend(top)
+    result = within._memo[key] = _intern(within, result)
     return result
 
 
@@ -425,7 +513,8 @@ def restr_layer(eps, q, n, p, d, layer, within):
                 f"{frame_key(via_projection)} vs "
                 f"{frame_key(via_restriction)}")
         comps.append(out)
-    result = within._memo[key] = LayerVal(n - 1, p, tuple(comps))
+    result = within._memo[key] = _intern(within,
+                                         LayerVal(n - 1, p, tuple(comps)))
     return result
 
 
@@ -455,10 +544,11 @@ def restr_painting(eps, q, n, p, d, c, within):
     if hit is not None:
         return hit
     first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within)
-    rest = restr_painting(eps, q, n, p + 1, d.extend(c.first_layer), c.rest,
-                          within)
-    result = within._memo[key] = PaintingVal(n - 1, p, (first,) + rest.layers,
-                                     rest.cell)
+    rest = restr_painting(eps, q, n, p + 1,
+                          _intern(within, d.extend(c.first_layer)),
+                          _intern(within, c.rest), within)
+    result = within._memo[key] = _intern(
+        within, PaintingVal(n - 1, p, (first,) + rest.layers, rest.cell))
     return result
 
 
@@ -617,8 +707,8 @@ def grow_indexed(nu, trunc, size_at):
     d at n; enumeration at each new level only reads the levels already
     built.
     """
-    unit = FrameVal(0, 0, ())
-    S = IndexedNuSet(nu, 0, {0: {unit: FinSet(size_at(0, unit))}})
+    S = IndexedNuSet(nu, 0, {})  # level 0 keyed by S's own empty frame
+    S.families[0] = {d: FinSet(size_at(0, d)) for d in _frames(S, 0, 0)}
     for n in range(1, trunc + 1):
         S = S.extended({d: FinSet(size_at(n, d)) for d in _frames(S, n, n)})
     return S
@@ -656,7 +746,7 @@ def parse_indexed(text):
         raise ParseError(
             f"families mention dimension {sorted(extra)[0]} outside "
             f"0..{trunc}")
-    families = {}
+    families, values = {}, {}
     for n in range(trunc + 1):
         block = raw.get(str(n))
         if block is None:
@@ -666,7 +756,7 @@ def parse_indexed(text):
         fam = {}
         for key, entry in block.items():
             try:
-                frame = parse_value(key, nu, n, n, "frame")
+                frame = _parse_text(key, nu, n, n, "frame", values)
             except ParseError:
                 raise ParseError(
                     f"families[{n}] key {key!r} is not a full frame "
@@ -678,4 +768,6 @@ def parse_indexed(text):
                     f"expected {canonical!r}")
             fam[frame] = parse_finset(entry, f"families[{n}][{key!r}]")
         families[n] = fam
-    return IndexedNuSet(nu, trunc, families)
+    S = IndexedNuSet(nu, trunc, families)
+    S._memo[_VALUES] = values  # the keys and their subtrees, interned
+    return S

@@ -26,72 +26,89 @@ Binders named "_" print as arrows.
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ArityError, NotATelescope, ParseError, UnsupportedConstruct
+from .frozen import Record
 
 
 # ------------------------------------------------------------------ AST
+#
+# Nodes are records (frozen.Record): equal and hashed by their fields and
+# written as constructor calls, ``Var(name='X')``. Besides its fields a
+# node has one slot, _cache (see "scoping" below).
 
 
-@dataclass(frozen=True)
-class Univ:
-    pass
+class _Node(Record):
+    __slots__ = ("_cache",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Univ(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DepFun:
-    binder: str
-    domain: object
-    codomain: object
+class Var(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self._setters[0](self, name)
 
 
-@dataclass(frozen=True)
-class Prod:
+class DepFun(_Node):
+    __slots__ = ("binder", "domain", "codomain")
+
+    def __init__(self, binder, domain, codomain):
+        set_binder, set_domain, set_codomain = self._setters
+        set_binder(self, binder)
+        set_domain(self, domain)
+        set_codomain(self, codomain)
+
+
+class Prod(_Node):
     """n-ary product type, width >= 2."""
 
-    items: tuple
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.items) < 2:
+    def __init__(self, items):
+        items = tuple(items)
+        if len(items) < 2:
             raise UnsupportedConstruct("product needs at least two factors")
+        self._setters[0](self, items)
 
 
-@dataclass(frozen=True)
-class FamApp:
+class FamApp(_Node):
     """Application of a family (or any function) to a spine of arguments."""
 
-    head: object
-    args: tuple
+    __slots__ = ("head", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True)
-class Lam:
-    binder: str
-    body: object
+    def __init__(self, head, args):
+        set_head, set_args = self._setters
+        set_head(self, head)
+        set_args(self, tuple(args))
 
 
-@dataclass(frozen=True)
-class Tuple:
-    items: tuple
+class Lam(_Node):
+    __slots__ = ("binder", "body")
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, binder, body):
+        set_binder, set_body = self._setters
+        set_binder(self, binder)
+        set_body(self, body)
 
 
-@dataclass(frozen=True)
-class Proj:
-    index: int
-    tuple_: object
+class Tuple(_Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self._setters[0](self, tuple(items))
+
+
+class Proj(_Node):
+    __slots__ = ("index", "tuple_")
+
+    def __init__(self, index, tuple_):
+        set_index, set_tuple = self._setters
+        set_index(self, index)
+        set_tuple(self, tuple_)
 
 
 def App(fun, arg):
@@ -124,7 +141,8 @@ def _prod(items):
 # rescans a term, each node caches one _Info the first time a pass looks
 # at it: its free variables and every name bound inside it, as bitmasks
 # over a name table, and whether normalize returns it unchanged. It is
-# one attribute, _cache, so the node keeps its compact attribute storage.
+# one slot, _cache, which is no field: it stays out of equality, hashing
+# and printing, and it is the one slot set after construction.
 #
 # A table gives each name one bit. It belongs to the call that made it
 # and to the nodes stamped with it, never to the module, so it lives as
@@ -230,7 +248,7 @@ def _stamp(e, kids, names):
     elif isinstance(e, FamApp):
         nf = nf and bool(e.args) and not isinstance(e.head, (FamApp, Lam))
     info = _Info(names, fv, bv, nf)
-    object.__setattr__(e, "_cache", info)
+    _Node._setters[0](e, info)  # _cache
     return info
 
 

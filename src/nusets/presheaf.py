@@ -21,32 +21,32 @@ of carrier n inside carrier n-1.
 """
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     ArityError, DimensionOutOfRange, MissingFace, ParseError, RangeError,
 )
+from .frozen import Record
 from .report import Report
 from .words import factor_leftmost, factorizations, hom_enumerate
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(Record):
     """A finite set addressed 0..size-1 with optional distinct labels."""
 
-    size: int
-    labels: tuple = None
+    __slots__ = ("size", "labels")
 
-    def __post_init__(self):
-        if self.size < 0:
-            raise RangeError(f"negative size {self.size}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
-                raise RangeError(
-                    f"{len(self.labels)} labels for size {self.size}")
-            if len(set(self.labels)) != self.size:
+    def __init__(self, size, labels=None):
+        if size < 0:
+            raise RangeError(f"negative size {size}")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != size:
+                raise RangeError(f"{len(labels)} labels for size {size}")
+            if len(set(labels)) != size:
                 raise RangeError("labels are not distinct")
+        set_size, set_labels = self._setters
+        set_size(self, size)
+        set_labels(self, labels)
 
     def label(self, i):
         if not (0 <= i < self.size):

@@ -14,12 +14,12 @@ so that tuple comparison gives the lexicographic order with star first.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ArityError, ArityMismatch, NotComposable, IndexOutOfRange, NoLetter,
     ParseError,
 )
+from .frozen import Frozen
 
 STAR = -1
 
@@ -62,24 +62,33 @@ def parse_letter(nu, ch):
     raise ParseError(f"letter {ch!r} is not valid at arity {nu}")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A morphism of the word category.
 
     ``letters`` is the letter tuple; a word of length n with p stars is a
-    morphism p -> n. Immutable and hashable.
+    morphism p -> n. Immutable, and equal and hashed by its fields.
     """
 
-    nu: int
-    letters: tuple
+    __slots__ = ("nu", "letters")
 
-    def __post_init__(self):
-        if self.nu < 1:
-            raise IndexOutOfRange(f"arity must be >= 1, got {self.nu}")
-        for a in self.letters:
-            if a != STAR and not (0 <= a < self.nu):
+    def __init__(self, nu, letters):
+        if nu < 1:
+            raise IndexOutOfRange(f"arity must be >= 1, got {nu}")
+        for a in letters:
+            if a != STAR and not (0 <= a < nu):
                 raise IndexOutOfRange(
-                    f"direction {a} out of range for arity {self.nu}")
+                    f"direction {a} out of range for arity {nu}")
+        set_nu, set_letters = self._setters
+        set_nu(self, nu)
+        set_letters(self, letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self.nu == other.nu and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.nu, self.letters))
 
     @property
     def length(self):

@@ -391,3 +391,44 @@ def test_stdin_not_utf8_exits_two(env):
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error:")
     assert b"Traceback" not in proc.stderr
+
+
+# Each command runs in a fresh interpreter and pays on every run for what
+# it imports: the dataclasses module takes milliseconds to import, and
+# each dataclass about a millisecond to create.
+_IMPORT_PROBE = """
+import sys
+from nusets.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    sys.stderr.write(f"\\ndataclasses imported: {'dataclasses' in sys.modules}")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--nu", "2", "-p", "1", "-n", "2"],
+    ["compose", "--nu", "2", "L*", "*"],
+    ["shape", "--nu", "2", "-n", "2"],
+    ["validate", "{indexed}"],
+    ["validate", "{fibred}"],
+    ["convert", "{indexed}"],
+    ["convert", "{fibred}"],
+    ["coh-check", "{indexed}"],
+    ["roundtrip", "{indexed}"],
+    ["roundtrip", "--nu", "2", "-n", "2", "--seed", "1"],
+    ["extend", "{indexed}", "--levels", "1"],
+    ["param", "--nu", "2", "-n", "2"],
+], ids=["hom", "compose", "shape", "validate-indexed", "validate-fibred",
+        "convert-indexed", "convert-fibred", "coh-check",
+        "roundtrip-indexed", "roundtrip-random", "extend", "param"])
+def test_no_command_imports_dataclasses(argv, square_indexed, square_fibred):
+    files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE,
+         *(files.get(a, a) for a in argv)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("dataclasses imported: False"), proc.stderr

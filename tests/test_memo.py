@@ -1,6 +1,9 @@
 """The per-structure memo: one table per set, handed on by ``extended``,
-range checks before it is read, and nothing memoized at module level."""
+range checks before it is read, one object per value within a set, and
+nothing memoized at module level."""
 
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -228,6 +231,113 @@ def test_two_extensions_of_one_set_keep_apart(nu, b):
         assert check_totality(got).ok
 
 
+def _subtree(v):
+    """v and every value below it."""
+    yield v
+    for child in getattr(v, "layers", getattr(v, "components", ())):
+        yield from _subtree(child)
+
+
+def test_one_object_per_value_within_a_set(text):
+    """Within one set a parsed family key and every value below it, the
+    enumerated frame equal to the key, each restriction result and each
+    painting-table entry are the intern table's objects."""
+    S = parse_indexed(text)
+    values = S._memo[indexed._VALUES]
+    for n in range(S.trunc + 1):
+        keys = list(S.families[n])
+        for key in keys:
+            for v in _subtree(key):
+                assert values[v] is v
+        frames = enumerate_frames(S, n, n)
+        assert sorted(map(id, frames)) == sorted(map(id, keys))
+    checked = 0
+    for op, head, args in _cases(S):
+        face = op(*head, *args, S)
+        assert values[face] is face
+        checked += 1
+    for n in range(1, S.trunc + 1):
+        for p in range(n):
+            for d in enumerate_frames(S, n, p):
+                assert values[d] is d
+                for c in indexed._paintings(S, n, p, d):
+                    assert values[c] is c
+                    checked += 1
+    assert checked > 100
+
+
+def _rebuilt(v):
+    """v built again by hand, a new object at every node."""
+    if isinstance(v, FrameVal):
+        return FrameVal(v.n, v.p, tuple(map(_rebuilt, v.layers)))
+    if isinstance(v, LayerVal):
+        return LayerVal(v.n, v.p, tuple(map(_rebuilt, v.components)))
+    return PaintingVal(v.n, v.p, tuple(map(_rebuilt, v.layers)), v.cell)
+
+
+def test_equality_across_sets_is_structural(text):
+    """Values of two parses of one file, and values rebuilt by hand, are
+    distinct objects that are equal and hash alike; values of different
+    kinds are never equal, even where their fields agree."""
+    S, T = parse_indexed(text), parse_indexed(text)
+    assert validate_indexed(S).ok and validate_indexed(T).ok
+    ours, theirs = S._memo[indexed._VALUES], T._memo[indexed._VALUES]
+    assert len(ours) == len(theirs) > 100
+    kinds = {}
+    for v in ours:
+        twin, again = theirs[v], _rebuilt(v)
+        for w in (twin, again):
+            assert w is not v and w == v and v == w and hash(w) == hash(v)
+            assert frame_key(w) == frame_key(v)
+        kinds.setdefault(type(v), []).append(v)
+    assert len(kinds) == 3
+    for kind, vs in kinds.items():
+        for other, ws in kinds.items():
+            if other is not kind:
+                assert all(v != w and not v == w
+                           for v in vs[:20] for w in ws[:20])
+    # a frame with a layer's fields: it hashes alike, and is not equal
+    same = [v for v in kinds[LayerVal] if v.p == len(v.components)]
+    assert same or S.nu >= S.trunc
+    for layer in same[:20]:
+        twin = FrameVal(layer.n, layer.p, layer.components)
+        assert hash(twin) == hash(layer)
+        assert twin != layer and layer != twin and len({twin, layer}) == 2
+
+
+def test_values_are_immutable():
+    S = grow_indexed(2, 2, lambda n, d: 2 if n == 0 else 1)
+    d = enumerate_frames(S, 2, 2)[0]
+    layer = d.layers[0]
+    c = layer.components[0]
+    for v, field in ((d, "n"), (d, "layers"), (layer, "components"),
+                     (c, "cell"), (c, "_hash")):
+        before = getattr(v, field)
+        with pytest.raises(AttributeError):
+            setattr(v, field, before)
+        with pytest.raises(AttributeError):
+            delattr(v, field)
+        assert getattr(v, field) is before
+    with pytest.raises(AttributeError):
+        d.color = "red"
+
+
+def test_parse_and_validate_hold_each_frame_once():
+    """Peak traced memory of parse_indexed plus validate_indexed on the
+    ternary 2-cell (nu=3, n=2): the parsed keys are the enumeration's
+    frames, not a second copy of them. 823 KiB was the peak when the
+    families were keyed by text; holding every frame twice read 1127."""
+    text = emit_indexed(to_indexed(standard_shape(3, 2)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate_indexed(parse_indexed(text)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 823 * 1024, f"{peak / 1024:.0f} KiB"
+
+
 def _module_containers():
     return {(mod.__name__, name): len(obj)
             for mod in (indexed, equivalence)
@@ -236,7 +346,8 @@ def _module_containers():
 
 
 def test_no_module_level_memo():
-    """validate, to_fibred and restriction leave nothing behind."""
+    """validate, to_fibred and restriction leave nothing behind, and the
+    intern table is the set's: only its memo refers to it."""
     before = _module_containers()
     # point counts no other test uses, so that no value is memoized yet
     for nu, points in ((1, 5), (2, 3)):
@@ -245,5 +356,7 @@ def test_no_module_level_memo():
         to_fibred(S)
         for d in enumerate_frames(S, 2, 1):
             restr_frame(0, 1, 2, 1, d, S)
+        values = S._memo[indexed._VALUES]
+        assert values and gc.get_referrers(values) == [S._memo]
     after = _module_containers()
     assert all(after[k] <= before.get(k, 0) for k in after), after
