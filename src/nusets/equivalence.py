@@ -22,9 +22,9 @@ from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from .indexed import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_totality,
-    enumerate_frames, family_gaps, frame_key, full_frame, grow_indexed,
-    restr_frame,
+    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _intern,
+    check_totality, enumerate_frames, family_gaps, frame_key, full_frame,
+    grow_indexed, restr_frame,
 )
 from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
 from .report import Report
@@ -56,7 +56,7 @@ def _painting_of(P, m, p, y):
     key = ("p", m, p, y)
     if key not in memo:
         layers = tuple(_layer_of(P, m, j, y) for j in range(p, m))
-        memo[key] = PaintingVal(m, p, layers, _rank(P, m, y))
+        memo[key] = _intern(P, PaintingVal(m, p, layers, _rank(P, m, y)))
     return memo[key]
 
 
@@ -68,7 +68,7 @@ def _layer_of(P, m, j, y):
         for omega in range(P.nu):
             w = str(face_word(P.nu, omega, j, m))
             comps.append(_painting_of(P, m - 1, j, P.face(m, w)[y]))
-        memo[key] = LayerVal(m, j, tuple(comps))
+        memo[key] = _intern(P, LayerVal(m, j, tuple(comps)))
     return memo[key]
 
 
@@ -87,8 +87,8 @@ def boundary_frame(P, n, x):
     memo = P._memo
     key = ("b", n, x)
     if key not in memo:
-        memo[key] = FrameVal(n, n, tuple(_layer_of(P, n, j, x)
-                                         for j in range(n)))
+        memo[key] = _intern(P, FrameVal(n, n, tuple(_layer_of(P, n, j, x)
+                                                     for j in range(n))))
     return memo[key]
 
 
@@ -101,11 +101,14 @@ def to_indexed(P):
     The fibre over a frame lists the cells filling it in carrier order, so
     fibre-relative cell indices agree with the ranks used by
     boundary_frame. Carrier labels, when present, move onto the fibres.
+    The set interns its values in P's table, the one the boundary frames
+    are built through, so its family keys are those frames themselves.
     """
     laws = check_functor_laws(P)
     if not laws.ok:
         raise LawViolation(f"functor laws fail: {laws.violations[0]}")
     S = IndexedNuSet(P.nu, 0, {})  # its family at 0 is set below
+    S._memo[_VALUES] = P._memo.setdefault(_VALUES, {})
     for n in range(P.trunc + 1):
         groups = defaultdict(list)
         for x in range(P.carriers[n].size):

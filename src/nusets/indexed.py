@@ -186,7 +186,9 @@ _VALUES = "values"  # the intern table's key in a set's memo
 def _intern(S, v):
     """S's one object equal to v, and v itself the first time. The intern
     table maps each value S has built to itself; it is part of S's memo,
-    so ``extended`` hands it on with the rest."""
+    so ``extended`` hands it on with the rest. A fibred structure interns
+    its boundary values the same way, and ``to_indexed`` builds its set
+    through that table (see equivalence)."""
     table = S._memo.get(_VALUES)
     if table is None:
         table = S._memo[_VALUES] = {}

@@ -7,9 +7,11 @@ and Hom(p, n) the cells of geometric dimension p-1. For nu >= 2 the level p
 is the geometric dimension.
 """
 
-from .errors import AllLetters
+from .errors import AllLetters, IndexOutOfRange
 from .presheaf import FinSet, TruncatedPresheaf
-from .words import STAR, Word, check_text_arity, compose, hom_enumerate
+from .words import (
+    STAR, Word, check_text_arity, hom_count, hom_enumerate, letter_symbol,
+)
 
 
 def standard_shape(nu, n):
@@ -17,20 +19,56 @@ def standard_shape(nu, n):
 
     Carrier p lists Hom(p, n) in enumeration order, labelled by word text
     (so ArityError past arity 10); the face along a codim-1 word w sends g
-    to compose(g, w).
+    to compose(g, w), which replaces the j-th star of g by the letter eps
+    that w carries at position j.
+
+    Built by recursion on the word length k, with no Word objects.
+    Hom(p, k) in its order (star first) is *Hom(p-1, k-1) followed by
+    d Hom(p, k-1) for each direction d, and the words d x of Hom(m-1, k)
+    start at off(d) = |Hom(m-2, k-1)| + d |Hom(m-1, k-1)|. So the face
+    (j, eps) of level k is read off level k-1: on *x it is off(eps) +
+    rank(x) when j = 0 and the face (j-1, eps) of x otherwise, and on d x
+    it is off(d) + the face (j, eps) of x. Only levels k-1 and k are kept,
+    and every index is drawn from one list of ints, which the face arrays
+    share. ``compose`` is the oracle the tests hold this to.
     """
     check_text_arity(nu)
-    levels = [hom_enumerate(nu, p, n) for p in range(n + 1)]
-    carriers = [FinSet(len(ws), tuple(str(x) for x in ws)) for ws in levels]
-    index = [{x: i for i, x in enumerate(ws)} for ws in levels]
-    faces = {}
-    for m in range(1, n + 1):
-        block = {}
-        for w in hom_enumerate(nu, m - 1, m):
-            block[str(w)] = tuple(
-                index[m - 1][compose(g, w)] for g in levels[m])
-        faces[m] = block
-    return TruncatedPresheaf(nu, n, carriers, faces)
+    if nu < 1 and n >= 0:  # as Word rejects the words of Hom(0, n)
+        raise IndexOutOfRange(f"arity must be >= 1, got {nu}")
+    symbols = [letter_symbol(nu, d) for d in range(nu)]
+    ints = list(range(max((hom_count(nu, p, n) for p in range(n + 1)),
+                          default=0)))
+    labels = [[""]]  # labels[p] lists Hom(p, k), for k = 0 so far
+    faces = {}  # faces[m][j, eps]: the face (j, eps) on Hom(m, k)
+    for k in range(1, n + 1):
+        below, below_faces = labels, faces
+        labels = [["*" + x for x in below[p - 1]] if p else []
+                  for p in range(k + 1)]
+        for p in range(k):
+            for sym in symbols:
+                labels[p] += [sym + x for x in below[p]]
+        faces = {}
+        for m in range(1, k + 1):
+            width = len(below[m - 1])
+            offs = [(len(below[m - 2]) if m >= 2 else 0) + d * width
+                    for d in range(nu)]
+            tails = below_faces.get(m)  # none at m == k: Hom(k, k-1) is empty
+            faces[m] = level = {}
+            for j in range(m):
+                for eps in range(nu):
+                    arr = (ints[offs[eps]:offs[eps] + width] if j == 0
+                           else below_faces[m - 1][j - 1, eps][:])
+                    if tails:
+                        for off in offs:
+                            arr += [ints[off + v] for v in tails[j, eps]]
+                    level[j, eps] = arr
+    # a negative n gets TruncatedPresheaf's error for a missing carrier
+    carriers = [FinSet(len(ws), ws) for ws in labels] if n >= 0 else []
+    # keyed in the order of Hom(m-1, m): the star moves left, eps inner
+    return TruncatedPresheaf(nu, n, carriers, {
+        m: {"*" * j + symbols[eps] + "*" * (m - 1 - j): tuple(level[j, eps])
+            for j in reversed(range(m)) for eps in range(nu)}
+        for m, level in faces.items()})
 
 
 def orientation_endpoints(w):

@@ -139,7 +139,8 @@ def test_validate_orphan_keys_come_out_in_text_order(grown_indexed,
 @pytest.mark.parametrize("text, key", [
     ('{"families": {"0": {"()": 1, "()": 3}}, "nu": 1, "trunc": 0}', "()"),
     ('{"carriers": [1], "faces": {}, "nu": 1, "nu": 2, "trunc": 0}', "nu"),
-], ids=["indexed", "fibred"])
+    ('{"nu": 1, "nu": 2}', "nu"),
+], ids=["indexed", "fibred", "neither"])
 def test_repeated_json_key_exits_two(command, text, key, tmp_path, capsys):
     path = tmp_path / "repeated.json"
     path.write_text(text)
@@ -399,11 +400,27 @@ def test_stdin_not_utf8_exits_two(env):
 _IMPORT_PROBE = """
 import sys
 from nusets.cli import main
+module = sys.argv[1]
 try:
-    main(sys.argv[1:])
+    main(sys.argv[2:])
 finally:
-    sys.stderr.write(f"\\ndataclasses imported: {'dataclasses' in sys.modules}")
+    sys.stderr.write(f"\\n{module} imported: {module in sys.modules}")
 """
+
+
+def _imported(module, argv, files):
+    """Whether running the CLI on argv imports module, in a fresh
+    interpreter; {indexed} and {fibred} in argv name the fixture files."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, module,
+         *(files.get(a, a) for a in argv)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stderr.rsplit("\n", 1)[-1]
+    assert last.startswith(f"{module} imported: "), proc.stderr
+    return last.endswith("True")
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,11 +441,26 @@ finally:
         "roundtrip-indexed", "roundtrip-random", "extend", "param"])
 def test_no_command_imports_dataclasses(argv, square_indexed, square_fibred):
     files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE,
-         *(files.get(a, a) for a in argv)],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.endswith("dataclasses imported: False"), proc.stderr
+    assert not _imported("dataclasses", argv, files)
+
+
+def test_fibred_validate_leaves_the_indexed_module_alone(
+        square_indexed, square_fibred):
+    """A fibred file is checked by the functor laws alone, so validating
+    it does not import the indexed module; an indexed file does import it."""
+    files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
+    assert not _imported("nusets.indexed", ["validate", "{fibred}"], files)
+    assert _imported("nusets.indexed", ["validate", "{indexed}"], files)
+
+
+def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):
+    """An indexed file whose "families" key is written with an escape is
+    still read as indexed: the format is told by the decoded keys."""
+    text = Path(square_indexed).read_text()
+    escaped = tmp_path / "escaped.json"
+    escaped.write_text(text.replace('"families"', '"\\u0066amilies"', 1))
+    assert '"families"' not in escaped.read_text()
+    assert main(["validate", "--json", square_indexed]) == 0
+    plain = capsys.readouterr().out
+    assert main(["validate", "--json", str(escaped)]) == 0
+    assert capsys.readouterr().out == plain

@@ -21,6 +21,7 @@ from nusets.equivalence import (
 from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
+from nusets import indexed
 from nusets.indexed import (
     FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_totality,
     emit_indexed, frame_key, full_frame, parse_indexed, parse_value,
@@ -151,6 +152,29 @@ def test_to_indexed_keeps_labels():
     got = [lab for f in S.families[1].values()
            for lab in (f.labels or ())]
     assert sorted(got) == sorted(P.carriers[1].labels)
+
+
+def _subtree(v):
+    yield v
+    for child in getattr(v, "layers", getattr(v, "components", ())):
+        yield from _subtree(child)
+
+
+@pytest.mark.parametrize("nu, n", [(2, 4), (3, 2), (1, 5)])
+def test_boundary_frames_are_the_family_keys(nu, n):
+    """to_indexed builds its set through the table the boundary frames are
+    interned in: each cell's boundary frame is the very key object of its
+    fibre, every value below it is the set's object, and a second
+    conversion of the same structure keys its families the same way."""
+    P = standard_shape(nu, n)
+    for S in (to_indexed(P), to_indexed(P)):
+        values = S._memo[indexed._VALUES]
+        for m in range(n + 1):
+            keys = {id(d) for d in S.families[m]}
+            for x in range(P.carriers[m].size):
+                d = boundary_frame(P, m, x)
+                assert id(d) in keys
+                assert all(values[v] is v for v in _subtree(d))
 
 
 def test_to_indexed_rejects_lawless_input():

@@ -8,12 +8,65 @@ Frozen oracle values:
 
 import pytest
 
-from nusets.errors import AllLetters, ArityError
-from nusets.presheaf import carrier_sizes, check_functor_laws
+from nusets.errors import AllLetters, ArityError, IndexOutOfRange
+from nusets.presheaf import (
+    FinSet, TruncatedPresheaf, carrier_sizes, check_functor_laws,
+)
 from nusets.shapes import (
     geometric_inventory, orientation_endpoints, standard_shape, to_dot,
 )
-from nusets.words import Word, hom_count, parse_word
+from nusets.words import (
+    Word, check_text_arity, compose, hom_count, hom_enumerate, parse_word,
+)
+
+
+def _shape_by_compose(nu, n):
+    """The standard shape read straight off the definition: carrier p is
+    Hom(p, n) in enumeration order and the face along w sends g to
+    compose(g, w), looked up among the words one dimension down."""
+    check_text_arity(nu)
+    levels = [hom_enumerate(nu, p, n) for p in range(n + 1)]
+    carriers = [FinSet(len(ws), tuple(str(x) for x in ws)) for ws in levels]
+    index = [{x: i for i, x in enumerate(ws)} for ws in levels]
+    faces = {}
+    for m in range(1, n + 1):
+        block = {}
+        for w in hom_enumerate(nu, m - 1, m):
+            block[str(w)] = tuple(
+                index[m - 1][compose(g, w)] for g in levels[m])
+        faces[m] = block
+    return TruncatedPresheaf(nu, n, carriers, faces)
+
+
+@pytest.mark.parametrize("nu, n", [(nu, n) for nu in range(1, 5)
+                                   for n in range(7)]
+                         + [(10, n) for n in range(4)])
+def test_rank_recursion_matches_compose(nu, n):
+    """The rank recursion gives the carriers, labels, face keys (in
+    order) and face arrays of precomposition, exactly."""
+    P, Q = standard_shape(nu, n), _shape_by_compose(nu, n)
+    assert P.carriers == Q.carriers
+    assert [c.labels for c in P.carriers] == [c.labels for c in Q.carriers]
+    assert list(P.faces) == list(Q.faces)
+    for m in Q.faces:
+        assert list(P.faces[m]) == list(Q.faces[m])
+        assert P.faces[m] == Q.faces[m]
+    assert check_functor_laws(P).ok
+
+
+@pytest.mark.parametrize("nu, n, error, message", [
+    (0, 0, IndexOutOfRange, "arity must be >= 1, got 0"),
+    (0, 3, IndexOutOfRange, "arity must be >= 1, got 0"),
+    (-1, 2, IndexOutOfRange, "arity must be >= 1, got -1"),
+    (11, 1, ArityError, "arity must be <= 10 to be written as text, got 11"),
+    (11, 0, ArityError, "arity must be <= 10 to be written as text, got 11"),
+])
+def test_standard_shape_rejects_arity_like_compose(nu, n, error, message):
+    for build in (standard_shape, _shape_by_compose):
+        with pytest.raises(error) as caught:
+            build(nu, n)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 def test_square_inventory_and_labels():
@@ -69,7 +122,6 @@ def test_standard_shape_labels_need_text():
 def test_orientation_typing():
     for nu in (1, 2):
         for n in range(1, 5):
-            from nusets.words import hom_enumerate
             for p in range(1, n + 1):
                 for w in hom_enumerate(nu, p, n):
                     for e in orientation_endpoints(w):
