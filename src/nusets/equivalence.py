@@ -22,9 +22,9 @@ from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from .indexed import (
-    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _intern,
-    check_totality, enumerate_frames, family_gaps, frame_key, full_frame,
-    grow_indexed, restr_frame,
+    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, _faces,
+    _intern, check_totality, enumerate_frames, family_gaps, frame_key,
+    grow_indexed,
 )
 from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
 from .report import Report
@@ -132,22 +132,6 @@ def to_indexed(P):
     return S
 
 
-def _layout(S):
-    """Traversal order of an indexed structure: offsets[n] maps each frame
-    with a cell, in enumeration order, to the start of its block of the
-    carrier and its fibre. No cell sits over the rest, mostly empty."""
-    offsets = {}
-    for n in range(S.trunc + 1):
-        offs = offsets[n] = {}
-        start = 0
-        for d in enumerate_frames(S, n, n):
-            fs = S.fibre(d)
-            if fs.size:
-                offs[d] = start, fs
-                start += fs.size
-    return offsets
-
-
 def to_fibred(S):
     """Lay the fibres out as carriers, one block per frame, and read the
     codimension-1 face maps off the frames' layers.
@@ -165,27 +149,18 @@ def to_fibred(S):
     rep = check_totality(S)
     if not rep.ok:
         raise ValidationFailure(f"invalid input: {rep.violations[0]}")
-    offsets = _layout(S)
     carriers = []
     for n in range(S.trunc + 1):
-        labels = [x for _, fs in offsets[n].values()
-                  for x in fs.labels or [None] * fs.size]
+        fibres = [S.families[n][d] for d in _cells(S, n)]
+        labels = [x for fs in fibres for x in fs.labels or [None] * fs.size]
         kept = labels and None not in labels \
             and len(set(labels)) == len(labels)
         carriers.append(FinSet(len(labels), tuple(labels) if kept else None))
     faces = {}
     for n in range(1, S.trunc + 1):
-        maps = {}
-        for q in range(n):
-            for omega in range(S.nu):
-                arr = []
-                for d, (_, fs) in offsets[n].items():  # cells share faces
-                    pt = d.layers[q].components[omega]
-                    base = restr_frame(omega, q, n, q, d.prefix(q), S)
-                    arr += [offsets[n - 1][full_frame(base, pt)][0]
-                            + pt.cell] * fs.size
-                maps[str(face_word(S.nu, omega, q, n))] = tuple(arr)
-        faces[n] = maps
+        maps = _faces(S, n)
+        faces[n] = {str(face_word(S.nu, omega, q, n)): maps[q][omega]
+                    for q in range(n) for omega in range(S.nu)}
     P = TruncatedPresheaf(S.nu, S.trunc, carriers, faces)
     laws = check_functor_laws(P)
     if not laws.ok:
@@ -202,10 +177,10 @@ def _round_trip_fibred(P):
     rep = Report("round trip fibred -> indexed -> fibred")
     S = to_indexed(P)
     P2 = to_fibred(S)
-    offsets = _layout(S)
     bijections = {}
     for n in range(P.trunc + 1):
-        perm = [offsets[n][boundary_frame(P, n, x)][0] + _rank(P, n, x)
+        starts = _cells(S, n)
+        perm = [starts[boundary_frame(P, n, x)] + _rank(P, n, x)
                 for x in range(P.carriers[n].size)]
         if sorted(perm) != list(range(P2.carriers[n].size)):
             rep.add("not-bijective", dimension=n, map=perm,

@@ -11,6 +11,13 @@ boundary frame. The three value shapes are mutually recursive:
   painting(n, p)   layers p..n-1 plus a top cell: a cell together with the
                    part of its boundary not fixed by the base frame.
 
+A full frame at n is also a family of (n-1)-cells, one per face (q, w),
+any two of which agree on the codimension-2 face they share, and that is
+how the full frames are enumerated: a join over the cells one dimension
+down (``_join``). The paintings over a partial frame are read off the
+full frames that extend it. Partial frames, which only the coherence
+sweep reads, extend one stratum at a time, a product then a filter.
+
 Restriction extracts the face of a frame/layer/painting in direction eps at
 stratum q. The operators follow a strict index discipline (side conditions
 ``p <= q <= n-1`` for frames and paintings, ``p <= q <= n-2`` for layers);
@@ -247,7 +254,10 @@ class _Scanner:
             j += 1
         if j == self.i:
             self.error("expected a cell index")
-        value = int(self.text[self.i:j])
+        try:
+            value = int(self.text[self.i:j])
+        except ValueError:  # past the conversion limit, or not decimal
+            self.error("cell index too long or not decimal")
         self.i = j
         return value
 
@@ -323,9 +333,9 @@ class IndexedNuSet:
 
         Every entry stays true of the extension, since nothing memoized
         about a set reads a level above it (frames at n read the families
-        below n, paintings at n those up to n). This set starts a new memo,
-        so it never sees entries about the added level, and a second
-        extension of it never sees the first one's."""
+        below n; paintings, cells and face maps at n those up to n). This
+        set starts a new memo, so it never sees entries about the added
+        level, and a second extension of it never sees the first one's."""
         out = IndexedNuSet(self.nu, self.trunc + 1,
                            {**self.families, self.trunc + 1: family})
         out._memo, self._memo = self._memo, {}
@@ -369,18 +379,118 @@ def enumerate_frames(S, n, p):
 
 
 def _frames(S, n, p):
-    """The p-frames at n as an ordered set (a dict), memoized in S."""
+    """The p-frames at n as an ordered set (a dict), memoized in S.
+
+    Full frames (p == n >= 1) come from ``_join`` over the cells at n-1.
+    A partial frame extends a (p-1)-frame by any layer over it, a product
+    then a filter; only the coherence sweep reads partial frames."""
     key = ("frames", n, p)
     table = S._memo.get(key)
     if table is None:
         if p == 0:
             table = {_intern(S, FrameVal(n, 0, ())): None}
+        elif p == n:
+            table = _join(S, n)
         else:
             table = dict.fromkeys(
                 _intern(S, d.extend(layer))
                 for d in _frames(S, n, p - 1)
                 for layer in _enumerate_layers(S, n, p - 1, d))
         S._memo[key] = table
+    return table
+
+
+def _cells(S, m):
+    """The cells at m in layout order: each full frame at m with a cell, in
+    enumeration order, mapped to the index of its first cell, so that cell
+    ``start + c`` is cell c of that frame's fibre. Memoized in S."""
+    key = ("cells", m)
+    starts = S._memo.get(key)
+    if starts is None:
+        starts, total = {}, 0
+        for d in _frames(S, m, m):
+            size = S.fibre(d).size
+            if size:
+                starts[d] = total
+                total += size
+        S._memo[key] = starts
+    return starts
+
+
+def _faces(S, m):
+    """The face maps of the cells at m >= 1: ``faces[q][w]`` is the tuple,
+    in layout order, of the index at m-1 of each cell's (q, w)-face. The face
+    over a cell's frame d is the cell that component w of layer q names,
+    over the checked restriction of d's q-prefix. Memoized in S."""
+    key = ("faces", m)
+    faces = S._memo.get(key)
+    if faces is None:
+        below = _cells(S, m - 1)
+        faces = [[[] for _ in range(S.nu)] for _ in range(m)]
+        for d in _cells(S, m):
+            size = S.families[m][d].size  # cells share faces
+            for q in range(m):
+                head = _intern(S, d.prefix(q))
+                for w, pt in enumerate(d.layers[q].components):
+                    base = restr_frame(w, q, m, q, head, S)
+                    faces[q][w] += [below[full_frame(base, pt)]
+                                    + pt.cell] * size
+        faces = S._memo[key] = [list(map(tuple, maps)) for maps in faces]
+    return faces
+
+
+def _join(S, n):
+    """The full frames at n >= 1 as an ordered set, by a join over the
+    cells at n-1.
+
+    A full frame is one (n-1)-cell y[q, w] per face (q, w), and component w
+    of its layer q is that cell's painting from stratum q on. Two faces at
+    strata j < k agree where they meet: the (k-1, e)-face of y[j, w] is the
+    (j, w)-face of y[k, e], the exchange law d^e_{k-1} d^w_j = d^w_j d^e_k.
+    The search binds the faces direction by direction, so that each one
+    after the first meets a bound face at another stratum, and takes its
+    candidates as the intersection of the index lists of those meetings."""
+    nu, below = S.nu, _cells(S, n - 1)
+    paintings = [[_intern(S, PaintingVal(n - 1, q, d.layers[q:], c))
+                  for d in below for c in range(S.families[n - 1][d].size)]
+                 for q in range(n)]  # [q][y]: cell y's painting from q on
+    faces = _faces(S, n - 1) if n > 1 else ()
+    index = {}  # (q, w) -> face at n-2 -> the cells with that (q, w)-face
+    for q, maps in enumerate(faces):
+        for w, face in enumerate(maps):
+            groups = index[q, w] = {}
+            for y, z in enumerate(face):
+                groups.setdefault(z, set()).add(y)
+    order = [(q, w) for w in range(nu) for q in range(n)]
+    everything, rows = range(len(paintings[0])), [()]
+    for b, (k, e) in enumerate(order):
+        # y[k, e] meets each bound y[j, w] with j != k: for j < k the
+        # (k-1, e)-face of y[j, w] is its (j, w)-face, for j > k the
+        # (k, e)-face of y[j, w] is its (j-1, w)-face
+        meets = [(a, faces[k - 1][e], index[j, w]) if j < k else
+                 (a, faces[k][e], index[j - 1, w])
+                 for a, (j, w) in enumerate(order[:b]) if j != k]
+        rows = [row + (y,) for row in rows
+                for y in (set.intersection(*[groups.get(face[row[a]], set())
+                                             for a, face, groups in meets])
+                          if meets else everything)]
+    # Enumeration order is lexicographic in the components, stratum by
+    # stratum and direction by direction, each in its painting table's
+    # order; a painting table lists the full frames over its base in
+    # enumeration order, then their cells, which is layout order. So it
+    # is the order of the bound cells read stratum-major.
+    rows = sorted(tuple(row[w * n + q] for q in range(n) for w in range(nu))
+                  for row in rows)
+    layers, table = {}, {}
+    for row in rows:
+        frame = []
+        for q in range(n):
+            ys = row[q * nu:(q + 1) * nu]
+            if (q, ys) not in layers:
+                layers[q, ys] = _intern(S, LayerVal(
+                    n, q, tuple(paintings[q][y] for y in ys)))
+            frame.append(layers[q, ys])
+        table[_intern(S, FrameVal(n, n, tuple(frame)))] = None
     return table
 
 
@@ -409,20 +519,27 @@ def enumerate_paintings(S, n, p, d):
 
 
 def _paintings(S, n, p, d):
-    """The paintings over d as an ordered set (a dict), memoized in S for
-    p < n under d itself, which fixes n and p. At p == n they are the cells
-    of one fibre, which is cheaper to list again than to keep. Most tables
-    are empty; those all share the empty tuple."""
+    """The paintings over d as an ordered set (a dict). At p == n they are
+    the cells of one fibre, which is cheaper to list again than to keep.
+    Below n they are read off the cells at n: the full frames extending d,
+    in enumeration order, each with the cells of its fibre. The full
+    frames are grouped by their p-prefix once per (n, p), and each table
+    is memoized in S under d itself, which fixes n and p. Most tables are
+    empty; those all share the empty tuple."""
     if p == n:
         return dict.fromkeys(_intern(S, PaintingVal(n, n, (), c))
                              for c in range(S.fibre(d).size))
     table = S._memo.get(d)
     if table is None:
+        groups = S._memo.get(("prefixes", n, p))
+        if groups is None:
+            groups = S._memo["prefixes", n, p] = {}
+            for f in _cells(S, n):
+                groups.setdefault(f.prefix(p), []).append(f)
         table = S._memo[d] = dict.fromkeys(
-            _intern(S, PaintingVal(n, p, (layer,) + rest.layers, rest.cell))
-            for layer in _enumerate_layers(S, n, p, d)
-            for rest in _paintings(S, n, p + 1,
-                                   _intern(S, d.extend(layer)))) or ()
+            _intern(S, PaintingVal(n, p, f.layers[p:], c))
+            for f in groups.pop(d, ())
+            for c in range(S.families[n][f].size)) or ()
     return table
 
 

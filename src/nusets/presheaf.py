@@ -159,14 +159,17 @@ def carrier_sizes(P):
 # ------------------------------------------------------------- file format
 
 def load_json(text):
-    """Decode the JSON of either file format. ParseError for malformed text
-    and for an object naming a key twice (json.loads would keep the last).
+    """Decode the JSON of either file format. ParseError for malformed text,
+    for an object naming a key twice (json.loads would keep the last) and
+    for an integer longer than Python converts from text.
     """
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e.msg}", line=e.lineno,
                          col=e.colno)
+    except ValueError as e:  # the integer string conversion limit
+        raise ParseError(f"integer too long: {str(e).split(';')[0]}")
 
 
 def load_header(text, *fields):

@@ -11,12 +11,11 @@ import time
 import pytest
 
 from nusets.equivalence import (
-    _layout, boundary_frame, random_indexed, round_trip_report, to_fibred,
-    to_indexed,
+    boundary_frame, random_indexed, round_trip_report, to_fibred, to_indexed,
 )
 from nusets.errors import CoherenceMismatch
 from nusets.indexed import (
-    FrameVal, LayerVal, PaintingVal, coherence_sweep, enumerate_frames,
+    FrameVal, _cells, LayerVal, PaintingVal, coherence_sweep, enumerate_frames,
     frame_key, full_frame, grow_indexed, parse_value, restr_frame,
     restr_layer, restr_painting,
 )
@@ -125,11 +124,11 @@ def _criterion_4_corpus():
 
 
 def _cells_by_dimension(S, P, d):
-    offsets = _layout(S)
+    offsets = [_cells(S, m) for m in range(S.trunc + 1)]
 
     def collect(base, c, acc):
         acc.setdefault(c.n, set()).add(
-            offsets[c.n][full_frame(base, c)][0] + c.cell)
+            offsets[c.n][full_frame(base, c)] + c.cell)
         D = base
         for j, layer in enumerate(c.layers):
             for tau, sub in enumerate(layer.components):

@@ -12,9 +12,10 @@ import pytest
 
 from nusets.cli import main
 from nusets.equivalence import random_indexed, to_indexed
-from nusets.indexed import emit_indexed, grow_indexed
+from nusets.errors import ParseError
+from nusets.indexed import emit_indexed, grow_indexed, parse_indexed
 from nusets.parametricity import iterate_types, print_type
-from nusets.presheaf import emit_nuset
+from nusets.presheaf import emit_nuset, parse_nuset
 from nusets.shapes import standard_shape
 from nusets.words import hom_count
 
@@ -193,6 +194,31 @@ def test_validate_bad_json_exits_two(tmp_path, capsys):
     bad.write_text("{ not json")
     assert main(["validate", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+_LONG = "9" * 5000  # past the 4300 digits CPython converts by default
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_nuset, '{"nu": 1, "trunc": 0, "carriers": [%s], "faces": {}}'
+     % _LONG),
+    (parse_indexed, '{"nu": 1, "trunc": 0, "families": {"0": {"()": %s}}}'
+     % _LONG),
+    (parse_indexed, '{"nu": 1, "trunc": 1, "families": {"0": {"()": 1}, '
+     '"1": {"([{%s}])": 1}}}' % _LONG),
+    (parse_indexed, '{"nu": 1, "trunc": 1, "families": {"0": {"()": 1}, '
+     '"1": {"([{\\u00b2}])": 1}}}'),
+], ids=["fibred", "indexed-size", "indexed-key", "indexed-key-superscript"])
+def test_long_or_odd_integer_exits_two(parse, text, tmp_path, capsys):
+    """A JSON integer or a key's cell index too long to convert, and a
+    digit that is no decimal digit, are malformed input, not a crash."""
+    with pytest.raises(ParseError):
+        parse(text)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_validate_unknown_format_exits_two(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nusets.cli import main
 from nusets.equivalence import (
-    _layout, _rank, boundary_frame, random_indexed, round_trip_report,
+    _rank, boundary_frame, random_indexed, round_trip_report,
     to_fibred, to_indexed,
 )
 from nusets.errors import (
@@ -41,7 +41,7 @@ def _collect(S, offsets, base, c, acc):
     every cell mentioned below it; base is the frame c sits over."""
     m = c.n
     full = full_frame(base, c)
-    acc.setdefault(m, set()).add(offsets[m][full][0] + c.cell)
+    acc.setdefault(m, set()).add(offsets[m][full] + c.cell)
     D = base
     for j, layer in enumerate(c.layers):
         for tau, sub in enumerate(layer.components):
@@ -52,7 +52,7 @@ def _collect(S, offsets, base, c, acc):
 
 def cells_in_frame(S, d):
     """Absolute carrier positions mentioned anywhere in a full frame."""
-    offsets = _layout(S)
+    offsets = [indexed._cells(S, m) for m in range(S.trunc + 1)]
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
