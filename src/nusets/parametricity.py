@@ -144,6 +144,12 @@ def _prod(items):
 # one slot, _cache, which is no field: it stays out of equality, hashing
 # and printing, and it is the one slot set after construction.
 #
+# Normalization does not substitute into a term and then walk the
+# result. It walks the term with the substitution pending, a list of
+# entries (see "substitution"), and the masks say, without applying the
+# entries, which of them change a subterm and what its free variables
+# will be; so each node is rebuilt at most once per walk.
+#
 # A table gives each name one bit. It belongs to the call that made it
 # and to the nodes stamped with it, never to the module, so it lives as
 # long as the terms do. A node met under another table is stamped anew.
@@ -169,7 +175,8 @@ class _Names:
 
 class _Info:
     """What a node caches under one name table: free variables (fv),
-    names bound anywhere inside (bv), and normal form (nf)."""
+    names bound anywhere inside (bv), and normal form (nf). A closure's
+    bv may hold more names than it binds (see _prune)."""
 
     __slots__ = ("names", "fv", "bv", "nf")
 
@@ -299,62 +306,149 @@ def _fresh(base, avoid, names):
     return f"{base}{k}"
 
 
+# ---------------------------------------------------------- substitution
+#
+# A substitution is a list of entries applied in order, each replacing
+# one free variable by a value: e[sigma] is e[v1/x1][v2/x2]... An entry
+# is (x, bit of x, v, free-variable mask of v, bound-name mask of v).
+# Applying an entry renames a binder that would capture a free variable
+# of v, even where x does not occur below it; those renames give the
+# printed names. So an entry changes a subterm exactly when x is free in
+# it or one of its binders is free in v, and _prune drops the others from
+# the masks alone. A binder replays, in entry order, the rename rule of
+# each entry that reaches it (_bind); a rename is one more entry, binder
+# to its new name, placed before the entry that caused it.
+
+
+def _entry(name, value, names):
+    info = _info(value, names)
+    return (name, names.bit(name), value, info.fv, info.bv)
+
+
+def _prune(sigma, fv, bv):
+    """The entries of sigma that change a node with free-variable mask fv
+    and bound-name mask bv, with the masks of the node after them; the
+    second holds every name bound in it, and all bits once a rename may
+    have made a name unknown to the masks. Each entry is tested on the
+    node as the entries before it leave it, so the test is exact: a
+    dropped entry would rebuild every node equal and rename nothing."""
+    kept = []
+    for ent in sigma:
+        xbit, vfv = ent[1], ent[3]
+        if fv & xbit:
+            fv = fv & ~xbit | vfv
+            bv = (-1 if bv & vfv else bv) | ent[4]
+        elif bv & vfv:
+            bv = -1
+        else:
+            continue
+        kept.append(ent)
+    return kept, fv, bv
+
+
+def _reaching(sigma, e, names):
+    """The entries of sigma that change e."""
+    info = _info(e, names)
+    return _prune(sigma, info.fv, info.bv)[0]
+
+
+def _bind(binder, inner, sigma, names):
+    """The name of a binder over inner once sigma is applied, and the
+    entries that change inner, as _prune gives them. An entry for the
+    binder itself stops here. An entry whose value has the binder free
+    renames it first, by one more entry before it, avoiding the value's
+    free variables, inner's as the entries before leave it, and the
+    entry's name."""
+    info = _info(inner, names)
+    fv, bv = info.fv, info.bv
+    bit = names.bit(binder)
+    out = []
+    for ent in sigma:
+        xbit, vfv = ent[1], ent[3]
+        if xbit == bit:
+            continue
+        if bit & vfv:
+            new = _fresh(binder, vfv | fv | xbit, names)
+            ren = _entry(binder, Var(new), names)
+            binder, bit = new, ren[3]
+            kept, fv, bv = _prune((ren,), fv, bv)
+            out += kept
+        if fv & xbit:  # _prune's test, inline: every binder visit runs it
+            fv = fv & ~xbit | vfv
+            bv = (-1 if bv & vfv else bv) | ent[4]
+        elif bv & vfv:
+            bv = -1
+        else:
+            continue
+        out.append(ent)
+    return binder, out
+
+
+class _Closure(_Node):
+    """term[sigma] with sigma not yet applied: the codomain of a split,
+    stamped with the masks _prune gives. Only the walk in _normalize that
+    made it meets it, and it applies sigma there."""
+
+    __slots__ = ("term", "sigma")
+
+    def __init__(self, term, sigma):
+        set_term, set_sigma = self._setters
+        set_term(self, term)
+        set_sigma(self, sigma)
+
+
+def _closure(term, sigma, names):
+    """term[sigma] for the walk: term itself when no entry changes it."""
+    info = _info(term, names)
+    sigma, fv, bv = _prune(sigma, info.fv, info.bv)
+    if not sigma:
+        return term
+    c = _Closure(term, sigma)
+    _Node._setters[0](c, _Info(names, fv, bv, False))  # _cache
+    return c
+
+
 def subst(e, name, value):
     """Capture-avoiding substitution of value for the free variable.
 
     A binder that would capture a free variable of value is renamed, even
     where name does not occur below it; those renames give the printed
-    names. So a subterm is returned as it is exactly when name is not
-    free in it and none of its binders is free in value: then the
-    traversal would rebuild every node equal and rename nothing. Both
-    tests read the cached masks, so only the paths down to an occurrence
+    names. It is the one-entry case of the substitutions normalize
+    carries (see "substitution" above): a subterm the entry does not
+    change is returned as it is, so only the paths down to an occurrence
     or a renamed binder are rebuilt."""
-    return _subst(e, name, value, _table(e, value))
+    names = _table(e, value)
+    return _apply(e, [_entry(name, value, names)], names)
 
 
-def _subst(e, name, value, names):
-    return _sub(e, name, names.bit(name), value, _info(value, names).fv,
-                names)
-
-
-def _sub(e, name, xbit, value, vfv, names):
-    """_subst with the masks of name and of value's free variables."""
+def _apply(e, sigma, names):
+    """e[sigma], not normalized."""
     # Binders and applications on the way down, rebuilt on the way back;
-    # the loop walks codomains, bodies and heads, so spines do not recurse.
+    # the loop walks codomains, bodies, heads and the values of
+    # variables, so spines do not recurse.
     outer = []
     while True:
-        info = getattr(e, "_cache", None)
-        if info is None or info.names is not names:
-            info = _scan(e, names)
-        if not (info.fv & xbit or info.bv & vfv):
+        sigma = _reaching(sigma, e, names)
+        if not sigma:
             break
         if isinstance(e, (DepFun, Lam)):
             dep = isinstance(e, DepFun)
             inner = e.codomain if dep else e.body
-            dom = (_sub(e.domain, name, xbit, value, vfv, names) if dep
-                   else None)
-            binder = e.binder
-            if binder != name and names.bit(binder) & vfv:
-                avoid = vfv | _info(inner, names).fv | xbit
-                binder = _fresh(e.binder, avoid, names)
-                inner = _subst(inner, e.binder, Var(binder), names)
+            dom = _apply(e.domain, sigma, names) if dep else None
+            binder, sigma = _bind(e.binder, inner, sigma, names)
             outer.append((e, binder, dom))
             e = inner
-            if binder == name:
-                break  # name is bound here: the body stays as it is
         elif isinstance(e, FamApp):
-            outer.append((e, None, tuple(
-                _sub(a, name, xbit, value, vfv, names) for a in e.args)))
+            outer.append((e, None, tuple(_apply(a, sigma, names)
+                                         for a in e.args)))
             e = e.head
-        elif isinstance(e, Var):
-            e = value  # a variable is reached only when it is name
-            break
+        elif isinstance(e, Var):  # the first entry is e's; the rest go on
+            e, sigma = sigma[0][2], sigma[1:]
         elif isinstance(e, Proj):
-            e = Proj(e.index, _sub(e.tuple_, name, xbit, value, vfv, names))
+            e = Proj(e.index, _apply(e.tuple_, sigma, names))
             break
         else:  # Prod or Tuple
-            e = type(e)(tuple(_sub(i, name, xbit, value, vfv, names)
-                              for i in e.items))
+            e = type(e)(tuple(_apply(i, sigma, names) for i in e.items))
             break
     for node, binder, part in reversed(outer):
         if isinstance(node, DepFun):
@@ -377,87 +471,146 @@ def normalize(e):
     function whose domain is a product splits into one binder per factor.
     Terminating on this fragment; idempotent by construction.
 
-    A node whose cached flag says normal (see _stamp) is returned at
-    once, so after a beta step only the nodes the substitution rebuilt
-    are looked at. The flag is read off the node and its children, and
-    it implies normalize(e) == e, so returning e is exact."""
+    A node whose cached flag says normal (see _stamp) and that no pending
+    entry changes is returned at once. The flag is read off the node and
+    its children, and it implies normalize(e) == e, so returning e is
+    exact."""
     return _normalize(e, _table(e))
 
 
-def _normalize(e, names):
+def _normalize(e, names, sigma=()):
+    """normalize(e[sigma]), where the values of sigma are normal and each
+    entry changes e (see _reaching).
+
+    sigma is not applied first: the walk carries it down the spine, and
+    each part the walk reaches gets the entries that change it, so
+    substituting and normalizing is one pass. A split or a beta step adds
+    an entry instead of substituting into the rest of the spine: a split
+    for its binder (see _split), a beta step for the lambda's binder over
+    the normal body, in a new list, as the body is already normal with
+    the outer entries applied. A binder the walk reaches replays the
+    rename rule of each entry (_bind); a variable with an entry becomes
+    its value, with the entries after it; every other node takes the
+    entries with it into its parts."""
     # Contexts still to rebuild, innermost last: a binder over its
     # normalized domain, a lambda, or an application waiting for its
-    # head. _APP holds the raw arguments, normalized once the head is (in
-    # that order, as errors must come out in the same order), and
-    # flattens the head's spine; _BETA holds the arguments left after a
-    # beta step and flattens nothing.
+    # head. _APP holds the raw arguments and their entries, normalized
+    # once the head is (in that order, as errors must come out in the
+    # same order), and flattens the head's spine; _BETA holds the
+    # arguments left after a beta step and flattens nothing.
     todo = []
     while True:
-        while not _info(e, names).nf:
+        while True:
+            if not sigma and _info(e, names).nf:
+                break
             if isinstance(e, DepFun):
-                dom = _normalize(e.domain, names)
+                dom = _part(e.domain, names, sigma)
+                binder, sigma = _bind(e.binder, e.codomain, sigma, names)
                 if isinstance(dom, Prod):
-                    e = _split(e, dom, names)
+                    e, sigma = _split(binder, dom, e.codomain, sigma, names), ()
                     continue
-                todo.append((_DEP, e.binder, dom))
+                todo.append((_DEP, binder, dom))
                 e = e.codomain
             elif isinstance(e, Lam):
-                todo.append((_LAM, e.binder, None))
+                binder, sigma = _bind(e.binder, e.body, sigma, names)
+                todo.append((_LAM, binder, None))
                 e = e.body
             elif isinstance(e, FamApp):
-                todo.append((_APP, None, e.args))
+                todo.append((_APP, sigma, e.args))
                 e = e.head
+                sigma = _reaching(sigma, e, names)
+            elif isinstance(e, Var):  # the first entry is e's
+                e = sigma[0][2]
+                sigma = _reaching(sigma[1:], e, names)
+            elif isinstance(e, _Closure):
+                sigma = [*e.sigma, *sigma]
+                e = e.term
+                sigma = _reaching(sigma, e, names)
             else:
-                e = _normalize_items(e, names)
+                e = _normalize_items(e, names, sigma)
+                _info(e, names)
                 break
         while todo:
             kind, binder, part = todo.pop()
             if kind == _DEP:
-                e = DepFun(binder, part, e)
+                d, c = part._cache, e._cache
+                b = names.bits[binder]
+                node = DepFun(binder, part, e)
+                # _cache as _stamp sets it, inline as every binder visit
+                # builds one; part is never a product here
+                _Node._setters[0](node, _Info(
+                    names, d.fv | c.fv & ~b, d.bv | c.bv | b, d.nf and c.nf))
+                e = node
             elif kind == _LAM:
-                e = Lam(binder, e)
+                node = Lam(binder, e)
+                _stamp(node, (e,), names)
+                e = node
             else:
                 args = part
-                if kind == _APP:
-                    args = [_normalize(a, names) for a in args]
+                if kind == _APP:  # binder holds the arguments' entries
+                    args = [_part(a, names, binder) for a in args]
                     while isinstance(e, FamApp):
                         args = list(e.args) + args
                         e = e.head
                 if args and isinstance(e, Lam):
                     arg = args.pop(0)
                     todo.append((_BETA, None, args))
-                    e = _subst(e.body, e.binder, arg, names)
+                    sigma = _reaching([_entry(e.binder, arg, names)],
+                                      e.body, names)
+                    e = e.body
                     break  # normalize the contractum, then come back
                 if args:
-                    e = FamApp(e, tuple(args))
+                    args = tuple(args)
+                    node = FamApp(e, args)
+                    _stamp(node, (e,) + args, names)
+                    e = node
         else:
             return e
 
 
-def _split(e, dom, names):
-    """Pi x:(A * B). C  becomes  Pi x:A. Pi x2:B. C[(x, x2)/x]."""
-    avoid = (_info(e.codomain, names).fv | _info(dom, names).fv
-             | names.bit(e.binder))
+def _part(e, names, sigma):
+    """normalize(e[sigma]) for a domain, an argument or an item: e itself
+    when it is normal and no entry changes it. Every node it returns is
+    stamped, so the walk stamps what it builds from its children."""
+    info = _info(e, names)
+    if sigma:
+        sigma = _prune(sigma, info.fv, info.bv)[0]
+    if not sigma and info.nf:
+        return e
+    return _normalize(e, names, sigma)
+
+
+def _split(binder, dom, cod, sigma, names):
+    """Pi x:(A * B). C, with sigma pending on C, becomes
+    Pi x2:A. Pi x3:B. C[sigma][(x2, x3)/x].
+
+    The fresh names avoid the free variables of C[sigma], which _prune
+    reads off the masks without applying sigma. The codomain is not
+    rebuilt: it is a closure with the entry for x added to sigma, which
+    the walk applies when it gets there."""
+    info = _info(cod, names)
+    avoid = (_prune(sigma, info.fv, info.bv)[1] | _info(dom, names).fv
+             | names.bit(binder))
     parts = []
     for _ in dom.items:
-        nm = _fresh(e.binder, avoid, names)
+        nm = _fresh(binder, avoid, names)
         avoid |= names.bit(nm)
         parts.append(nm)
-    body = _subst(e.codomain, e.binder,
-                  Tuple(tuple(Var(nm) for nm in parts)), names)
+    tup = Tuple(tuple(Var(nm) for nm in parts))
+    body = _closure(cod, [*sigma, _entry(binder, tup, names)], names)
     for nm, item in zip(reversed(parts), reversed(dom.items)):
         body = DepFun(nm, item, body)
     return body
 
 
-def _normalize_items(e, names):
-    """Normalize a product, tuple or projection."""
+def _normalize_items(e, names, sigma):
+    """Normalize a product, tuple or projection with sigma pending."""
     if isinstance(e, Prod):
-        return Prod(tuple(_normalize(i, names) for i in e.items))
+        return Prod(tuple(_part(i, names, sigma) for i in e.items))
     if isinstance(e, Tuple):
-        items = tuple(_normalize(i, names) for i in e.items)
+        items = tuple(_part(i, names, sigma) for i in e.items)
         return items[0] if len(items) == 1 else Tuple(items)
-    t = _normalize(e.tuple_, names)
+    t = _part(e.tuple_, names, sigma)
     if isinstance(t, Tuple):
         if not (0 <= e.index < len(t.items)):
             raise UnsupportedConstruct(

@@ -1,8 +1,9 @@
 """The parametricity engine against the one it replaced.
 
 The engine caches free-variable and binder masks on nodes, short-cuts
-substitution and walks spines in loops; the names it prints must not
-move, because printed telescopes are output. The reference below is the
+substitution, carries it pending through normalization and walks spines
+in loops; the names it prints must not move, because printed telescopes
+are output. The reference below is the
 named engine as it was before: free_vars, _fresh, subst, normalize,
 translate, iterate_types and print_type copied unchanged, and the
 recursive reader of Pi and arrow spines; and alpha_rename, alpha_eq,
@@ -12,6 +13,7 @@ engine is reached as ``engine``. Each test asserts equal terms and
 byte-equal printed text from both, or equal answers.
 """
 
+import hashlib
 import random
 import re
 import sys
@@ -26,6 +28,7 @@ from nusets.parametricity import (
     App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _copy, _Parser,
     _prod, _proj, _tuple, flatten_telescope,
 )
+from nusets.words import hom_count
 
 
 # ------------------------------------------------------------- reference
@@ -379,6 +382,34 @@ def test_printed_telescopes_read_back_as_before(reference, case):
         assert renamed != text and G != R
 
 
+# Past the reference's reach: it recurses once per binder, so the cases
+# above are the largest it normalizes in a test's time. The printed bytes
+# of larger iterates, where splits and renames nest deepest, are pinned by
+# their sha256, recorded with the engine that held the reference's bytes
+# at every case above before normalization carried pending substitutions.
+GOLDEN = {
+    (1, 9): "547dc9d20807bf3c152c3718a54a12e0b429e611c692253d01cdcfc4ef9219b5",
+    (1, 10): "4f7d057151fc693fe27475b17880a76bcf1a0165e86990368481173782d4253c",
+    (2, 5): "7263ccbb9cde2131d67f15e59f116eaf418b14fa75d20736a199b075c31e4ed4",
+    (3, 4): "24609a0f961905afbcbb24fb7d388250732061f2af5c8b4074dbe4defc8ffd14",
+}
+
+
+@pytest.fixture(scope="module")
+def far_iterates():
+    return {case: engine.iterate_types(*case) for case in GOLDEN}
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"nu{c[0]}-n{c[1]}")
+def test_iterates_past_the_reference_print_as_recorded(far_iterates, case):
+    nu, n = case
+    T = far_iterates[case]
+    text = engine.print_type(T)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
+    assert engine.telescope_stats(T) == {p: hom_count(nu, p, n)
+                                         for p in range(n)}
+
+
 # ------------------------------------------------------------ random terms
 #
 # Bound names come from the same few names as free ones, so substitution
@@ -438,6 +469,58 @@ def test_random_terms_agree_with_the_reference(e, name, value):
     got = engine.subst(e, name, value)
     assert got == subst(e, name, value)
     assert engine.print_type(got) == print_type(got)
+    assert (_outcome(lambda: engine.normalize(e), engine.print_type)
+            == _outcome(lambda: normalize(e), print_type))
+
+
+# Terms whose normal form needs several pending entries at once: product
+# domains, some with product factors, split under binders that beta
+# steps reach, applied lambdas sit under split binders, and an argument
+# may be a product, which splits a domain it lands in. Every name is a
+# fresh-name base or one of its outputs, so a binder the walk reaches is
+# often renamed by two or more entries in a row, and the later entries
+# see the names the earlier ones chose.
+CHAIN_NAMES = ("x", "x2", "x3", "f", "A", "p", "as", "xs", "_s")
+CHAIN_VARS = st.sampled_from(CHAIN_NAMES).map(Var)
+CHAIN_ATOMS = st.one_of(
+    CHAIN_VARS,
+    st.builds(FamApp, CHAIN_VARS,
+              st.lists(CHAIN_VARS, min_size=1, max_size=2).map(tuple)))
+CHAIN_PRODS = st.lists(CHAIN_ATOMS, min_size=2, max_size=3).map(
+    lambda xs: Prod(tuple(xs)))
+CHAIN_ARGS = st.one_of(
+    CHAIN_ATOMS,
+    st.lists(CHAIN_ATOMS, min_size=2, max_size=3).map(
+        lambda xs: Tuple(tuple(xs))),
+    CHAIN_PRODS)
+
+
+def _chained(children):
+    binders = st.sampled_from(CHAIN_NAMES)
+    factors = st.one_of(CHAIN_ATOMS, children, CHAIN_PRODS)
+    return st.one_of(
+        st.builds(lambda b, xs, c: DepFun(b, Prod(tuple(xs)), c), binders,
+                  st.lists(factors, min_size=2, max_size=3), children),
+        st.builds(DepFun, binders, st.one_of(CHAIN_ATOMS, children),
+                  children),
+        st.builds(lambda b, body, args: FamApp(Lam(b, body), tuple(args)),
+                  binders, children,
+                  st.lists(CHAIN_ARGS, min_size=1, max_size=2)))
+
+
+CHAINED = st.recursive(st.one_of(CHAIN_ATOMS, st.just(Univ())), _chained,
+                       max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(CHAINED)
+@example(  # the outer beta step's entries rename a binder b to b2, then b3
+    FamApp(Lam("y", DepFun(
+        "b", Prod((Var("X0"), Var("X0"))),
+        FamApp(Lam("y", DepFun("b3", Var("y"), Univ())),
+               (Prod((Var("X0"), Var("y"))),)))),
+        (FamApp(Var("X1"), (Var("b"), Var("b2"))),)))
+def test_chained_pending_substitutions_agree_with_the_reference(e):
     assert (_outcome(lambda: engine.normalize(e), engine.print_type)
             == _outcome(lambda: normalize(e), print_type))
 
@@ -712,10 +795,10 @@ def test_inner_binders_compare_by_position():
     assert engine.alpha_eq(T, R) and alpha_eq(T, R)
 
 
-def test_alpha_equivalence_at_1023_binders():
+def test_alpha_equivalence_at_1023_binders(far_iterates):
     """(1, 10) is past the reference's recursion at the default limit:
     both comparisons answer at once, on the term and its printed text."""
-    T = engine.iterate_types(1, 10)
+    T = far_iterates[(1, 10)]
     t0 = time.monotonic()
     assert engine.same_telescope(T, T)
     assert engine.alpha_eq(engine.parse_type(engine.print_type(T)), T)
