@@ -134,17 +134,17 @@ def to_indexed(P):
 
 def to_fibred(S):
     """Lay the fibres out as carriers, one block per frame, and read the
-    codimension-1 face maps off the frames' layers.
+    codimension-1 face maps off the rows of the frames.
 
-    The input is checked for totality only. The restriction operators
-    project tree positions and never consult the fibres, so on a set whose
-    families are exactly its enumerated frames every frame and every
-    component of its layers comes out of the enumeration, and no coherence
-    check of the sweep can fail: coherence holds by construction. The face
-    maps restrict within S, as the sweep does, so each component read off
-    a layer is checked against S's painting table. The functor laws of the
-    output are checked instead of the sweep, as a cheap oracle for the
-    layout and face-map code below (LawViolation if they fail).
+    The input is checked for totality only. On a set whose families are
+    exactly its enumerated frames, every frame with a cell comes out of
+    the join over the cells one dimension down, which already knows the
+    cell on each face; so the face maps are read off its rows, with no
+    restriction, and no coherence check of the sweep can fail: coherence
+    holds by construction. The functor laws of the output are checked
+    instead of the sweep, as a cheap oracle for the layout and the rows
+    (LawViolation if they fail). The structure interns its values in S's
+    table, so a round trip's second set is keyed by S's own objects.
     """
     rep = check_totality(S)
     if not rep.ok:
@@ -162,6 +162,7 @@ def to_fibred(S):
         faces[n] = {str(face_word(S.nu, omega, q, n)): maps[q][omega]
                     for q in range(n) for omega in range(S.nu)}
     P = TruncatedPresheaf(S.nu, S.trunc, carriers, faces)
+    P._memo[_VALUES] = S._memo.setdefault(_VALUES, {})
     laws = check_functor_laws(P)
     if not laws.ok:
         raise LawViolation(

@@ -11,12 +11,13 @@ boundary frame. The three value shapes are mutually recursive:
   painting(n, p)   layers p..n-1 plus a top cell: a cell together with the
                    part of its boundary not fixed by the base frame.
 
-A full frame at n is also a family of (n-1)-cells, one per face (q, w),
-any two of which agree on the codimension-2 face they share, and that is
-how the full frames are enumerated: a join over the cells one dimension
-down (``_join``). The paintings over a partial frame are read off the
-full frames that extend it. Partial frames, which only the coherence
-sweep reads, extend one stratum at a time, a product then a filter.
+A p-frame at n is also a family of (n-1)-cells, one per face (q, w) with
+q < p, any two of which agree on the codimension-2 face they share, and
+that is how every frame is enumerated: a join over the cells one
+dimension down (``_join``), which keeps each frame's cells as its row.
+The face maps of the cells are read off those rows, and the paintings
+over a partial frame off the full frames that extend it. So restriction
+runs only in the coherence sweep, which checks it.
 
 Restriction extracts the face of a frame/layer/painting in direction eps at
 stratum q. The operators follow a strict index discipline (side conditions
@@ -44,7 +45,6 @@ file format uses it (keys grouped under their dimension).
 """
 
 import json
-from itertools import product
 
 from .errors import (
     ArityError, CoherenceMismatch, DimensionOutOfRange, IndexOutOfRange,
@@ -311,11 +311,12 @@ class IndexedNuSet:
     """Truncated indexed nu-set: ``families[n]`` maps each full frame at n
     (a FrameVal) to its fibre, a FinSet; the frame text is only how files
     write the keys. Treated as immutable after construction. ``_memo`` is
-    its only memo: the intern table of its values, the frame and painting
-    tables (ordered sets of values, which serve both enumeration and
-    membership) and restrictions, all functions of the families (so
-    never stale). It is owned by the set and freed with it; ``extended``
-    hands it on to the next level."""
+    its only memo: the intern table of its values, the frame tables
+    (ordered, each frame mapped to its row) and painting tables (ordered
+    sets), which serve both enumeration and membership, the face maps,
+    and restrictions, all functions of the families (so never stale). It
+    is owned by the set and freed with it; ``extended`` hands it on to
+    the next level."""
 
     def __init__(self, nu, trunc, families):
         if nu < 1:
@@ -379,24 +380,13 @@ def enumerate_frames(S, n, p):
 
 
 def _frames(S, n, p):
-    """The p-frames at n as an ordered set (a dict), memoized in S.
-
-    Full frames (p == n >= 1) come from ``_join`` over the cells at n-1.
-    A partial frame extends a (p-1)-frame by any layer over it, a product
-    then a filter; only the coherence sweep reads partial frames."""
+    """The p-frames at n as an ordered table, memoized in S: each frame
+    maps to its row (see ``_join``), and the empty frame to ``()``."""
     key = ("frames", n, p)
     table = S._memo.get(key)
     if table is None:
-        if p == 0:
-            table = {_intern(S, FrameVal(n, 0, ())): None}
-        elif p == n:
-            table = _join(S, n)
-        else:
-            table = dict.fromkeys(
-                _intern(S, d.extend(layer))
-                for d in _frames(S, n, p - 1)
-                for layer in _enumerate_layers(S, n, p - 1, d))
-        S._memo[key] = table
+        table = S._memo[key] = _join(S, n, p) if p else \
+            {_intern(S, FrameVal(n, 0, ())): ()}
     return table
 
 
@@ -419,49 +409,48 @@ def _cells(S, m):
 
 def _faces(S, m):
     """The face maps of the cells at m >= 1: ``faces[q][w]`` is the tuple,
-    in layout order, of the index at m-1 of each cell's (q, w)-face. The face
-    over a cell's frame d is the cell that component w of layer q names,
-    over the checked restriction of d's q-prefix. Memoized in S."""
+    in layout order, of the index at m-1 of each cell's (q, w)-face, read
+    off the row of the cell's frame. Memoized in S."""
     key = ("faces", m)
     faces = S._memo.get(key)
     if faces is None:
-        below = _cells(S, m - 1)
-        faces = [[[] for _ in range(S.nu)] for _ in range(m)]
-        for d in _cells(S, m):
-            size = S.families[m][d].size  # cells share faces
-            for q in range(m):
-                head = _intern(S, d.prefix(q))
-                for w, pt in enumerate(d.layers[q].components):
-                    base = restr_frame(w, q, m, q, head, S)
-                    faces[q][w] += [below[full_frame(base, pt)]
-                                    + pt.cell] * size
-        faces = S._memo[key] = [list(map(tuple, maps)) for maps in faces]
+        rows = _frames(S, m, m)
+        spread = [row for d in _cells(S, m)  # one row per cell
+                  for row in [rows[d]] * S.families[m][d].size]
+        faces = S._memo[key] = [
+            [tuple(row[q * S.nu + w] for row in spread) for w in range(S.nu)]
+            for q in range(m)]
     return faces
 
 
-def _join(S, n):
-    """The full frames at n >= 1 as an ordered set, by a join over the
-    cells at n-1.
+def _join(S, n, p):
+    """The p-frames at n, 1 <= p <= n, as an ordered table, by a join over
+    the cells at n-1.
 
-    A full frame is one (n-1)-cell y[q, w] per face (q, w), and component w
-    of its layer q is that cell's painting from stratum q on. Two faces at
-    strata j < k agree where they meet: the (k-1, e)-face of y[j, w] is the
-    (j, w)-face of y[k, e], the exchange law d^e_{k-1} d^w_j = d^w_j d^e_k.
-    The search binds the faces direction by direction, so that each one
-    after the first meets a bound face at another stratum, and takes its
-    candidates as the intersection of the index lists of those meetings."""
+    A p-frame is one (n-1)-cell y[q, w] per face (q, w) with q < p, and
+    component w of its layer q is that cell's painting from stratum q on.
+    Two faces at strata j < k agree where they meet: the (k-1, e)-face of
+    y[j, w] is the (j, w)-face of y[k, e], the exchange law
+    d^e_{k-1} d^w_j = d^w_j d^e_k. The search binds the faces direction by
+    direction, so that each one after the first meets a bound face at
+    another stratum, and takes its candidates as the intersection of the
+    index lists of those meetings. Each frame maps to its row: the index
+    at n-1 of the cell on each face, stratum-major (face (q, w) at
+    ``q * nu + w``), which is what ``_faces`` reads."""
     nu, below = S.nu, _cells(S, n - 1)
     paintings = [[_intern(S, PaintingVal(n - 1, q, d.layers[q:], c))
                   for d in below for c in range(S.families[n - 1][d].size)]
-                 for q in range(n)]  # [q][y]: cell y's painting from q on
-    faces = _faces(S, n - 1) if n > 1 else ()
-    index = {}  # (q, w) -> face at n-2 -> the cells with that (q, w)-face
-    for q, maps in enumerate(faces):
+                 for q in range(p)]  # [q][y]: cell y's painting from q on
+    faces = _faces(S, n - 1) if p > 1 else ()
+    # (q, w) -> face at n-2 -> the cells with that (q, w)-face; the meets
+    # below read it at strata q < p-1 only
+    index = {}
+    for q, maps in enumerate(faces[:p - 1]):
         for w, face in enumerate(maps):
             groups = index[q, w] = {}
             for y, z in enumerate(face):
                 groups.setdefault(z, set()).add(y)
-    order = [(q, w) for w in range(nu) for q in range(n)]
+    order = [(q, w) for w in range(nu) for q in range(p)]
     everything, rows = range(len(paintings[0])), [()]
     for b, (k, e) in enumerate(order):
         # y[k, e] meets each bound y[j, w] with j != k: for j < k the
@@ -479,29 +468,19 @@ def _join(S, n):
     # order; a painting table lists the full frames over its base in
     # enumeration order, then their cells, which is layout order. So it
     # is the order of the bound cells read stratum-major.
-    rows = sorted(tuple(row[w * n + q] for q in range(n) for w in range(nu))
+    rows = sorted(tuple(row[w * p + q] for q in range(p) for w in range(nu))
                   for row in rows)
     layers, table = {}, {}
     for row in rows:
         frame = []
-        for q in range(n):
+        for q in range(p):
             ys = row[q * nu:(q + 1) * nu]
             if (q, ys) not in layers:
                 layers[q, ys] = _intern(S, LayerVal(
                     n, q, tuple(paintings[q][y] for y in ys)))
             frame.append(layers[q, ys])
-        table[_intern(S, FrameVal(n, n, tuple(frame)))] = None
+        table[_intern(S, FrameVal(n, p, tuple(frame)))] = row
     return table
-
-
-def _enumerate_layers(S, n, p, d):
-    """All layers extending frame d from stratum p, direction-major order."""
-    per_direction = []
-    for omega in range(S.nu):
-        base = restr_frame(omega, p, n, p, d, S)
-        per_direction.append(_paintings(S, n - 1, p, base))
-    return [_intern(S, LayerVal(n, p, combo))
-            for combo in product(*per_direction)]
 
 
 def enumerate_paintings(S, n, p, d):

@@ -260,9 +260,7 @@ def test_criterion_8_transport_shadow():
     with pytest.raises(CoherenceMismatch):
         restr_frame(0, 2, 3, 2,
                     FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))), SU)
-    from nusets.indexed import _enumerate_layers
-    good_l1 = LayerVal(3, 1, (good, good))
-    lay2 = next(iter(_enumerate_layers(SU, 3, 2, d31.extend(good_l1))))
+    lay2 = parse_value("[{0} {0}]", 2, 3, 2, "layer")
     with pytest.raises(CoherenceMismatch):
         restr_painting(0, 2, 3, 1, d31,
                        PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2),

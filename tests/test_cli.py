@@ -259,6 +259,72 @@ def test_coh_check_ok(grown_indexed, capsys):
     assert doc["ok"] is True
 
 
+# Non-total cube files: one fibre dropped at dimension 1, one at dimension
+# 2, and both. Exit codes and outputs are pinned byte for byte.
+EDGE = "([{0} {0}])"
+SQUARE = "([{[{0} {1}] 0} {[{1} {3}] 0}] [{0} {0}])"
+NO_EDGE = "no fibre for frame ([{0} {0}]) at dimension 1"
+NO_SQUARE = ("no fibre for frame ([{[{0} {1}] 0} {[{1} {3}] 0}] [{0} {0}])"
+             " at dimension 2")
+VALIDATE_EDGE = """{
+  "data": {},
+  "ok": false,
+  "title": "indexed validation",
+  "violations": [
+    {
+      "dimension": 1,
+      "frame": "([{0} {0}])",
+      "kind": "missing-fibre"
+    },
+    {
+      "detail": "no fibre for frame ([{0} {0}]) at dimension 1",
+      "dimension": 2,
+      "kind": "enumeration-failed"
+    }
+  ]
+}
+"""
+VALIDATE_SQUARE = """{
+  "data": {},
+  "ok": false,
+  "title": "indexed validation",
+  "violations": [
+    {
+      "dimension": 2,
+      "frame": "([{[{0} {1}] 0} {[{1} {3}] 0}] [{0} {0}])",
+      "kind": "missing-fibre"
+    },
+    {
+      "detail": "no fibre for frame ([{[{0} {1}] 0} {[{1} {3}] 0}] \
+[{0} {0}]) at dimension 2",
+      "dimension": 3,
+      "kind": "enumeration-failed"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("dropped, command, rc, out, err", [
+    ([(1, EDGE)], "coh-check", 2, "", f"error: {NO_EDGE}\n"),
+    ([(2, SQUARE)], "coh-check", 2, "", f"error: {NO_SQUARE}\n"),
+    ([(1, EDGE), (2, SQUARE)], "coh-check", 2, "", f"error: {NO_EDGE}\n"),
+    ([(1, EDGE)], "validate", 1, VALIDATE_EDGE, ""),
+    ([(2, SQUARE)], "validate", 1, VALIDATE_SQUARE, ""),
+    ([(1, EDGE), (2, SQUARE)], "validate", 1, VALIDATE_EDGE, ""),
+], ids=["coh-check-1", "coh-check-2", "coh-check-1-2",
+        "validate-1", "validate-2", "validate-1-2"])
+def test_non_total_cube_outputs(dropped, command, rc, out, err, tmp_path,
+                                capsys):
+    doc = json.loads(emit_indexed(to_indexed(standard_shape(2, 3))))
+    for n, key in dropped:
+        del doc["families"][str(n)][key]
+    path = tmp_path / "non_total.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--json", str(path)]) == rc
+    assert capsys.readouterr() == (out, err)
+
+
 def test_param_iterated(capsys):
     assert main(["param", "--nu", "2", "-n", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

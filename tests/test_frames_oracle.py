@@ -2,7 +2,9 @@
 as the oracle of the join that replaced it: on standard shapes, a seeded
 cube and random sets it must give the same frames in the same order, as
 the same objects, the same painting lists, and the same totality reports
-when fibres are missing."""
+when fibres are missing. Checked restriction is the oracle of the rows the
+join keeps: each row, and so each face map read off the rows, names the
+cells that restriction finds on the faces."""
 
 import random
 from itertools import product
@@ -10,12 +12,12 @@ from itertools import product
 import pytest
 
 from nusets import indexed
-from nusets.equivalence import random_indexed, to_indexed
+from nusets.equivalence import random_indexed, to_fibred, to_indexed
 from nusets.errors import UnknownFrame
 from nusets.indexed import (
     FrameVal, IndexedNuSet, LayerVal, PaintingVal, _intern, check_totality,
-    enumerate_frames, enumerate_paintings, frame_key, grow_indexed,
-    restr_frame,
+    emit_indexed, enumerate_frames, enumerate_paintings, frame_key,
+    full_frame, grow_indexed, parse_indexed, restr_frame,
 )
 from nusets.presheaf import FinSet
 from nusets.report import Report
@@ -156,6 +158,55 @@ def test_join_agrees_on_random_sets(nu, trunc):
     assert compared > 100
 
 
+def _restricted_face(S, d, q, w):
+    """The index at n-1 of the cell on face (q, w) of a frame d at n, by
+    checked restriction: the cell that component w of layer q names, over
+    the (w, q)-restriction of d's q-prefix."""
+    base = restr_frame(w, q, d.n, q, _intern(S, d.prefix(q)), S)
+    pt = d.layers[q].components[w]
+    return indexed._cells(S, d.n - 1)[full_frame(base, pt)] + pt.cell
+
+
+def _restricted_faces(S, m):
+    """The face maps of the cells at m by checked restriction, in the
+    layout ``indexed._faces`` gives them: ``[q][w]``, one entry per cell."""
+    cells = indexed._cells(S, m)
+    return [[tuple(_restricted_face(S, d, q, w) for d in cells
+                   for _ in range(S.families[m][d].size))
+             for w in range(S.nu)] for q in range(m)]
+
+
+def _sets():
+    yield from (make() for make in FIXTURES.values())
+    for nu, trunc, sizes, seed, dim0 in RANDOM:
+        yield random_indexed(nu, trunc, seed, sizes=sizes, dim0=dim0)
+
+
+def test_face_maps_agree_with_restriction():
+    compared = 0
+    for S in _sets():
+        for m in range(1, S.trunc + 1):
+            faces = _restricted_faces(S, m)
+            assert indexed._faces(S, m) == faces, m
+            compared += len(faces[0][0])
+    assert compared > 1000
+
+
+def test_rows_name_the_restricted_faces():
+    """Every row of every frame table up to _top(S), partial ones
+    included, lists the cells on the frame's faces, stratum-major."""
+    compared = 0
+    for S in _sets():
+        for n in range(1, _top(S) + 1):
+            for p in range(1, n + 1):
+                for d, row in indexed._frames(S, n, p).items():
+                    assert row == tuple(_restricted_face(S, d, q, w)
+                                        for q in range(p)
+                                        for w in range(S.nu)), (n, p)
+                    compared += 1
+    assert compared > 10000
+
+
 def _dropped(S, victims):
     fams = {n: {d: fs for d, fs in S.families[n].items()
                 if (n, d) not in victims} for n in S.families}
@@ -191,3 +242,14 @@ def test_full_frames_build_no_partial_frame_table():
     assert not [k for k in S._memo if isinstance(k, tuple)
                 and k[0] == "frames" and 0 < k[2] < k[1]]
     assert len(indexed._frames(S, 2, 2)) == 96
+
+
+def test_totality_and_conversion_restrict_nothing():
+    """Totality and the face maps of to_fibred come off the join: on the
+    parsed 4-cube they leave no restriction in the memo, which only the
+    coherence sweep fills."""
+    S = parse_indexed(emit_indexed(to_indexed(standard_shape(2, 4))))
+    assert check_totality(S).ok
+    to_fibred(S)
+    assert not [k for k in S._memo if isinstance(k, tuple)
+                and k[0] in ("f", "l", "p")]

@@ -320,10 +320,9 @@ def test_corruption_inside_frame(SU, corpus):
 
 
 def test_corruption_inside_painting(SU, corpus):
-    from nusets.indexed import _enumerate_layers
     d31, l0, good, bad, _ = corpus
     good_l1 = LayerVal(3, 1, (good, good))
-    lay2 = next(iter(_enumerate_layers(SU, 3, 2, d31.extend(good_l1))))
+    lay2 = parse_value("[{0} {0}]", 2, 3, 2, "layer")
     c_bad = PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2), 0)
     with pytest.raises(CoherenceMismatch):
         restr_painting(0, 2, 3, 1, d31, c_bad, SU)

@@ -28,11 +28,21 @@ def text(request):
     return emit_indexed(to_indexed(standard_shape(*request.param)))
 
 
+def _layers_over(S, n, p):
+    """The layers over each p-frame at n, p < n, read off the (p+1)-frames
+    by prefix, in enumeration order."""
+    layers = {}
+    for f in enumerate_frames(S, n, p + 1):
+        layers.setdefault(f.prefix(p), []).append(f.layers[p])
+    return layers
+
+
 def _cases(S):
     """Every enumerated frame, layer and painting of S with every legal
     (eps, q), as (operator, leading arguments, value arguments)."""
     for n in range(1, S.trunc + 1):
         for p in range(n + 1):
+            layers = _layers_over(S, n, p) if p < n else {}
             for d in enumerate_frames(S, n, p):
                 for q in range(p, n):
                     for eps in range(S.nu):
@@ -40,7 +50,7 @@ def _cases(S):
                         for c in enumerate_paintings(S, n, p, d):
                             yield restr_painting, (eps, q, n, p), (d, c)
                 if p < n:
-                    for layer in indexed._enumerate_layers(S, n, p, d):
+                    for layer in layers.get(d, ()):
                         for q in range(p, n - 1):
                             for eps in range(S.nu):
                                 yield restr_layer, (eps, q, n, p), (d, layer)
@@ -144,8 +154,7 @@ def test_corruptions_caught_after_the_sweep_filled_the_memo():
     d31 = FrameVal(3, 1, (l0,))
     good = parse_value("{[{0} {0}] 0}", 2, 2, 1, "painting")
     bad = parse_value("{[{1} {0}] 0}", 2, 2, 1, "painting")
-    lay2 = indexed._enumerate_layers(
-        SU, 3, 2, d31.extend(LayerVal(3, 1, (good, good))))[0]
+    lay2 = _layers_over(SU, 3, 2)[d31.extend(LayerVal(3, 1, (good, good)))][0]
     sq_bad = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {1}] 0}",
                          2, 2, 0, "painting")
     corruptions = [
