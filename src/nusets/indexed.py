@@ -41,7 +41,10 @@ report format only: frames render as ``(layer ...)``, layers as
 ``[painting ...]``, paintings as ``{layer ... cell}``. The rendering is
 injective for values of a fixed shape (n, p); the empty frame prints ``()``
 at every n, so frame text is canonical per dimension, which is how the
-file format uses it (keys grouped under their dimension).
+file format uses it (keys grouped under their dimension). ``frame_key``
+writes that text and ``_read`` reads it back in one left-to-right pass
+that accepts nothing else, naming the position of the first character
+that departs from it.
 """
 
 import json
@@ -226,83 +229,82 @@ def frame_key(v):
     raise TypeError(f"not a frame/layer/painting: {v!r}")
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
-
-    def error(self, message):
-        raise ParseError(message, line=1, col=self.i + 1)
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] == " ":
-            self.i += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.i += 1
-
-    def integer(self):
-        self.skip_ws()
-        j = self.i
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.i:
-            self.error("expected a cell index")
-        try:
-            value = int(self.text[self.i:j])
-        except ValueError:  # past the conversion limit, or not decimal
-            self.error("cell index too long or not decimal")
-        self.i = j
-        return value
-
-
 def parse_value(text, nu, n, p, kind="frame"):
-    """Inverse of frame_key for a value of known shape (nu, n, p)."""
-    return _parse_text(text, nu, n, p, kind, {})
+    """Inverse of frame_key for a value of shape (nu, n, p) and kind
+    "frame", "layer" or "painting", read in one left-to-right pass that
+    accepts only the text frame_key writes: the brackets the shape fixes,
+    one space between items, cell indices in ASCII digits with no leading
+    zero, and nothing after the value. Other text raises ParseError with
+    the 1-based position of its first non-canonical character and what
+    canonical text needs there."""
+    return _read(text, nu, n, p, kind, {})
 
 
-def _parse_text(text, nu, n, p, kind, values):
-    """parse_value, interning in the table ``values``."""
-    sc = _Scanner(text)
-    v = _parse_value(sc, nu, n, p, kind, values)
-    sc.skip_ws()
-    if sc.i != len(sc.text):
-        sc.error("trailing input")
+def _read(text, nu, n, p, kind, values):
+    """parse_value, each node interned in the table ``values`` as it is
+    built (a value mapped to itself, as in ``_intern``), so equal subtrees
+    are one object. Each ``_read_*`` starts at its opening bracket and
+    returns its value and the position past its closing bracket."""
+    read = {"frame": _read_frame, "layer": _read_layer,
+            "painting": _read_painting}.get(kind)
+    if read is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    # a sentinel no canonical text has, so a read stops at the end
+    v, i = read(text + ".", 0, nu, n, p, values)
+    if i != len(text):
+        _reject(i, "the end of the text")
     return v
 
 
-def _parse_value(sc, nu, n, p, kind, values):
-    """One value, each node interned in the table ``values`` (a value
-    mapped to itself, as in ``_intern``), so equal subtrees are one
-    object."""
-    if kind == "frame":
-        sc.expect("(")
-        layers = tuple(_parse_value(sc, nu, n, j, "layer", values)
-                       for j in range(p))
-        sc.expect(")")
-        v = FrameVal(n, p, layers)
-    elif kind == "layer":
-        sc.expect("[")
-        comps = tuple(_parse_value(sc, nu, n - 1, p, "painting", values)
-                      for _ in range(nu))
-        sc.expect("]")
-        v = LayerVal(n, p, comps)
-    elif kind == "painting":
-        sc.expect("{")
-        layers = tuple(_parse_value(sc, nu, n, j, "layer", values)
-                       for j in range(p, n))
-        cell = sc.integer()
-        sc.expect("}")
-        v = PaintingVal(n, p, layers, cell)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return values.setdefault(v, v)
+def _read_frame(text, i, nu, n, p, values):
+    i, layers = _expect(text, i, "("), []
+    for j in range(p):
+        v, i = _read_layer(text, _expect(text, i, " ") if j else i,
+                           nu, n, j, values)
+        layers.append(v)
+    v = FrameVal(n, p, tuple(layers))
+    return values.setdefault(v, v), _expect(text, i, ")")
+
+
+def _read_layer(text, i, nu, n, p, values):
+    i, comps = _expect(text, i, "["), []
+    for w in range(nu):
+        v, i = _read_painting(text, _expect(text, i, " ") if w else i,
+                              nu, n - 1, p, values)
+        comps.append(v)
+    v = LayerVal(n, p, tuple(comps))
+    return values.setdefault(v, v), _expect(text, i, "]")
+
+
+def _read_painting(text, i, nu, n, p, values):
+    i, layers = _expect(text, i, "{"), []
+    for j in range(p, n):
+        v, i = _read_layer(text, i, nu, n, j, values)
+        layers.append(v)
+        i = _expect(text, i, " ")
+    end = i
+    while "0" <= text[end] <= "9":
+        end += 1
+    if end == i:
+        _reject(i, "a cell index")
+    if text[i] == "0" and end > i + 1:
+        _reject(i + 1, "a cell index with no leading zero")
+    try:
+        cell = int(text[i:end])
+    except ValueError:  # past the digits CPython converts
+        _reject(i, "a cell index short enough to convert")
+    v = PaintingVal(n, p, tuple(layers), cell)
+    return values.setdefault(v, v), _expect(text, end, "}")
+
+
+def _expect(text, i, ch):
+    if text[i] != ch:
+        _reject(i, "one space" if ch == " " else repr(ch))
+    return i + 1
+
+
+def _reject(i, needs):
+    raise ParseError(f"at position {i + 1}, canonical text needs {needs}")
 
 
 # ------------------------------------------------------------ indexed set
@@ -830,10 +832,11 @@ def emit_indexed(S):
 def parse_indexed(text):
     """Parse the indexed JSON format; structural errors are precise.
 
-    Frame keys are checked for well-formedness here (they must parse as
-    full frames of their dimension and be written in canonical text) and
-    the families keyed by the parsed frames; totality against the
-    enumeration is check_totality's job.
+    Each key is read by ``_read`` as a full frame of its dimension, in the
+    one text frame_key writes for it, into the set's intern table, and the
+    families are keyed by those frames. Any other key raises ParseError
+    naming ``families[n]``, the key, the dimension and the position of its
+    first non-canonical character. Totality is check_totality's job.
     """
     doc, nu, trunc = load_header(text, "families")
     raw = doc["families"]
@@ -854,16 +857,11 @@ def parse_indexed(text):
         fam = {}
         for key, entry in block.items():
             try:
-                frame = _parse_text(key, nu, n, n, "frame", values)
-            except ParseError:
+                frame = _read(key, nu, n, n, "frame", values)
+            except ParseError as exc:
                 raise ParseError(
-                    f"families[{n}] key {key!r} is not a full frame "
-                    f"at dimension {n}")
-            canonical = frame_key(frame)
-            if canonical != key:
-                raise ParseError(
-                    f"families[{n}] key {key!r} is not canonical, "
-                    f"expected {canonical!r}")
+                    f"families[{n}] key {key!r} is not a full frame at "
+                    f"dimension {n}: {exc}")
             fam[frame] = parse_finset(entry, f"families[{n}][{key!r}]")
         families[n] = fam
     S = IndexedNuSet(nu, trunc, families)

@@ -199,26 +199,35 @@ def test_validate_bad_json_exits_two(tmp_path, capsys):
 _LONG = "9" * 5000  # past the 4300 digits CPython converts by default
 
 
-@pytest.mark.parametrize("parse, text", [
+@pytest.mark.parametrize("parse, text, error", [
     (parse_nuset, '{"nu": 1, "trunc": 0, "carriers": [%s], "faces": {}}'
-     % _LONG),
+     % _LONG, "error: "),
     (parse_indexed, '{"nu": 1, "trunc": 0, "families": {"0": {"()": %s}}}'
-     % _LONG),
+     % _LONG, "error: "),
     (parse_indexed, '{"nu": 1, "trunc": 1, "families": {"0": {"()": 1}, '
-     '"1": {"([{%s}])": 1}}}' % _LONG),
+     '"1": {"([{%s}])": 1}}}' % _LONG, "error: families["),
     (parse_indexed, '{"nu": 1, "trunc": 1, "families": {"0": {"()": 1}, '
-     '"1": {"([{\\u00b2}])": 1}}}'),
-], ids=["fibred", "indexed-size", "indexed-key", "indexed-key-superscript"])
-def test_long_or_odd_integer_exits_two(parse, text, tmp_path, capsys):
-    """A JSON integer or a key's cell index too long to convert, and a
-    digit that is no decimal digit, are malformed input, not a crash."""
+     '"1": {"([{\\u00b2}])": 1}}}', "error: families["),
+    (parse_indexed, '{"nu": 2, "trunc": 1, "families": {"0": {"()": 2}, '
+     '"1": {"([{0} {0}])": 1, "([{0} {1}])": 1, "([{1}  {0}])": 1, '
+     '"([{1} {1}])": 1}}}', "error: families["),
+], ids=["fibred", "indexed-size", "indexed-key", "indexed-key-superscript",
+        "indexed-key-non-canonical"])
+def test_long_or_odd_integer_exits_two(parse, text, error, tmp_path, capsys):
+    """A JSON integer or a key's cell index too long to convert, a digit
+    that is no decimal digit, and a key not written as frame_key writes
+    it, are malformed input, not a crash, for each command that reads a
+    set from a file."""
     with pytest.raises(ParseError):
         parse(text)
     path = tmp_path / "long.json"
     path.write_text(text)
-    assert main(["validate", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    for command in (["validate"], ["convert"], ["coh-check"],
+                    ["extend", "--levels", "1"], ["roundtrip"]):
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+        assert "Traceback" not in captured.err
 
 
 def test_validate_unknown_format_exits_two(tmp_path):

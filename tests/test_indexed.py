@@ -7,6 +7,7 @@ enumerators: with every fibre a singleton except |X_0| = k, a frame at
 per-test comments for the exact small cases used.
 """
 
+import functools
 import json
 import random
 
@@ -240,16 +241,74 @@ def test_parse_rejects_booleans_as_integers(doc):
         parse_indexed(json.dumps(doc))
 
 
-@pytest.mark.parametrize("n, key, bad", [
-    (0, "()", "( )"),
-    (1, "([{1}])", "([{01}])"),
+@pytest.mark.parametrize("nu, n, key, bad, position", [
+    pytest.param(1, 0, "()", "( )", 2, id="0-()-( )"),
+    pytest.param(1, 1, "([{1}])", "([{01}])", 5, id="1-([{1}])-([{01}])"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0}  {1}])", 7, id="doubled-space"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0}\t{1}])", 6, id="tab"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0} {1}]) ", 12, id="trailing-space"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0} {01}])", 9, id="leading-zero"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0} {\u00b9}])", 8,
+                 id="superscript-digit"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0} [1]])", 7, id="wrong-bracket"),
+    pytest.param(2, 1, "([{0} {1}])", "([{0} {}])", 8, id="missing-cell"),
 ])
-def test_parse_rejects_non_canonical_frame_keys(n, key, bad):
-    doc = json.loads(emit_indexed(grow_indexed(1, 1, two_points)))
+def test_parse_rejects_non_canonical_frame_keys(nu, n, key, bad, position):
+    """A key is read only as frame_key writes it; the error names the
+    family, the key and the position of its first non-canonical
+    character."""
+    doc = json.loads(emit_indexed(grow_indexed(nu, 1, two_points)))
     doc["families"][str(n)][bad] = doc["families"][str(n)].pop(key)
     with pytest.raises(ParseError) as e:
         parse_indexed(json.dumps(doc))
-    assert f"families[{n}]" in str(e.value) and repr(bad) in str(e.value)
+    message = str(e.value)
+    assert message.startswith(f"families[{n}] key {bad!r} ")
+    assert f"at dimension {n}: at position {position}, " in message
+
+
+@functools.cache
+def _value_pool(nu, trunc, seed):
+    """Every frame, layer and painting of a small grown set, the fibre
+    sizes drawn from the seed: 1 or 2 points, at most 2 cells over each
+    1-frame and at most 1 above, since larger fibres blow up the frame
+    count at n = 3. At nu = 3 the sets stop at n = 2: even over two
+    points with singletons above, the 3-frames do not fit in 2 GiB."""
+    rng = random.Random(seed)
+    sizes = ((1, 2), (0, 1, 2), (0, 1), (0, 1))
+    S = grow_indexed(nu, trunc, lambda n, d: rng.choice(sizes[n]))
+    pool = {}
+    for n in range(trunc + 1):
+        for p in range(n + 1):
+            for d in enumerate_frames(S, n, p):
+                pool.update(dict.fromkeys((d,) + d.layers))
+                pool.update(dict.fromkeys(enumerate_paintings(S, n, p, d)))
+    return list(pool)
+
+
+_KINDS = {FrameVal: "frame", LayerVal: "layer", PaintingVal: "painting"}
+_EDITS = " ()[]{}019\t\u00b2\u0663x"  # \u0663: an Arabic-Indic 3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 3), (2, 3), (3, 2)]), st.integers(0, 7),
+       st.data())
+def test_reader_reads_exactly_canonical_text(shape, seed, data):
+    """Each value reads back from its text; every one-character insert,
+    delete or replace of that text is rejected or reads back to a value
+    that renders as exactly the edited text."""
+    nu, trunc = shape
+    v = data.draw(st.sampled_from(_value_pool(nu, trunc, seed)))
+    args = (nu, v.n, v.p, _KINDS[type(v)])
+    text = frame_key(v)
+    assert parse_value(text, *args) == v
+    edits = {text[:i] + text[i + 1:] for i in range(len(text))}
+    edits |= {text[:i] + ch + text[j:] for i in range(len(text) + 1)
+              for j in (i, i + 1) for ch in _EDITS}
+    for edited in edits - {text}:
+        try:
+            assert frame_key(parse_value(edited, *args)) == edited
+        except ParseError:
+            pass
 
 
 # ------------------------------------------------------------ transport
