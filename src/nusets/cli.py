@@ -142,13 +142,15 @@ def _cmd_coh_check(args):
 
 
 def _cmd_param(args):
-    from .parametricity import (
-        iterate_types, normalize, parse_type, print_type, telescope_stats,
-    )
+    from .terms import normalize, print_type, telescope_stats
 
     if args.steps is not None:
+        if args.file is not None:
+            raise NuSetError("give a FILE or -n/--steps, not both")
+        from .parametricity import iterate_types
         T = iterate_types(args.nu, args.steps)
     else:
+        from .syntax import parse_type
         T = normalize(parse_type(_read(args.file)))
     stats = telescope_stats(T)
     if args.json:

@@ -1,0 +1,206 @@
+"""Terms up to names, and the term operations that no command runs: free
+variables, substitution, alpha-equivalence and telescope equality.
+"""
+
+from collections import Counter
+
+from .terms import (
+    DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _bind, _entry, _info,
+    _kids, _reaching, _table, flatten_telescope, normalize,
+)
+
+
+def free_vars(e):
+    """The free variables of e.
+
+    Each node caches in ``_cache`` its free variables and the names bound
+    inside it, as bitmasks over a name table, and whether it is normal.
+    This reads e's mask; only nodes not yet stamped under e's table are
+    scanned, once."""
+    names = _table(e)
+    return names.decode(_info(e, names).fv)
+
+
+def subst(e, name, value):
+    """Capture-avoiding substitution of value for the free variable.
+
+    A binder that would capture a free variable of value is renamed, even
+    where name does not occur below it; those renames give the printed
+    names. It is the one-entry case of the substitutions normalize
+    carries (see "substitution" in nusets.terms): a subterm the entry
+    does not change is returned as it is, so only the paths down to an
+    occurrence or a renamed binder are rebuilt."""
+    names = _table(e, value)
+    return _apply(e, [_entry(name, value, names)], names)
+
+
+def _apply(e, sigma, names):
+    """e[sigma], not normalized."""
+    # Binders and applications on the way down, rebuilt on the way back;
+    # the loop walks codomains, bodies, heads and the values of
+    # variables, so spines do not recurse.
+    outer = []
+    while True:
+        sigma = _reaching(sigma, e, names)
+        if not sigma:
+            break
+        if isinstance(e, (DepFun, Lam)):
+            dep = isinstance(e, DepFun)
+            inner = e.codomain if dep else e.body
+            dom = _apply(e.domain, sigma, names) if dep else None
+            binder, sigma = _bind(e.binder, inner, sigma, names)
+            outer.append((e, binder, dom))
+            e = inner
+        elif isinstance(e, FamApp):
+            outer.append((e, None, tuple(_apply(a, sigma, names)
+                                         for a in e.args)))
+            e = e.head
+        elif isinstance(e, Var):  # the first entry is e's; the rest go on
+            e, sigma = sigma[0][2], sigma[1:]
+        elif isinstance(e, Proj):
+            e = Proj(e.index, _apply(e.tuple_, sigma, names))
+            break
+        else:  # Prod or Tuple
+            e = type(e)(tuple(_apply(i, sigma, names) for i in e.items))
+            break
+    for node, binder, part in reversed(outer):
+        if isinstance(node, DepFun):
+            e = DepFun(binder, part, e)
+        elif isinstance(node, Lam):
+            e = Lam(binder, e)
+        else:
+            e = FamApp(e, part)
+    return e
+
+
+# ------------------------------------------------------------ alpha
+
+
+def _shape(e, env):
+    """e as a flat tuple of tokens in preorder, for comparing terms up to
+    the names of their bound variables (de Bruijn's nameless dummies).
+
+    A node gives its class, then its width (a projection its index), then
+    its children; a variable gives one token. A name bound inside e
+    becomes the position of its binder's token, a name in env becomes
+    env's value, any other name stays as it is. Iterative, and a flat
+    tuple compares without recursion, so long spines are fine."""
+    out = []
+    bound = {}  # name -> token positions of the binders in scope
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is tuple:  # (name, position) opens a scope, (name,) ends it
+            if len(e) == 2:
+                bound.setdefault(e[0], []).append(e[1])
+            else:
+                bound[e[0]].pop()
+        elif isinstance(e, Var):
+            scope = bound.get(e.name)
+            out.append(scope[-1] if scope else env.get(e.name, e.name))
+        else:
+            kids = _kids(e)
+            out.append(type(e))
+            if isinstance(e, (DepFun, Lam)):
+                # a domain lies outside the binder's scope, the body inside
+                todo += [(e.binder,), kids[-1], (e.binder, len(out) - 1)]
+                todo += kids[:-1]
+            else:
+                out.append(e.index if isinstance(e, Proj) else len(kids))
+                todo += reversed(kids)
+    return tuple(out)
+
+
+def alpha_eq(a, b):
+    """Structural equality up to renaming of bound variables: each bound
+    variable is compared by the position of its binder."""
+    return _shape(a, {}) == _shape(b, {})
+
+
+def _splice(e):
+    """Flatten application spines: tuple arguments become plain curried
+    arguments, so "X1 (a, b)" and "X1 a b" compare equal. Used only for
+    telescope comparison; tuples elsewhere are left alone."""
+    if isinstance(e, FamApp):
+        args = []
+        for a in e.args:
+            a = _splice(a)
+            if isinstance(a, Tuple):
+                args.extend(a.items)
+            else:
+                args.append(a)
+        return FamApp(_splice(e.head), tuple(args))
+    if isinstance(e, Tuple):
+        return Tuple(tuple(_splice(i) for i in e.items))
+    if isinstance(e, Prod):
+        return Prod(tuple(_splice(i) for i in e.items))
+    if isinstance(e, DepFun):
+        return DepFun(e.binder, _splice(e.domain), _splice(e.codomain))
+    if isinstance(e, Lam):
+        return Lam(e.binder, _splice(e.body))
+    if isinstance(e, Proj):
+        return Proj(e.index, _splice(e.tuple_))
+    return e
+
+
+def _hypotheses(T):
+    """The domains of T's normalized telescope as shapes, spines spliced.
+    A name bound by an earlier hypothesis becomes that hypothesis's
+    position, as a 1-tuple; a later binder of the same name shadows it.
+    Returns the shapes, the positions some later domain refers to (in
+    order), and the shapes of the other hypotheses."""
+    scope, shapes = {}, []
+    for i, (name, dom) in enumerate(flatten_telescope(normalize(T))):
+        shapes.append(_shape(_splice(dom), scope))
+        scope[name] = (i,)
+    used = {t for dom in shapes for t in dom if type(t) is tuple}
+    return shapes, sorted(used), [d for i, d in enumerate(shapes)
+                                  if (i,) not in used]
+
+
+def same_telescope(a, b):
+    """Equality of two telescopes up to binder renaming, hypothesis
+    reordering, and currying of application arguments.
+
+    Hypotheses are compared by binder position: each domain is read with
+    the hypotheses before it in scope. Those referred to by a later
+    domain must correspond one to one; they are matched in order, with
+    backtracking. The rest are compared as a multiset. Domains must match
+    under the correspondence after their application spines are
+    flattened.
+    """
+    (ha, named_a, anon_a), (hb, named_b, anon_b) = (_hypotheses(a),
+                                                    _hypotheses(b))
+    if len(ha) != len(hb) or len(named_a) != len(named_b):
+        return False
+    want = Counter(anon_b)
+    mapping = {}  # a hypothesis of named_a -> the one of named_b it matches
+    stack = []  # for each matched one of named_a, its index in named_b
+    taken = set()  # the indices on the stack
+
+    def rename(dom):
+        return tuple(mapping.get(t, t) for t in dom)
+
+    start = 0
+    while True:
+        k = len(stack)
+        if k == len(named_a):
+            if Counter(map(rename, anon_a)) == want:
+                return True
+            c = None
+        else:
+            target = rename(ha[named_a[k][0]])
+            c = next((c for c in range(start, len(named_b)) if c not in taken
+                      and hb[named_b[c][0]] == target), None)
+        if c is not None:
+            stack.append(c)
+            taken.add(c)
+            mapping[named_a[k]] = named_b[c]
+            start = 0
+        elif not stack:
+            return False
+        else:
+            c = stack.pop()
+            taken.remove(c)
+            del mapping[named_a[k - 1]]
+            start = c + 1

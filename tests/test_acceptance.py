@@ -19,9 +19,10 @@ from nusets.indexed import (
     frame_key, full_frame, grow_indexed, parse_value, restr_frame,
     restr_layer, restr_painting,
 )
-from nusets.parametricity import (
-    iterate_types, parse_type, same_telescope, telescope_stats,
-)
+from nusets.parametricity import iterate_types
+from nusets.syntax import parse_type
+from nusets.telescopes import same_telescope
+from nusets.terms import telescope_stats
 from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.shapes import geometric_inventory, standard_shape
 from nusets.streams import extend_singleton, take

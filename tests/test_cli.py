@@ -14,9 +14,10 @@ from nusets.cli import main
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
 from nusets.indexed import emit_indexed, grow_indexed, parse_indexed
-from nusets.parametricity import iterate_types, print_type
+from nusets.parametricity import iterate_types
 from nusets.presheaf import emit_nuset, parse_nuset
 from nusets.shapes import standard_shape
+from nusets.terms import print_type
 from nusets.words import hom_count
 
 
@@ -379,6 +380,19 @@ def test_param_file_reads_511_binders_back(telescope_1_9, tmp_path, capsys):
     assert doc["stats"] == {str(p): hom_count(1, p, 9) for p in range(9)}
 
 
+@pytest.mark.parametrize("steps", ["-n", "--steps"])
+def test_param_file_and_steps_exit_two(steps, tmp_path, capsys):
+    """A file and a step count are two inputs for one telescope: the
+    command names the conflict instead of reading one and ignoring the
+    other."""
+    f = tmp_path / "t.ty"
+    f.write_text("Pi a:X0. X1 a -> U")
+    assert main(["param", steps, "1", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give a FILE or -n/--steps, not both\n"
+
+
 def test_param_non_telescope_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("Pi a:X0. X0"))
     assert main(["param"]) == 2
@@ -552,6 +566,23 @@ def test_fibred_validate_leaves_the_indexed_module_alone(
     files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
     assert not _imported("nusets.indexed", ["validate", "{fibred}"], files)
     assert _imported("nusets.indexed", ["validate", "{indexed}"], files)
+
+
+def test_param_compiles_only_the_engine_it_runs(tmp_path):
+    """Iterating imports the translation and not the reader; reading a
+    file imports the reader and not the translation; neither imports the
+    comparisons up to names."""
+    f = tmp_path / "t.ty"
+    f.write_text("Pi a:X0. X1 a -> U")
+    files = {"{file}": str(f)}
+    steps = ["param", "--nu", "2", "-n", "2"]
+    read = ["param", "{file}"]
+    assert _imported("nusets.parametricity", steps, files)
+    assert not _imported("nusets.syntax", steps, files)
+    assert not _imported("nusets.telescopes", steps, files)
+    assert _imported("nusets.syntax", read, files)
+    assert not _imported("nusets.parametricity", read, files)
+    assert not _imported("nusets.telescopes", read, files)
 
 
 def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):

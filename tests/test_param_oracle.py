@@ -6,11 +6,14 @@ in loops; the names it prints must not move, because printed telescopes
 are output. The reference below is the
 named engine as it was before: free_vars, _fresh, subst, normalize,
 translate, iterate_types and print_type copied unchanged, and the
-recursive reader of Pi and arrow spines; and alpha_rename, alpha_eq,
-_splice and same_telescope as they were before alpha-equivalence went by
-binder position. Unqualified names in this module are the reference; the
-engine is reached as ``engine``. Each test asserts equal terms and
-byte-equal printed text from both, or equal answers.
+tokenizer and parser of the reader before it stamped terms as it built
+them, with Pi and arrow spines read by recursion; and alpha_rename,
+alpha_eq, _splice and same_telescope as they were before
+alpha-equivalence went by binder position. Unqualified names in this
+module are the reference; the engine is reached through the modules that
+define it (``terms.normalize``, ``syntax.parse_type``, ...). Each test
+asserts equal terms and byte-equal printed text from both, or equal
+answers.
 """
 
 import hashlib
@@ -22,11 +25,12 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nusets import parametricity as engine
+from nusets import parametricity, syntax, telescopes, terms
 from nusets.errors import ArityError, ParseError, UnsupportedConstruct
-from nusets.parametricity import (
-    App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _copy, _Parser,
-    _prod, _proj, _tuple, flatten_telescope,
+from nusets.parametricity import _copy
+from nusets.terms import (
+    App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _prod, _proj,
+    _tuple, flatten_telescope,
 )
 from nusets.words import hom_count
 
@@ -274,6 +278,119 @@ def print_type(e, prec=_PREC_TYPE):
     raise UnsupportedConstruct(f"unknown node {type(e).__name__}")
 
 
+_TOKEN = re.compile(r"->|[()*:.,]|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+
+def _tokenize(text):
+    tokens = []
+    for ln, line in enumerate(text.splitlines() or [""], start=1):
+        for m in _TOKEN.finditer(line):
+            tok = m.group(0)
+            if tok not in ("->", "(", ")", "*", ":", ".", ",") \
+                    and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+                raise ParseError(f"stray character {tok!r}",
+                                 line=ln, col=m.start() + 1)
+            tokens.append((tok, ln, m.start() + 1))
+    tokens.append((None, ln if text else 1,
+                   len(text.splitlines()[-1]) + 1 if text else 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, what):
+        tok, ln, col = self.next()
+        if tok != what:
+            raise ParseError(f"expected {what!r}, found {tok!r}",
+                             line=ln, col=col)
+
+    def error(self, message):
+        _, ln, col = self.tokens[self.pos]
+        raise ParseError(message, line=ln, col=col)
+
+    def type_(self):
+        return self._spine([])
+
+    def arrow(self):
+        left = self.prod()
+        if self.peek() == "->":
+            self.next()
+            return self._spine([("_", left)])
+        return left
+
+    def _spine(self, binders):
+        """The rest of a type after the given (binder, domain) pairs: read
+        "Pi x:A." and "A ->" in a loop, so a long telescope does not
+        recurse, then nest the binders around the final product."""
+        while True:
+            if self.peek() == "Pi":
+                self.next()
+                tok, ln, col = self.next()
+                if tok is None or not re.fullmatch(r"[A-Za-z_]\w*", tok) \
+                        or tok in ("Pi", "U"):
+                    raise ParseError(f"expected binder name, found {tok!r}",
+                                     line=ln, col=col)
+                self.expect(":")
+                dom = self.arrow()
+                self.expect(".")
+                binders.append((tok, dom))
+                continue
+            out = self.prod()
+            if self.peek() != "->":
+                break
+            self.next()
+            binders.append(("_", out))
+        for binder, dom in reversed(binders):
+            out = DepFun(binder, dom, out)
+        return out
+
+    def prod(self):
+        items = [self.app()]
+        while self.peek() == "*":
+            self.next()
+            items.append(self.app())
+        return items[0] if len(items) == 1 else Prod(tuple(items))
+
+    def app(self):
+        head = self.atom()
+        args = []
+        while self.peek() == "(" or self._at_ident() or self.peek() == "U":
+            args.append(self.atom())
+        return FamApp(head, tuple(args)) if args else head
+
+    def _at_ident(self):
+        tok = self.peek()
+        return (tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok)
+                and tok != "Pi")
+
+    def atom(self):
+        tok, ln, col = self.next()
+        if tok == "U":
+            return Univ()
+        if tok == "(":
+            items = [self.type_()]
+            while self.peek() == ",":
+                self.next()
+                items.append(self.type_())
+            self.expect(")")
+            return items[0] if len(items) == 1 else Tuple(tuple(items))
+        if tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok) \
+                and tok != "Pi":
+            return Var(tok)
+        raise ParseError(f"expected a type, found {tok!r}", line=ln, col=col)
+
+
 class _RecursiveParser(_Parser):
     def type_(self):
         if self.peek() == "Pi":
@@ -340,7 +457,7 @@ def _renamed(text, rng):
 def _grouped(T):
     """T with every two consecutive arrows made one arrow from a product,
     which normalize splits again under fresh names from base "x"."""
-    hyps = engine.flatten_telescope(T)
+    hyps = terms.flatten_telescope(T)
     out = Univ()
     i = len(hyps)
     while i > 0:
@@ -356,9 +473,9 @@ def _grouped(T):
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"nu{c[0]}-n{c[1]}")
 def test_iterates_print_as_before(reference, case):
     want = reference[case]
-    got = engine.iterate_types(*case)
+    got = parametricity.iterate_types(*case)
     assert got == want
-    assert engine.print_type(got) == print_type(want)
+    assert terms.print_type(got) == print_type(want)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"nu{c[0]}-n{c[1]}")
@@ -367,16 +484,16 @@ def test_printed_telescopes_read_back_as_before(reference, case):
     renamed, and again with its arrows paired into products, it reads and
     normalizes as the reference does. (Printing the iterates is compared
     above, so the engine prints the text here.)"""
-    text = engine.print_type(reference[case])
-    T = engine.parse_type(text)
+    text = terms.print_type(reference[case])
+    T = syntax.parse_type(text)
     assert T == ref_parse(text)
-    assert engine.print_type(engine.normalize(T)) == text
+    assert terms.print_type(terms.normalize(T)) == text
     renamed = _renamed(text, random.Random(str(case)))
-    R = engine.parse_type(renamed)
+    R = syntax.parse_type(renamed)
     assert R == ref_parse(renamed)
     G = _grouped(R)
     for variant in (R, G):
-        assert (engine.print_type(engine.normalize(variant))
+        assert (terms.print_type(terms.normalize(variant))
                 == print_type(normalize(variant)))
     if case[1] >= 3:
         assert renamed != text and G != R
@@ -397,16 +514,16 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def far_iterates():
-    return {case: engine.iterate_types(*case) for case in GOLDEN}
+    return {case: parametricity.iterate_types(*case) for case in GOLDEN}
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: f"nu{c[0]}-n{c[1]}")
 def test_iterates_past_the_reference_print_as_recorded(far_iterates, case):
     nu, n = case
     T = far_iterates[case]
-    text = engine.print_type(T)
+    text = terms.print_type(T)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
-    assert engine.telescope_stats(T) == {p: hom_count(nu, p, n)
+    assert terms.telescope_stats(T) == {p: hom_count(nu, p, n)
                                          for p in range(n)}
 
 
@@ -464,12 +581,12 @@ def _outcome(run, printer):
            (Proj(3, Tuple((Var("y"), Var("f"), Var("A")))),)),
     "x", Var("y"))
 def test_random_terms_agree_with_the_reference(e, name, value):
-    assert engine.free_vars(e) == free_vars(e)
-    assert engine.print_type(e) == print_type(e)
-    got = engine.subst(e, name, value)
+    assert telescopes.free_vars(e) == free_vars(e)
+    assert terms.print_type(e) == print_type(e)
+    got = telescopes.subst(e, name, value)
     assert got == subst(e, name, value)
-    assert engine.print_type(got) == print_type(got)
-    assert (_outcome(lambda: engine.normalize(e), engine.print_type)
+    assert terms.print_type(got) == print_type(got)
+    assert (_outcome(lambda: terms.normalize(e), terms.print_type)
             == _outcome(lambda: normalize(e), print_type))
 
 
@@ -521,8 +638,99 @@ CHAINED = st.recursive(st.one_of(CHAIN_ATOMS, st.just(Univ())), _chained,
                (Prod((Var("X0"), Var("y"))),)))),
         (FamApp(Var("X1"), (Var("b"), Var("b2"))),)))
 def test_chained_pending_substitutions_agree_with_the_reference(e):
-    assert (_outcome(lambda: engine.normalize(e), engine.print_type)
+    assert (_outcome(lambda: terms.normalize(e), terms.print_type)
             == _outcome(lambda: normalize(e), print_type))
+
+
+# Terms with no product and no projection, where beta steps may go the
+# short way: applied lambdas nest in bodies and in arguments, and binders
+# and free variables share a few names, so that a binder is often free in
+# an argument (no short step, or a rename that sends the call back the
+# long way), and a short step's variable is often bound again inside.
+PLAIN_NAMES = ("x", "x2", "y", "f", "z")
+PLAIN_VARS = st.sampled_from(PLAIN_NAMES).map(Var)
+PLAIN_ARGS = st.recursive(PLAIN_VARS, lambda children: st.builds(
+    FamApp, PLAIN_VARS, st.lists(children, min_size=1, max_size=2).map(
+        tuple)), max_leaves=3)
+
+
+def _plain(children):
+    binders = st.sampled_from(PLAIN_NAMES + ("_",))
+    return st.one_of(
+        st.builds(DepFun, binders, children, children),
+        st.builds(FamApp, PLAIN_VARS,
+                  st.lists(children, min_size=1, max_size=2).map(tuple)),
+        st.builds(lambda b, body, args: FamApp(Lam(b, body), tuple(args)),
+                  binders, children,
+                  st.lists(st.one_of(PLAIN_ARGS, children), min_size=1,
+                           max_size=2)))
+
+
+PLAIN = st.recursive(st.one_of(PLAIN_VARS, st.just(Univ())), _plain,
+                     max_leaves=14)
+
+# (\x. (\y. Pi x:U. x y) x) q: the long way renames the inner x, which
+# the argument of the inner step has free; substituting q first would not.
+SHADOWED = FamApp(Lam("x", FamApp(Lam("y", DepFun(
+    "x", Univ(), FamApp(Var("x"), (Var("y"),)))), (Var("x"),))), (Var("q"),))
+# (\z2. Pi z:U. (\y. Pi z:U. F z y z2) z) a: the long way renames the
+# inner z past z2, the short way's variable, to z3.
+FRESH = FamApp(Lam("z2", DepFun("z", Univ(), FamApp(Lam("y", DepFun(
+    "z", Univ(), FamApp(Var("F"), (Var("z"), Var("y"), Var("z2"))))),
+    (Var("z"),)))), (Var("a"),))
+
+# (\x. (\x2. x U) x x) x: the inner step leaves an argument, so it builds
+# (x U) x with its spine unflattened, which the long way's next walk
+# flattens.
+LEFTOVER = FamApp(Lam("x", FamApp(Lam("x2", FamApp(Var("x"), (Univ(),))),
+                                  (Var("x"), Var("x")))), (Var("x"),))
+
+
+def _ways(e):
+    """normalize(e) by terms._normal_form's steps, and which way its beta
+    steps went: "short" when short steps were taken and kept, "long" when
+    the call started again the long way, "none" when no short step
+    applied."""
+    names = terms._table(e)
+    names.fast = 0
+    try:
+        out = terms._normalize(e, names)
+        way = "short" if names.fast else "none"
+    except terms._LongWay:
+        names.fast = None
+        out, way = terms._normalize(e, names), "long"
+    finally:
+        names.fast = None
+    return out, way
+
+
+def test_short_beta_steps_and_their_fallback():
+    """A translated unary step goes the short way; a redex whose argument
+    has a binder goes the long way at once; the three redexes above start
+    short and go back. Each agrees with the reference."""
+    X = [Var(f"X{j}") for j in range(4)]
+    S = parametricity.iterate_types(1, 3)
+    env = {f"X{j}": ((X[j],), X[j + 1]) for j in range(3)}
+    unary = FamApp(parametricity.translate(S, 1, env), (X[3],))
+    binder_arg = FamApp(Lam("x", FamApp(Var("x"), (Var("y"),))),
+                        (DepFun("z", Univ(), Var("z")),))
+    for e, want in ((unary, "short"), (binder_arg, "none"),
+                    (SHADOWED, "long"), (FRESH, "long"), (LEFTOVER, "long")):
+        out, way = _ways(e)
+        assert way == want, e
+        assert out == normalize(e)
+        assert terms.print_type(out) == print_type(normalize(e))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(PLAIN)
+@example(SHADOWED)
+@example(FRESH)
+@example(LEFTOVER)
+def test_short_beta_steps_agree_with_the_reference(e):
+    out = terms.normalize(e)
+    assert out == normalize(e)
+    assert terms.print_type(out) == print_type(out)
 
 
 TYPE_BINDERS = ("a", "X0", "f", "A", "p", "as", "_")
@@ -548,11 +756,11 @@ def test_random_translations_agree_with_the_reference(T, nu):
     bases (f, A, p, as) exercise the avoid masks of translate."""
     env = {"X0": ((Var("X0"),) * nu, Var("X1"))}
     want = _outcome(lambda: translate(T, nu, env), print_type)
-    assert _outcome(lambda: engine.translate(T, nu, env),
-                    engine.print_type) == want
+    assert _outcome(lambda: parametricity.translate(T, nu, env),
+                    terms.print_type) == want
     if isinstance(want[0], Lam):
         diag = _tuple([Var(n) for n in ("a", "f", "as")[:nu]])
-        assert (engine.print_type(engine.normalize(FamApp(want[0], (diag,))))
+        assert (terms.print_type(terms.normalize(FamApp(want[0], (diag,))))
                 == print_type(normalize(FamApp(want[0], (diag,)))))
 
 
@@ -705,10 +913,10 @@ DISPLAYS = (
 
 def _alpha_corpus():
     """Iterates, the displays, and the print/parse round trip of each."""
-    terms = [engine.iterate_types(nu, n)
-             for nu, top in ((1, 4), (2, 3), (3, 2)) for n in range(top + 1)]
-    terms += [engine.parse_type(text) for text in DISPLAYS]
-    return terms + [engine.parse_type(engine.print_type(T)) for T in terms]
+    corpus = [parametricity.iterate_types(nu, n)
+              for nu, top in ((1, 4), (2, 3), (3, 2)) for n in range(top + 1)]
+    corpus += [syntax.parse_type(text) for text in DISPLAYS]
+    return corpus + [syntax.parse_type(terms.print_type(T)) for T in corpus]
 
 
 def test_alpha_equivalence_agrees_with_the_reference_on_a_corpus():
@@ -717,7 +925,7 @@ def test_alpha_equivalence_agrees_with_the_reference_on_a_corpus():
     answers = set()
     for a in corpus:
         for b in corpus:
-            got = (engine.alpha_eq(a, b), engine.same_telescope(a, b))
+            got = (telescopes.alpha_eq(a, b), telescopes.same_telescope(a, b))
             assert got == (alpha_eq(a, b), same_telescope(a, b)), (a, b)
             answers.add(got)
     assert answers == {(False, False), (False, True), (True, True)}
@@ -780,19 +988,19 @@ def _telescope_pairs(draw):
 def test_random_telescopes_agree_with_the_reference(pair):
     a, b = pair
     for x, y in ((a, b), (a, a), (b, a)):
-        assert engine.alpha_eq(x, y) == alpha_eq(x, y)
-        assert engine.same_telescope(x, y) == same_telescope(x, y)
+        assert telescopes.alpha_eq(x, y) == alpha_eq(x, y)
+        assert telescopes.same_telescope(x, y) == same_telescope(x, y)
 
 
 def test_inner_binders_compare_by_position():
     """A domain that binds a name it uses is compared up to that name.
     The reference printed such a domain with a different binder name on
     each side, so it found the telescope unequal to itself."""
-    T = engine.parse_type("Pi a:X0. Pi f:(Pi y:X0. X1 (a, y)). U")
-    R = engine.parse_type("Pi b:X0. Pi g:(Pi z:X0. X1 (b, z)). U")
-    assert engine.same_telescope(T, T) and engine.same_telescope(T, R)
+    T = syntax.parse_type("Pi a:X0. Pi f:(Pi y:X0. X1 (a, y)). U")
+    R = syntax.parse_type("Pi b:X0. Pi g:(Pi z:X0. X1 (b, z)). U")
+    assert telescopes.same_telescope(T, T) and telescopes.same_telescope(T, R)
     assert not same_telescope(T, T)
-    assert engine.alpha_eq(T, R) and alpha_eq(T, R)
+    assert telescopes.alpha_eq(T, R) and alpha_eq(T, R)
 
 
 def test_alpha_equivalence_at_1023_binders(far_iterates):
@@ -800,6 +1008,6 @@ def test_alpha_equivalence_at_1023_binders(far_iterates):
     both comparisons answer at once, on the term and its printed text."""
     T = far_iterates[(1, 10)]
     t0 = time.monotonic()
-    assert engine.same_telescope(T, T)
-    assert engine.alpha_eq(engine.parse_type(engine.print_type(T)), T)
+    assert telescopes.same_telescope(T, T)
+    assert telescopes.alpha_eq(syntax.parse_type(terms.print_type(T)), T)
     assert time.monotonic() - t0 < 5

@@ -14,12 +14,14 @@ import time
 
 import pytest
 
-from nusets import parametricity
+from nusets import parametricity, syntax, telescopes, terms
 from nusets.errors import NotATelescope, ParseError, UnsupportedConstruct
-from nusets.parametricity import (
-    DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, alpha_eq,
-    free_vars, iterate_types, normalize, parse_type, print_type,
-    same_telescope, telescope_stats, translate,
+from nusets.parametricity import iterate_types, translate
+from nusets.syntax import parse_type
+from nusets.telescopes import alpha_eq, free_vars, same_telescope
+from nusets.terms import (
+    DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, normalize,
+    print_type, telescope_stats,
 )
 from nusets.words import hom_count
 
@@ -86,6 +88,17 @@ def test_parse_error_trailing_input():
 def test_parse_rejects_keyword_binder():
     with pytest.raises(ParseError):
         parse_type("Pi U:A. B")
+
+
+@pytest.mark.parametrize("nu, steps", [(2, 4), (3, 3), (1, 7)])
+def test_printed_telescopes_read_normal(nu, steps):
+    """The reader stamps each node as it builds it, so a printed telescope
+    reads as normal: normalize returns the parsed term itself, and print
+    gives the text back."""
+    text = print_type(iterate_types(nu, steps))
+    T = parse_type(text)
+    assert normalize(T) is T
+    assert print_type(T) == text
 
 
 # --------------------------------------------------------------- printing
@@ -375,8 +388,12 @@ def test_long_split_spines_do_not_recurse():
         "1451b5dfae2ffc1211c7480b98ef3754929de073fd11d579891f9e9e7241c554")
 
 
+MODULES = (terms, syntax, parametricity, telescopes)
+
+
 def _module_containers():
-    return {name: len(obj) for name, obj in vars(parametricity).items()
+    return {(m.__name__, name): len(obj) for m in MODULES
+            for name, obj in vars(m).items()
             if isinstance(obj, (dict, list, set)) and name != "__builtins__"}
 
 
@@ -385,8 +402,7 @@ def test_name_tables_live_with_their_terms():
     every name table iterate_types and normalize made is freed once their
     terms are dropped, and no module-level container grew."""
     def tables():
-        return sum(isinstance(o, parametricity._Names)
-                   for o in gc.get_objects())
+        return sum(isinstance(o, terms._Names) for o in gc.get_objects())
 
     containers = _module_containers()
     gc.collect()
@@ -407,5 +423,5 @@ def test_name_tables_live_with_their_terms():
     assert after <= before
     grown = _module_containers()
     assert all(grown[k] <= containers.get(k, 0) for k in grown), grown
-    assert not any(isinstance(o, parametricity._Names)
-                   for o in vars(parametricity).values())
+    assert not any(isinstance(o, terms._Names)
+                   for m in MODULES for o in vars(m).values())
