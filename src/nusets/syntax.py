@@ -13,9 +13,7 @@ named "_" are arrows.
 import re
 
 from .errors import ParseError
-from .terms import (
-    DepFun, FamApp, Prod, Tuple, Univ, Var, _Info, _Names, _Node, _stamp,
-)
+from .terms import DepFun, FamApp, Prod, Tuple, Univ, Var, _Names, _stamp
 
 
 # A symbol, an identifier, or a stray character: the group that matched
@@ -47,11 +45,6 @@ def _tokenize(text):
     return tokens
 
 
-def _set_cache(node, info):
-    _Node._setters[0](node, info)  # _cache
-    return node
-
-
 class _Reader:
     """Recursive descent over the token list, by index. Every node is
     stamped under the reader's name table as it is built (see "scoping"
@@ -63,7 +56,7 @@ class _Reader:
         self.pos = 0
         self.names = _Names()
         self.vars = {}
-        self.univ = _set_cache(Univ(), _Info(self.names, 0, 0, True, False))
+        self.univ = _stamp(Univ(), (), self.names)
 
     def take(self):
         tok = self.tokens[self.pos]
@@ -108,14 +101,8 @@ class _Reader:
                 break
             self.pos += 1
             binders.append(("_", out))
-        names = self.names
         for binder, dom in reversed(binders):
-            # _cache as _stamp sets it, inline as a spine builds many
-            d, c = dom._cache, out._cache
-            b = names.bit(binder)
-            out = _set_cache(DepFun(binder, dom, out), _Info(
-                names, d.fv | c.fv & ~b, d.bv | c.bv | b,
-                d.nf and c.nf and type(dom) is not Prod, d.pp or c.pp))
+            out = _stamp(DepFun(binder, dom, out), (dom, out), self.names)
         return out
 
     def prod(self):
@@ -125,9 +112,7 @@ class _Reader:
             items.append(self.app())
         if len(items) == 1:
             return items[0]
-        node = Prod(items)
-        _stamp(node, node.items, self.names)
-        return node
+        return _stamp(Prod(items), items, self.names)
 
     def app(self):
         head = self.atom()
@@ -136,17 +121,14 @@ class _Reader:
             args.append(self.atom())
         if not args:
             return head
-        node = FamApp(head, args)
-        _stamp(node, (head, *node.args), self.names)
-        return node
+        return _stamp(FamApp(head, args), (head, *args), self.names)
 
     def atom(self):
         kind, tok, ln, col = self.take()
         if kind == _ID:
             var = self.vars.get(tok)
             if var is None:
-                var = self.vars[tok] = _set_cache(Var(tok), _Info(
-                    self.names, self.names.bit(tok), 0, True, False))
+                var = self.vars[tok] = _stamp(Var(tok), (), self.names)
             return var
         if kind == "U":
             return self.univ
@@ -158,9 +140,7 @@ class _Reader:
             self.expect(")")
             if len(items) == 1:
                 return items[0]
-            node = Tuple(items)
-            _stamp(node, node.items, self.names)
-            return node
+            return _stamp(Tuple(items), items, self.names)
         raise ParseError(f"expected a type, found {tok!r}", line=ln, col=col)
 
 

@@ -218,7 +218,8 @@ def _kids(e):
 
 
 def _stamp(e, kids, names):
-    """Cache e's _Info from its children's, which are stamped already.
+    """Cache e's _Info from its children's, which are stamped already, and
+    return e.
 
     nf holds exactly when every child is normal and e is no redex and
     nothing normalize reshapes: no product domain, no projection of a
@@ -252,9 +253,8 @@ def _stamp(e, kids, names):
         nf = nf and bool(e.args) and not isinstance(e.head, (FamApp, Lam))
     elif isinstance(e, Prod):
         pp = True
-    info = _Info(names, fv, bv, nf, pp)
-    _Node._setters[0](e, info)  # _cache
-    return info
+    _Node._setters[0](e, _Info(names, fv, bv, nf, pp))  # _cache
+    return e
 
 
 def _scan(e, names):
@@ -297,8 +297,7 @@ def _fresh(base, avoid, names):
 #
 # A substitution is a list of entries applied in order, each replacing
 # one free variable by a value: e[sigma] is e[v1/x1][v2/x2]... An entry
-# is (x, bit of x, v, free-variable mask of v, bound-name mask of v,
-# whether a product or a projection lies in v).
+# is (x, bit of x, v, free-variable mask of v, bound-name mask of v).
 # Applying an entry renames a binder that would capture a free variable
 # of v, even where x does not occur below it; those renames give the
 # printed names. So an entry changes a subterm exactly when x is free in
@@ -310,7 +309,7 @@ def _fresh(base, avoid, names):
 
 def _entry(name, value, names):
     info = _info(value, names)
-    return (name, names.bit(name), value, info.fv, info.bv, info.pp)
+    return (name, names.bit(name), value, info.fv, info.bv)
 
 
 def _prune(sigma, fv, bv):
@@ -394,15 +393,15 @@ def _closure(term, sigma, names):
     if not sigma:
         return term
     c = _Closure(term, sigma)
-    pp = info.pp or any(ent[5] for ent in sigma)
-    _Node._setters[0](c, _Info(names, fv, bv, False, pp))  # _cache
+    # _cache, with pp set, as a pending value may hold a product
+    _Node._setters[0](c, _Info(names, fv, bv, False, True))
     return c
 
 
 # --------------------------------------------------------- normalization
 
 
-_DEP, _LAM, _APP, _BETA = range(4)
+_DEP, _LAM, _APP = range(3)
 
 
 class _LongWay(Exception):
@@ -412,12 +411,14 @@ class _LongWay(Exception):
 def normalize(e):
     """Beta and projection reduction, plus telescope shaping: a dependent
     function whose domain is a product splits into one binder per factor.
-    Terminating on this fragment; idempotent by construction.
+    Terminating on this fragment.
 
     A node whose cached flag says normal (see _stamp) and that no pending
     entry changes is returned at once. The flag is read off the node and
     its children, and it implies normalize(e) == e, so returning e is
-    exact."""
+    exact. Every node the walk builds is stamped, and a beta step that
+    leaves arguments flattens the spine it builds, so the result's flag
+    says normal: normalize(normalize(e)) is normalize(e)."""
     return _normal_form(e, _table(e))
 
 
@@ -429,18 +430,17 @@ def _normal_form(e, names):
     one per hypothesis, that rebuilds about binders squared nodes. A
     short step normalizes a first, then walks the raw B once with the
     outer entries and x := a. It applies where no product or projection
-    lies in the redex or in a pending value (nothing splits and nothing
-    raises, so the order of the parts does not matter), a is binder-free,
-    the outer entries keep the lambda's binder, and no binder of B is free
-    in a (the new entry renames nothing).
+    lies in the redex, nor then in a pending value (see _normalize), so
+    nothing splits and nothing raises and the order of the parts does not
+    matter; where a is binder-free; where the outer entries keep the
+    lambda's binder; and where no binder of B is free in a (the new entry
+    renames nothing).
 
     The two ways then give the same names as long as, from the first
-    short step on, no binder is renamed (_bind), no binder named like a
-    short step's x is left in the result (_survive; the long way renames
-    one where an argument has that x free), and no beta step leaves its
-    extra arguments on an application spine (which the long way's next
-    walk flattens). If one of these fails, the call starts again, the
-    long way."""
+    short step on, no binder is renamed (_bind) and no binder named like
+    a short step's x is left in the result (_survive; the long way renames
+    one where an argument has that x free). If either fails, the call
+    starts again, the long way."""
     names.fast = 0
     try:
         return _normalize(e, names)
@@ -476,11 +476,11 @@ def _normalize(e, names, sigma=()):
     node takes the entries with it into its parts."""
     # Contexts still to rebuild, innermost last: a binder over its
     # normalized domain, a lambda, or an application waiting for its
-    # head. _APP holds the raw arguments and their entries, normalized
-    # once the head is (in that order, as errors must come out in the
-    # same order), and flattens the head's spine; _BETA holds normal
-    # arguments, for a beta step once the head is normal, and flattens
-    # nothing.
+    # head. _APP holds the arguments and their entries: raw arguments are
+    # normalized once the head is (in that order, as errors must come out
+    # in the same order); normal ones, which a beta step leaves, have
+    # None. It flattens the head's spine, then takes a beta step if the
+    # head is a lambda.
     todo = []
     while True:
         while True:
@@ -503,26 +503,28 @@ def _normalize(e, names, sigma=()):
                 e = e.body
             elif isinstance(e, FamApp):
                 head = e.head
-                if (type(head) is not Lam or names.fast is None
-                        or e._cache.pp or any(ent[5] for ent in sigma)):
+                if type(head) is not Lam or names.fast is None or e._cache.pp:
                     todo.append((_APP, sigma, e.args))
                     e = head
                     sigma = _reaching(sigma, e, names)
                     continue
-                # no product or projection: the arguments first, as
-                # nothing can raise
+                # No product or projection lies in the redex, nor in a
+                # pending value: short steps, splits and renames add
+                # values free of them, and the only other entries come
+                # from a rebuild's beta step, which walks a normal body.
+                # That holds no applied lambda, so its walk takes no
+                # short step. Nothing can raise: the arguments go first.
                 args = [_part(a, names, sigma) for a in e.args]
                 sigma = _reaching(sigma, head, names)
                 binder, inner = _bind(head.binder, head.body, sigma, names)
                 a, b = args[0]._cache, head.body._cache
                 if (binder != head.binder or a.bv
                         or _prune(inner, b.fv, b.bv)[2] & a.fv):
-                    todo.append((_BETA, None, args))
+                    todo.append((_APP, None, args))
                     e = head
                     continue
                 names.fast |= names.bits[binder]
-                if len(args) > 1:
-                    todo.append((_BETA, None, args[1:]))
+                todo.append((_APP, None, args[1:]))
                 e = head.body
                 sigma = _reaching([*inner, _entry(binder, args[0], names)],
                                   e, names)
@@ -540,44 +542,26 @@ def _normalize(e, names, sigma=()):
         while todo:
             kind, binder, part = todo.pop()
             if kind == _DEP:
-                d, c = part._cache, e._cache
-                b = names.bits[binder]
-                _survive(b, names)
-                node = DepFun(binder, part, e)
-                # _cache as _stamp sets it, inline as every binder visit
-                # builds one; part is never a product here
-                _Node._setters[0](node, _Info(
-                    names, d.fv | c.fv & ~b, d.bv | c.bv | b, d.nf and c.nf,
-                    d.pp or c.pp))
-                e = node
+                _survive(names.bits[binder], names)
+                e = _stamp(DepFun(binder, part, e), (part, e), names)
             elif kind == _LAM:
                 _survive(names.bits[binder], names)
-                node = Lam(binder, e)
-                _stamp(node, (e,), names)
-                e = node
+                e = _stamp(Lam(binder, e), (e,), names)
             else:
                 args = part
-                if kind == _APP:  # binder holds the arguments' entries
+                if binder is not None:  # the arguments' entries
                     args = [_part(a, names, binder) for a in args]
-                    while isinstance(e, FamApp):
-                        args = list(e.args) + args
-                        e = e.head
+                while args and isinstance(e, FamApp):
+                    args = [*e.args, *args]
+                    e = e.head
                 if args and isinstance(e, Lam):
-                    arg = args.pop(0)
-                    todo.append((_BETA, None, args))
-                    sigma = _reaching([_entry(e.binder, arg, names)],
+                    todo.append((_APP, None, args[1:]))
+                    sigma = _reaching([_entry(e.binder, args[0], names)],
                                       e.body, names)
                     e = e.body
                     break  # normalize the contractum, then come back
                 if args:
-                    if names.fast and isinstance(e, FamApp):
-                        # _BETA's unflattened spine, which the long way
-                        # would flatten in its next walk
-                        raise _LongWay
-                    args = tuple(args)
-                    node = FamApp(e, args)
-                    _stamp(node, (e,) + args, names)
-                    e = node
+                    e = _stamp(FamApp(e, args), (e, *args), names)
         else:
             return e
 

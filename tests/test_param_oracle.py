@@ -3,12 +3,13 @@
 The engine caches free-variable and binder masks on nodes, short-cuts
 substitution, carries it pending through normalization and walks spines
 in loops; the names it prints must not move, because printed telescopes
-are output. The reference below is the
-named engine as it was before: free_vars, _fresh, subst, normalize,
-translate, iterate_types and print_type copied unchanged, and the
-tokenizer and parser of the reader before it stamped terms as it built
-them, with Pi and arrow spines read by recursion; and alpha_rename,
-alpha_eq, _splice and same_telescope as they were before
+are output. The reference below is the named engine as it was before:
+free_vars, _fresh, subst, translate, iterate_types and print_type copied
+unchanged; normalize copied with one change, that a beta step which
+leaves arguments flattens the spine it builds, so that normalize is
+idempotent; the tokenizer and parser of the reader before it stamped
+terms as it built them, with Pi and arrow spines read by recursion; and
+alpha_rename, alpha_eq, _splice and same_telescope as they were before
 alpha-equivalence went by binder position. Unqualified names in this
 module are the reference; the engine is reached through the modules that
 define it (``terms.normalize``, ``syntax.parse_type``, ...). Each test
@@ -109,7 +110,8 @@ def subst(e, name, value):
 def normalize(e):
     """Beta and projection reduction, plus telescope shaping: a dependent
     function whose domain is a product splits into one binder per factor.
-    Terminating on this fragment; idempotent by construction."""
+    Terminating on this fragment; idempotent, as the spine is flattened
+    after each beta step."""
     if isinstance(e, (Univ, Var)):
         return e
     if isinstance(e, DepFun):
@@ -146,11 +148,12 @@ def normalize(e):
     if isinstance(e, FamApp):
         head = normalize(e.head)
         args = [normalize(a) for a in e.args]
-        while isinstance(head, FamApp):
-            args = list(head.args) + args
-            head = head.head
-        while args and isinstance(head, Lam):
-            head = normalize(subst(head.body, head.binder, args.pop(0)))
+        while isinstance(head, FamApp) or args and isinstance(head, Lam):
+            if isinstance(head, FamApp):
+                args = list(head.args) + args
+                head = head.head
+            else:
+                head = normalize(subst(head.body, head.binder, args.pop(0)))
         if not args:
             return head
         return FamApp(head, tuple(args))
@@ -504,10 +507,13 @@ def test_printed_telescopes_read_back_as_before(reference, case):
 # of larger iterates, where splits and renames nest deepest, are pinned by
 # their sha256, recorded with the engine that held the reference's bytes
 # at every case above before normalization carried pending substitutions.
+# (2, 6) was recorded later, by the engine with pending substitutions and
+# short beta steps, before a beta step flattened the spine it builds.
 GOLDEN = {
     (1, 9): "547dc9d20807bf3c152c3718a54a12e0b429e611c692253d01cdcfc4ef9219b5",
     (1, 10): "4f7d057151fc693fe27475b17880a76bcf1a0165e86990368481173782d4253c",
     (2, 5): "7263ccbb9cde2131d67f15e59f116eaf418b14fa75d20736a199b075c31e4ed4",
+    (2, 6): "6781e482ac64701086afbfd52f611da6e3f5ba0ebb3b8b25ec212590566937a5",
     (3, 4): "24609a0f961905afbcbb24fb7d388250732061f2af5c8b4074dbe4defc8ffd14",
 }
 
@@ -679,9 +685,8 @@ FRESH = FamApp(Lam("z2", DepFun("z", Univ(), FamApp(Lam("y", DepFun(
     "z", Univ(), FamApp(Var("F"), (Var("z"), Var("y"), Var("z2"))))),
     (Var("z"),)))), (Var("a"),))
 
-# (\x. (\x2. x U) x x) x: the inner step leaves an argument, so it builds
-# (x U) x with its spine unflattened, which the long way's next walk
-# flattens.
+# (\x. (\x2. x U) x x) x: the inner step leaves an argument, and the
+# spine it builds, x U x, is flat, as the long way builds it.
 LEFTOVER = FamApp(Lam("x", FamApp(Lam("x2", FamApp(Var("x"), (Univ(),))),
                                   (Var("x"), Var("x")))), (Var("x"),))
 
@@ -705,17 +710,26 @@ def _ways(e):
 
 
 def test_short_beta_steps_and_their_fallback():
-    """A translated unary step goes the short way; a redex whose argument
-    has a binder goes the long way at once; the three redexes above start
-    short and go back. Each agrees with the reference."""
+    """A translated unary step and LEFTOVER go the short way. A redex goes
+    the long way at once when its argument has a binder, when a split's
+    entry renames its lambda's binder, or when its body binds a name free
+    in the argument. SHADOWED and FRESH start short and go back. Each
+    agrees with the reference."""
     X = [Var(f"X{j}") for j in range(4)]
     S = parametricity.iterate_types(1, 3)
     env = {f"X{j}": ((X[j],), X[j + 1]) for j in range(3)}
     unary = FamApp(parametricity.translate(S, 1, env), (X[3],))
     binder_arg = FamApp(Lam("x", FamApp(Var("x"), (Var("y"),))),
                         (DepFun("z", Univ(), Var("z")),))
-    for e, want in ((unary, "short"), (binder_arg, "none"),
-                    (SHADOWED, "long"), (FRESH, "long"), (LEFTOVER, "long")):
+    # Pi x:(U * U). (\x2. F x2) x: the split's entry x := (x2, x3)
+    # renames the lambda's x2 to x4
+    renamed = DepFun("x", Prod((Univ(), Univ())), FamApp(
+        Lam("x2", FamApp(Var("F"), (Var("x2"),))), (Var("x"),)))
+    # (\x. Pi y:U. x) y: the body binds y, which the argument has free
+    captured = FamApp(Lam("x", DepFun("y", Univ(), Var("x"))), (Var("y"),))
+    for e, want in ((unary, "short"), (LEFTOVER, "short"),
+                    (binder_arg, "none"), (renamed, "none"),
+                    (captured, "none"), (SHADOWED, "long"), (FRESH, "long")):
         out, way = _ways(e)
         assert way == want, e
         assert out == normalize(e)
@@ -990,6 +1004,19 @@ def test_random_telescopes_agree_with_the_reference(pair):
     for x, y in ((a, b), (a, a), (b, a)):
         assert telescopes.alpha_eq(x, y) == alpha_eq(x, y)
         assert telescopes.same_telescope(x, y) == same_telescope(x, y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(PLAIN, CHAINED, TERMS, HYPS.map(_telescope)))
+@example(LEFTOVER)
+def test_normalize_is_idempotent(e):
+    """normalize returns its own result at once: every node it builds is
+    stamped normal (see terms._stamp), a beta step's spine included."""
+    try:
+        out = terms.normalize(e)
+    except UnsupportedConstruct:
+        return
+    assert terms.normalize(out) is out
 
 
 def test_inner_binders_compare_by_position():

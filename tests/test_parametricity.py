@@ -204,6 +204,15 @@ def test_normalize_beta():
     assert got == FamApp(Var("F"), (Var("t"),))
 
 
+def test_normalize_flattens_a_beta_result():
+    """(\\y. x U) a b: the step leaves b, and the spine it builds is flat
+    and stamped normal, so normalizing it again returns it."""
+    got = normalize(FamApp(Lam("y", FamApp(Var("x"), (Univ(),))),
+                           (Var("a"), Var("b"))))
+    assert got == FamApp(Var("x"), (Univ(), Var("b")))
+    assert got._cache.nf
+
+
 def test_normalize_projection():
     got = normalize(Proj(0, Pair(Var("a"), Var("b"))))
     assert got == Var("a")
