@@ -7,8 +7,10 @@ word; longer words act by peeling letters. The functor laws then reduce to
 a codimension-2 exchange check.
 """
 
-from nusets.presheaf import (FinSet, TruncatedPresheaf, action,
-                             check_functor_laws, emit_nuset, parse_nuset)
+from nusets.fileformat import FinSet
+from nusets.presheaf import (
+    TruncatedPresheaf, action, check_functor_laws, emit_nuset, parse_nuset,
+)
 from nusets.shapes import standard_shape
 from nusets.words import parse_word
 

@@ -10,10 +10,13 @@ would discharge by rewriting become runtime checks.
 """
 
 from nusets.errors import CoherenceMismatch
-from nusets.indexed import (FrameVal, LayerVal, check_coh_frame,
-                            enumerate_frames, enumerate_paintings, frame_key,
-                            grow_indexed, parse_value, restr_frame,
-                            restr_layer, validate_indexed)
+from nusets.frames import (
+    FrameVal, LayerVal, enumerate_frames, enumerate_paintings, frame_key,
+    grow_indexed, parse_value,
+)
+from nusets.indexed import (
+    check_coh_frame, restr_frame, restr_layer, validate_indexed,
+)
 
 # grow a two-point set: 2 vertices, one cell in every higher fibre
 S = grow_indexed(2, 2, lambda n, d: 2 if n == 0 else 1)

@@ -9,7 +9,7 @@ data, and the fibre sizes always partition the carrier sizes.
 
 from nusets.equivalence import (boundary_frame, random_indexed,
                                 round_trip_report, to_fibred, to_indexed)
-from nusets.indexed import frame_key
+from nusets.frames import frame_key
 from nusets.shapes import standard_shape
 
 # the square's unique 2-cell, as the shell it closes off

@@ -8,8 +8,8 @@ up. Levels are produced lazily, memoized, and shared across next() copies.
 """
 
 from nusets.errors import ValidationFailure
-from nusets.indexed import (enumerate_frames, frame_key, grow_indexed,
-                            validate_indexed)
+from nusets.frames import enumerate_frames, frame_key, grow_indexed
+from nusets.indexed import validate_indexed
 from nusets.streams import NuSetStream, extend_singleton, take
 
 base = grow_indexed(2, 1, lambda n, d: 2 if n == 0 else 1)

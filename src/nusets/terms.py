@@ -123,13 +123,13 @@ def _prod(items):
 #
 # Terms stay named, because the printed names are output: they come from
 # the order of the capture-avoiding renames below. So that no pass
-# rescans a term, each node caches one _Info when the reader or the
-# normalizer builds it, or else the first time a pass looks at it: its
-# free variables and every name bound inside it, as bitmasks over a name
-# table, whether normalize returns it unchanged, and whether a product or
-# a projection lies in it. It is one slot, _cache, which is no field: it
-# stays out of equality, hashing and printing, and it is the one slot set
-# after construction.
+# rescans a term, each node caches one _Info when the reader, the
+# translation or the normalizer builds it (_made), or else the first time
+# a pass looks at it (_scan): its free variables and every name bound
+# inside it, as bitmasks over a name table, whether normalize returns it
+# unchanged, and whether a product or a projection lies in it. It is one
+# slot, _cache, which is no field: it stays out of equality, hashing and
+# printing, and it is the one slot set after construction.
 #
 # Normalization does not substitute into a term and then walk the
 # result. It walks the term with the substitution pending, a list of
@@ -257,6 +257,11 @@ def _stamp(e, kids, names):
     return e
 
 
+def _made(e, names):
+    """e, a node just built from children stamped under names, stamped."""
+    return _stamp(e, _kids(e), names)
+
+
 def _scan(e, names):
     """Stamp e and every node below it not stamped under names; return
     e's _Info. Iterative, so a long spine does not recurse."""
@@ -358,7 +363,7 @@ def _bind(binder, inner, sigma, names):
             if names.fast:  # a rename after a short beta step
                 raise _LongWay
             new = _fresh(binder, vfv | fv | xbit, names)
-            ren = _entry(binder, Var(new), names)
+            ren = _entry(binder, _made(Var(new), names), names)
             binder, bit = new, ren[3]
             kept, fv, bv = _prune((ren,), fv, bv)
             out += kept
@@ -537,7 +542,6 @@ def _normalize(e, names, sigma=()):
                 sigma = _reaching(sigma, e, names)
             else:
                 e = _normalize_items(e, names, sigma)
-                _info(e, names)
                 break
         while todo:
             kind, binder, part = todo.pop()
@@ -595,27 +599,29 @@ def _split(binder, dom, cod, sigma, names):
         nm = _fresh(binder, avoid, names)
         avoid |= names.bit(nm)
         parts.append(nm)
-    tup = Tuple(tuple(Var(nm) for nm in parts))
+    tup = _made(Tuple(tuple(_made(Var(nm), names) for nm in parts)), names)
     body = _closure(cod, [*sigma, _entry(binder, tup, names)], names)
     for nm, item in zip(reversed(parts), reversed(dom.items)):
-        body = DepFun(nm, item, body)
+        body = _made(DepFun(nm, item, body), names)
     return body
 
 
 def _normalize_items(e, names, sigma):
-    """Normalize a product, tuple or projection with sigma pending."""
+    """Normalize a product, tuple or projection with sigma pending; the
+    result is stamped."""
     if isinstance(e, Prod):
-        return Prod(tuple(_part(i, names, sigma) for i in e.items))
+        return _made(Prod(tuple(_part(i, names, sigma) for i in e.items)),
+                     names)
     if isinstance(e, Tuple):
         items = tuple(_part(i, names, sigma) for i in e.items)
-        return items[0] if len(items) == 1 else Tuple(items)
+        return items[0] if len(items) == 1 else _made(Tuple(items), names)
     t = _part(e.tuple_, names, sigma)
     if isinstance(t, Tuple):
         if not (0 <= e.index < len(t.items)):
             raise UnsupportedConstruct(
                 f"projection {e.index} on width {len(t.items)}")
         return t.items[e.index]
-    return Proj(e.index, t)
+    return _made(Proj(e.index, t), names)
 
 
 # ------------------------------------------------------------ telescopes

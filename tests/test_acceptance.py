@@ -14,10 +14,12 @@ from nusets.equivalence import (
     boundary_frame, random_indexed, round_trip_report, to_fibred, to_indexed,
 )
 from nusets.errors import CoherenceMismatch
+from nusets.frames import (
+    FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, emit_indexed,
+    enumerate_frames, frame_key, full_frame, grow_indexed, parse_value,
+)
 from nusets.indexed import (
-    FrameVal, _cells, LayerVal, PaintingVal, coherence_sweep, enumerate_frames,
-    frame_key, full_frame, grow_indexed, parse_value, restr_frame,
-    restr_layer, restr_painting,
+    coherence_sweep, restr_frame, restr_layer, restr_painting,
 )
 from nusets.parametricity import iterate_types
 from nusets.syntax import parse_type
@@ -28,7 +30,6 @@ from nusets.shapes import geometric_inventory, standard_shape
 from nusets.streams import extend_singleton, take
 from nusets.words import compose, hom_count, hom_enumerate, identity, \
     parse_word
-from nusets.indexed import IndexedNuSet, emit_indexed
 
 
 def _budget(t0, limit):

@@ -13,7 +13,7 @@ import pytest
 from nusets.cli import main
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
-from nusets.indexed import emit_indexed, grow_indexed, parse_indexed
+from nusets.frames import emit_indexed, grow_indexed, parse_indexed
 from nusets.parametricity import iterate_types
 from nusets.presheaf import emit_nuset, parse_nuset
 from nusets.shapes import standard_shape
@@ -510,79 +510,92 @@ def test_stdin_not_utf8_exits_two(env):
 
 
 # Each command runs in a fresh interpreter and pays on every run for what
-# it imports: the dataclasses module takes milliseconds to import, and
+# it imports: each module is compiled from source when no bytecode is
+# written, and the dataclasses module takes milliseconds to import, and
 # each dataclass about a millisecond to create.
 _IMPORT_PROBE = """
 import sys
 from nusets.cli import main
-module = sys.argv[1]
 try:
-    main(sys.argv[2:])
+    main(sys.argv[1:])
 finally:
-    sys.stderr.write(f"\\n{module} imported: {module in sys.modules}")
+    sys.stderr.write("\\nimported: " + " ".join(sorted(sys.modules)))
 """
 
 
-def _imported(module, argv, files):
-    """Whether running the CLI on argv imports module, in a fresh
-    interpreter; {indexed} and {fibred} in argv name the fixture files."""
+def _modules(argv, files):
+    """The modules running the CLI on argv imports, in a fresh
+    interpreter; the keys of files in argv name fixture files."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, module,
+        [sys.executable, "-c", _IMPORT_PROBE,
          *(files.get(a, a) for a in argv)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     last = proc.stderr.rsplit("\n", 1)[-1]
-    assert last.startswith(f"{module} imported: "), proc.stderr
-    return last.endswith("True")
+    assert last.startswith("imported: "), proc.stderr
+    return set(last[len("imported: "):].split())
 
 
-@pytest.mark.parametrize("argv", [
-    ["hom", "--nu", "2", "-p", "1", "-n", "2"],
-    ["compose", "--nu", "2", "L*", "*"],
-    ["shape", "--nu", "2", "-n", "2"],
-    ["validate", "{indexed}"],
-    ["validate", "{fibred}"],
-    ["convert", "{indexed}"],
-    ["convert", "{fibred}"],
-    ["coh-check", "{indexed}"],
-    ["roundtrip", "{indexed}"],
-    ["roundtrip", "--nu", "2", "-n", "2", "--seed", "1"],
-    ["extend", "{indexed}", "--levels", "1"],
-    ["param", "--nu", "2", "-n", "2"],
-], ids=["hom", "compose", "shape", "validate-indexed", "validate-fibred",
-        "convert-indexed", "convert-fibred", "coh-check",
-        "roundtrip-indexed", "roundtrip-random", "extend", "param"])
-def test_no_command_imports_dataclasses(argv, square_indexed, square_fibred):
-    files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
-    assert not _imported("dataclasses", argv, files)
+# Each call, and the nusets modules it imports besides nusets.cli and
+# nusets.errors. Only validate and coh-check of an indexed file restrict
+# (nusets.indexed). An indexed file is read without the fibred format
+# (presheaf) and words, unless the call builds a fibred structure.
+# Iterating a telescope does not read one (syntax), reading one does not
+# iterate (parametricity), and neither compares up to names (telescopes).
+_CALLS = {
+    "hom": (["hom", "--nu", "2", "-p", "1", "-n", "2"], "frozen words"),
+    "compose": (["compose", "--nu", "2", "L*", "*"], "frozen words"),
+    "shape": (["shape", "--nu", "2", "-n", "2"],
+              "fileformat frozen presheaf report shapes words"),
+    "validate-indexed": (["validate", "{indexed}"],
+                         "fileformat frames frozen indexed report"),
+    "validate-fibred": (["validate", "{fibred}"],
+                        "fileformat frozen presheaf report words"),
+    "convert-indexed": (["convert", "{indexed}"], "equivalence fileformat "
+                        "frames frozen presheaf report words"),
+    "convert-fibred": (["convert", "{fibred}"], "equivalence fileformat "
+                       "frames frozen presheaf report words"),
+    "coh-check": (["coh-check", "{indexed}"],
+                  "fileformat frames frozen indexed report"),
+    "roundtrip-indexed": (["roundtrip", "{indexed}"], "equivalence "
+                          "fileformat frames frozen presheaf report words"),
+    "roundtrip-fibred": (["roundtrip", "{fibred}"], "equivalence "
+                         "fileformat frames frozen presheaf report words"),
+    "roundtrip-random": (["roundtrip", "--nu", "2", "-n", "2", "--seed", "1"],
+                         "equivalence fileformat frames frozen presheaf "
+                         "report words"),
+    "extend": (["extend", "{indexed}", "--levels", "1"],
+               "fileformat frames frozen report streams"),
+    "param": (["param", "--nu", "2", "-n", "2"],
+              "frozen parametricity terms"),
+    "param-file": (["param", "{type}"], "frozen syntax terms"),
+}
 
 
-def test_fibred_validate_leaves_the_indexed_module_alone(
-        square_indexed, square_fibred):
-    """A fibred file is checked by the functor laws alone, so validating
-    it does not import the indexed module; an indexed file does import it."""
-    files = {"{indexed}": square_indexed, "{fibred}": square_fibred}
-    assert not _imported("nusets.indexed", ["validate", "{fibred}"], files)
-    assert _imported("nusets.indexed", ["validate", "{indexed}"], files)
+@pytest.fixture
+def probe_files(square_indexed, square_fibred, tmp_path):
+    ty = tmp_path / "t.ty"
+    ty.write_text("Pi a:X0. X1 a -> U")
+    return {"{indexed}": square_indexed, "{fibred}": square_fibred,
+            "{type}": str(ty)}
 
 
-def test_param_compiles_only_the_engine_it_runs(tmp_path):
-    """Iterating imports the translation and not the reader; reading a
-    file imports the reader and not the translation; neither imports the
-    comparisons up to names."""
-    f = tmp_path / "t.ty"
-    f.write_text("Pi a:X0. X1 a -> U")
-    files = {"{file}": str(f)}
-    steps = ["param", "--nu", "2", "-n", "2"]
-    read = ["param", "{file}"]
-    assert _imported("nusets.parametricity", steps, files)
-    assert not _imported("nusets.syntax", steps, files)
-    assert not _imported("nusets.telescopes", steps, files)
-    assert _imported("nusets.syntax", read, files)
-    assert not _imported("nusets.parametricity", read, files)
-    assert not _imported("nusets.telescopes", read, files)
+@pytest.mark.parametrize("argv", [argv for argv, _ in _CALLS.values()],
+                         ids=list(_CALLS))
+def test_no_command_imports_dataclasses(argv, probe_files):
+    assert "dataclasses" not in _modules(argv, probe_files)
+
+
+@pytest.mark.parametrize("argv, expected", list(_CALLS.values()),
+                         ids=list(_CALLS))
+def test_each_call_imports_only_the_modules_it_runs(argv, expected,
+                                                    probe_files):
+    ours = {m for m in _modules(argv, probe_files)
+            if m.startswith("nusets.")}
+    assert ours == {f"nusets.{m}" for m in ["cli", "errors",
+                                            *expected.split()]}
 
 
 def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):

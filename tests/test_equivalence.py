@@ -21,14 +21,15 @@ from nusets.equivalence import (
 from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
-from nusets import indexed
-from nusets.indexed import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_totality,
-    emit_indexed, frame_key, full_frame, parse_indexed, parse_value,
-    restr_frame, validate_indexed,
+from nusets.fileformat import FinSet
+from nusets.frames import (
+    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells,
+    check_totality, emit_indexed, frame_key, full_frame, parse_indexed,
+    parse_value,
 )
+from nusets.indexed import restr_frame, validate_indexed
 from nusets.presheaf import (
-    FinSet, TruncatedPresheaf, carrier_sizes, check_functor_laws,
+    TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )
 from nusets.report import Report
 from nusets.shapes import standard_shape
@@ -52,7 +53,7 @@ def _collect(S, offsets, base, c, acc):
 
 def cells_in_frame(S, d):
     """Absolute carrier positions mentioned anywhere in a full frame."""
-    offsets = [indexed._cells(S, m) for m in range(S.trunc + 1)]
+    offsets = [_cells(S, m) for m in range(S.trunc + 1)]
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
@@ -168,7 +169,7 @@ def test_boundary_frames_are_the_family_keys(nu, n):
     conversion of the same structure keys its families the same way."""
     P = standard_shape(nu, n)
     for S in (to_indexed(P), to_indexed(P)):
-        values = S._memo[indexed._VALUES]
+        values = S._memo[_VALUES]
         for m in range(n + 1):
             keys = {id(d) for d in S.families[m]}
             for x in range(P.carriers[m].size):
@@ -215,7 +216,7 @@ def test_to_fibred_all_singletons():
     fams = {0: {FrameVal(0, 0, ()): FinSet(1)}}
     S0 = IndexedNuSet(2, 0, fams)
     fams = dict(fams)
-    from nusets.indexed import enumerate_frames
+    from nusets.frames import enumerate_frames
     fams[1] = {d: FinSet(1) for d in enumerate_frames(S0, 1, 1)}
     S = IndexedNuSet(2, 1, fams)
     P = to_fibred(S)

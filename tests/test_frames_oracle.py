@@ -11,15 +11,15 @@ from itertools import product
 
 import pytest
 
-from nusets import indexed
 from nusets.equivalence import random_indexed, to_fibred, to_indexed
 from nusets.errors import UnknownFrame
-from nusets.indexed import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, _intern, check_totality,
-    emit_indexed, enumerate_frames, enumerate_paintings, frame_key,
-    full_frame, grow_indexed, parse_indexed, restr_frame,
+from nusets.fileformat import FinSet
+from nusets.frames import (
+    FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, _faces, _frames,
+    _intern, check_totality, emit_indexed, enumerate_frames,
+    enumerate_paintings, frame_key, full_frame, grow_indexed, parse_indexed,
 )
-from nusets.presheaf import FinSet
+from nusets.indexed import restr_frame
 from nusets.report import Report
 from nusets.shapes import standard_shape
 
@@ -164,13 +164,13 @@ def _restricted_face(S, d, q, w):
     the (w, q)-restriction of d's q-prefix."""
     base = restr_frame(w, q, d.n, q, _intern(S, d.prefix(q)), S)
     pt = d.layers[q].components[w]
-    return indexed._cells(S, d.n - 1)[full_frame(base, pt)] + pt.cell
+    return _cells(S, d.n - 1)[full_frame(base, pt)] + pt.cell
 
 
 def _restricted_faces(S, m):
     """The face maps of the cells at m by checked restriction, in the
-    layout ``indexed._faces`` gives them: ``[q][w]``, one entry per cell."""
-    cells = indexed._cells(S, m)
+    layout ``frames._faces`` gives them: ``[q][w]``, one entry per cell."""
+    cells = _cells(S, m)
     return [[tuple(_restricted_face(S, d, q, w) for d in cells
                    for _ in range(S.families[m][d].size))
              for w in range(S.nu)] for q in range(m)]
@@ -187,7 +187,7 @@ def test_face_maps_agree_with_restriction():
     for S in _sets():
         for m in range(1, S.trunc + 1):
             faces = _restricted_faces(S, m)
-            assert indexed._faces(S, m) == faces, m
+            assert _faces(S, m) == faces, m
             compared += len(faces[0][0])
     assert compared > 1000
 
@@ -199,7 +199,7 @@ def test_rows_name_the_restricted_faces():
     for S in _sets():
         for n in range(1, _top(S) + 1):
             for p in range(1, n + 1):
-                for d, row in indexed._frames(S, n, p).items():
+                for d, row in _frames(S, n, p).items():
                     assert row == tuple(_restricted_face(S, d, q, w)
                                         for q in range(p)
                                         for w in range(S.nu)), (n, p)
@@ -241,7 +241,7 @@ def test_full_frames_build_no_partial_frame_table():
     assert ("frames", 2, 1) not in S._memo
     assert not [k for k in S._memo if isinstance(k, tuple)
                 and k[0] == "frames" and 0 < k[2] < k[1]]
-    assert len(indexed._frames(S, 2, 2)) == 96
+    assert len(_frames(S, 2, 2)) == 96
 
 
 def test_totality_and_conversion_restrict_nothing():

@@ -18,13 +18,16 @@ from nusets.errors import (
     CoherenceMismatch, DimensionOutOfRange, ParseError, SideConditionViolated,
     UnknownFrame,
 )
-from nusets.indexed import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, check_coh_frame,
-    check_coh_painting, emit_indexed, enumerate_frames, enumerate_paintings,
-    frame_key, full_frame, grow_indexed, parse_indexed, parse_value,
-    restr_frame, restr_layer, restr_painting, validate_indexed,
+from nusets.fileformat import FinSet
+from nusets.frames import (
+    FrameVal, IndexedNuSet, LayerVal, PaintingVal, emit_indexed,
+    enumerate_frames, enumerate_paintings, frame_key, full_frame, grow_indexed,
+    parse_indexed, parse_value,
 )
-from nusets.presheaf import FinSet
+from nusets.indexed import (
+    check_coh_frame, check_coh_painting, restr_frame, restr_layer,
+    restr_painting, validate_indexed,
+)
 
 
 def ones(n, d):

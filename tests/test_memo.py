@@ -8,16 +8,21 @@ from itertools import product
 
 import pytest
 
-from nusets import equivalence, indexed
+import nusets.equivalence
+import nusets.frames
+import nusets.indexed
 from nusets.equivalence import to_fibred, to_indexed
 from nusets.errors import CoherenceMismatch, DimensionOutOfRange
-from nusets.indexed import (
-    FrameVal, LayerVal, PaintingVal, check_totality, coherence_sweep,
-    emit_indexed, enumerate_frames, enumerate_paintings, frame_key,
-    grow_indexed, parse_indexed, parse_value, restr_frame, restr_layer,
-    restr_painting, validate_indexed,
+from nusets.fileformat import FinSet
+from nusets.frames import (
+    _VALUES, FrameVal, LayerVal, PaintingVal, _frames, _paintings,
+    check_totality, emit_indexed, enumerate_frames, enumerate_paintings,
+    frame_key, grow_indexed, parse_indexed, parse_value,
 )
-from nusets.presheaf import FinSet
+from nusets.indexed import (
+    coherence_sweep, restr_frame, restr_layer, restr_painting,
+    validate_indexed,
+)
 from nusets.shapes import standard_shape
 from nusets.streams import NuSetStream, take
 
@@ -101,12 +106,12 @@ def test_membership_by_value_agrees_with_text_keys(text):
         for p in range(n + 1):
             frames = enumerate_frames(S, n, p)
             foreign = [_foreign(d) for d in frames] if p else []
-            checked += _agrees(frames + foreign, indexed._frames(S, n, p),
+            checked += _agrees(frames + foreign, _frames(S, n, p),
                                frames)
             shape = [c for d in frames
                      for c in enumerate_paintings(S, n, p, d)]
             for d in frames:
-                checked += _agrees(shape, indexed._paintings(S, n, p, d),
+                checked += _agrees(shape, _paintings(S, n, p, d),
                                    enumerate_paintings(S, n, p, d))
     for n in range(2, S.trunc + 1):
         for p in range(n - 1):
@@ -117,14 +122,14 @@ def test_membership_by_value_agrees_with_text_keys(text):
                             base = restr_frame(omega, r, n, p, d, S)
                             lhs = restr_frame(eps, q, n - 1, p, base, S)
                             checked += _agrees(
-                                [lhs], indexed._frames(S, n - 2, p),
+                                [lhs], _frames(S, n - 2, p),
                                 enumerate_frames(S, n - 2, p))
                             tops = [restr_painting(
                                 eps, q, n - 1, p, base,
                                 restr_painting(omega, r, n, p, d, c, S), S)
                                 for c in enumerate_paintings(S, n, p, d)]
                             checked += _agrees(
-                                tops, indexed._paintings(S, n - 2, p, lhs),
+                                tops, _paintings(S, n - 2, p, lhs),
                                 enumerate_paintings(S, n - 2, p, lhs))
     assert checked > 100
     assert coherence_sweep(S).ok
@@ -252,7 +257,7 @@ def test_one_object_per_value_within_a_set(text):
     enumerated frame equal to the key, each restriction result and each
     painting-table entry are the intern table's objects."""
     S = parse_indexed(text)
-    values = S._memo[indexed._VALUES]
+    values = S._memo[_VALUES]
     for n in range(S.trunc + 1):
         keys = list(S.families[n])
         for key in keys:
@@ -269,7 +274,7 @@ def test_one_object_per_value_within_a_set(text):
         for p in range(n):
             for d in enumerate_frames(S, n, p):
                 assert values[d] is d
-                for c in indexed._paintings(S, n, p, d):
+                for c in _paintings(S, n, p, d):
                     assert values[c] is c
                     checked += 1
     assert checked > 100
@@ -290,7 +295,7 @@ def test_equality_across_sets_is_structural(text):
     kinds are never equal, even where their fields agree."""
     S, T = parse_indexed(text), parse_indexed(text)
     assert validate_indexed(S).ok and validate_indexed(T).ok
-    ours, theirs = S._memo[indexed._VALUES], T._memo[indexed._VALUES]
+    ours, theirs = S._memo[_VALUES], T._memo[_VALUES]
     assert len(ours) == len(theirs) > 100
     kinds = {}
     for v in ours:
@@ -349,7 +354,7 @@ def test_parse_and_validate_hold_each_frame_once():
 
 def _module_containers():
     return {(mod.__name__, name): len(obj)
-            for mod in (indexed, equivalence)
+            for mod in (nusets.frames, nusets.indexed, nusets.equivalence)
             for name, obj in vars(mod).items()
             if isinstance(obj, (dict, list, set)) and name != "__builtins__"}
 
@@ -365,7 +370,7 @@ def test_no_module_level_memo():
         to_fibred(S)
         for d in enumerate_frames(S, 2, 1):
             restr_frame(0, 1, 2, 1, d, S)
-        values = S._memo[indexed._VALUES]
+        values = S._memo[_VALUES]
         assert values and gc.get_referrers(values) == [S._memo]
     after = _module_containers()
     assert all(after[k] <= before.get(k, 0) for k in after), after

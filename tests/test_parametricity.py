@@ -257,6 +257,17 @@ def test_normalize_idempotent_on_iterates():
             assert normalize(T) == T
 
 
+@pytest.mark.parametrize("nu, steps", [(1, 6), (2, 4), (3, 3)])
+def test_iterate_stamps_each_node_as_it_builds_it(monkeypatch, nu, steps):
+    """The translation and the normalizer build every node stamped, as
+    the reader does, so no second walk (terms._scan) stamps one."""
+    def scan(e, names):
+        raise AssertionError(f"_scan met an unstamped {type(e).__name__}")
+
+    monkeypatch.setattr(terms, "_scan", scan)
+    iterate_types(nu, steps)
+
+
 # -------------------------------------------------------------- iteration
 
 def test_iterate_zero_steps():

@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 from nusets.errors import (
     DimensionOutOfRange, MissingFace, ParseError, RangeError,
 )
+from nusets.fileformat import FinSet
 from nusets.presheaf import (
-    FinSet, TruncatedPresheaf, action, carrier_sizes, check_functor_laws,
-    emit_nuset, parse_nuset,
+    TruncatedPresheaf, action, carrier_sizes, check_functor_laws, emit_nuset,
+    parse_nuset,
 )
 from nusets.shapes import standard_shape
 from nusets.words import compose, hom_enumerate, identity, parse_word

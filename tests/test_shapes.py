@@ -9,8 +9,9 @@ Frozen oracle values:
 import pytest
 
 from nusets.errors import AllLetters, ArityError, IndexOutOfRange
+from nusets.fileformat import FinSet
 from nusets.presheaf import (
-    FinSet, TruncatedPresheaf, carrier_sizes, check_functor_laws,
+    TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )
 from nusets.shapes import (
     geometric_inventory, orientation_endpoints, standard_shape, to_dot,

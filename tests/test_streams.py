@@ -11,11 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from nusets.errors import ValidationFailure
-from nusets.indexed import (
+from nusets.fileformat import FinSet
+from nusets.frames import (
     IndexedNuSet, emit_indexed, enumerate_frames, frame_key, grow_indexed,
-    parse_value, validate_indexed,
+    parse_value,
 )
-from nusets.presheaf import FinSet
+from nusets.indexed import validate_indexed
 from nusets.streams import NuSetStream, extend_singleton, take
 
 
