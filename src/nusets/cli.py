@@ -10,7 +10,9 @@ need shell quoting.
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
@@ -94,19 +96,31 @@ def _cmd_compose(args):
 
 
 def _cmd_shape(args):
-    from .shapes import geometric_inventory, standard_shape, to_dot
+    from .shapes import dot_pieces, geometric_inventory, standard_shape
 
     P = standard_shape(args.nu, args.n)
     sizes = [c.size for c in P.carriers]
+    write = sys.stdout.write
     if args.dot and not args.json:
-        sys.stdout.write(to_dot(P))
+        for piece in dot_pieces(P):
+            write(piece)
         return 0
     if args.json:
         doc = {"nu": args.nu, "n": args.n, "carriers": sizes,
                "inventory": list(geometric_inventory(P))}
-        if args.dot:
-            doc["dot"] = to_dot(P)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        if not args.dot:
+            print(json.dumps(doc, indent=2, sort_keys=True))
+            return 0
+        # The DOT text is the one string of the document: it is written
+        # around, piece by piece, as json.dumps would escape it whole (the
+        # escape works character by character).
+        doc["dot"] = ""
+        head, tail = json.dumps(doc, indent=2,
+                                sort_keys=True).split('"dot": ""')
+        write(head + '"dot": "')
+        for piece in dot_pieces(P):
+            write(encode_basestring_ascii(piece)[1:-1])
+        write('"' + tail + "\n")
         return 0
     print(f"standard shape nu={args.nu} n={args.n}")
     print(f"carriers: {sizes}")
@@ -265,7 +279,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone shows here, not at exit
+        return code
     except (LawViolation, ValidationFailure, CoherenceMismatch) as e:
         print(f"violation: {e}", file=sys.stderr)
         return 1
@@ -273,6 +289,12 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
+        if isinstance(e, BrokenPipeError):
+            # stdout's reader is gone: what is still buffered goes to
+            # devnull, so the flush at exit does not fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -5,7 +5,12 @@ acts by precomposition. For nu=1 the geometric reading is shifted by one:
 Hom(0, n) holds the colours (dimension -1 of augmented semi-simplicial sets)
 and Hom(p, n) the cells of geometric dimension p-1. For nu >= 2 the level p
 is the geometric dimension.
+
+DOT text is rendered in pieces of DOT_PIECE_LINES lines, so a caller that
+writes each piece as it comes never holds the whole text.
 """
+
+from itertools import islice
 
 from .errors import AllLetters, IndexOutOfRange
 from .fileformat import FinSet
@@ -13,6 +18,11 @@ from .presheaf import TruncatedPresheaf
 from .words import (
     STAR, Word, check_text_arity, hom_count, hom_enumerate, letter_symbol,
 )
+
+# Lines per piece of DOT text: few enough that a piece is small (about
+# 33 kB at nu=2, n=8), many enough that a caller writing each piece makes
+# few write calls (one per line costs more time than it saves memory).
+DOT_PIECE_LINES = 512
 
 
 def standard_shape(nu, n):
@@ -67,7 +77,8 @@ def standard_shape(nu, n):
     carriers = [FinSet(len(ws), ws) for ws in labels] if n >= 0 else []
     # keyed in the order of Hom(m-1, m): the star moves left, eps inner
     return TruncatedPresheaf(nu, n, carriers, {
-        m: {"*" * j + symbols[eps] + "*" * (m - 1 - j): tuple(level[j, eps])
+        m: {"*" * j + symbols[eps] + "*" * (m - 1 - j):
+            tuple(level.pop((j, eps)))  # each list freed once copied
             for j in reversed(range(m)) for eps in range(nu)}
         for m, level in faces.items()})
 
@@ -103,13 +114,29 @@ def _node_dimension(P):
 
 def to_dot(P):
     """Deterministic DOT rendering: geometric 0-cells as nodes, 1-cells as
-    edges through the stored face maps, higher cells as dashed label nodes."""
+    edges through the stored face maps, higher cells as dashed label nodes.
+
+    The text is rendered piecewise, DOT_PIECE_LINES lines at a time, by
+    ``dot_pieces(P)``; this is the join of those pieces, for a caller that
+    wants it whole. A caller that writes it out should write the pieces."""
+    return "".join(dot_pieces(P))
+
+
+def dot_pieces(P):
+    """The text of ``to_dot(P)`` in pieces of DOT_PIECE_LINES whole lines
+    (the last piece may be shorter), rendered as they are asked for."""
+    lines = _dot_lines(P)
+    while piece := list(islice(lines, DOT_PIECE_LINES)):
+        yield "\n".join(piece) + "\n"
+
+
+def _dot_lines(P):
     nd = _node_dimension(P)
-    lines = ["graph nuset {"]
+    yield "graph nuset {"
     nodes = P.carriers[nd] if nd <= P.trunc else FinSet(0)
     for i in nodes:
         label = nodes.label(i) or "ε"
-        lines.append(f'  "{label}";')
+        yield f'  "{label}";'
     ed = nd + 1
     if ed <= P.trunc:
         edge_carrier = P.carriers[ed]
@@ -119,16 +146,12 @@ def to_dot(P):
             ends = [nodes.label(m[e]) or "ε" for m in maps]
             if len(ends) == 1:
                 ends = ends * 2
-            lines.append(
-                f'  "{ends[0]}" -- "{ends[-1]}" '
-                f'[label="{edge_carrier.label(e)}"];')
+            yield (f'  "{ends[0]}" -- "{ends[-1]}" '
+                   f'[label="{edge_carrier.label(e)}"];')
     for dim in range(ed + 1, P.trunc + 1):
         carrier = P.carriers[dim]
         for c in carrier:
-            lines.append(
-                f'  "cell {carrier.label(c)}" '
-                f'[shape=box, style=dashed, label="{carrier.label(c)} '
-                f'(dim {dim - nd})"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
+            yield (f'  "cell {carrier.label(c)}" '
+                   f'[shape=box, style=dashed, label="{carrier.label(c)} '
+                   f'(dim {dim - nd})"];')
+    yield "}"

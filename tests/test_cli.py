@@ -6,17 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from nusets import shapes
 from nusets.cli import main
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
 from nusets.frames import emit_indexed, grow_indexed, parse_indexed
 from nusets.parametricity import iterate_types
 from nusets.presheaf import emit_nuset, parse_nuset
-from nusets.shapes import standard_shape
+from nusets.shapes import geometric_inventory, standard_shape, to_dot
 from nusets.terms import print_type
 from nusets.words import hom_count
 
@@ -97,6 +99,118 @@ def test_shape_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["carriers"] == [4, 4, 1]
     assert doc["dot"].startswith("graph")
+
+
+def _shape_text(nu, n, as_json, dot):
+    """What ``shape`` printed when it rendered its output in memory."""
+    P = standard_shape(nu, n)
+    sizes = [c.size for c in P.carriers]
+    inventory = list(geometric_inventory(P))
+    if as_json:
+        doc = {"nu": nu, "n": n, "carriers": sizes, "inventory": inventory}
+        if dot:
+            doc["dot"] = to_dot(P)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if dot:
+        return to_dot(P)
+    return (f"standard shape nu={nu} n={n}\ncarriers: {sizes}\n"
+            f"cells by geometric dimension: {inventory}\n")
+
+
+_FLAGS = {"plain": [], "dot": ["--dot"], "json": ["--json"],
+          "json-dot": ["--json", "--dot"]}
+
+
+@pytest.mark.parametrize("flags", list(_FLAGS), ids=list(_FLAGS))
+@pytest.mark.parametrize("nu, n", [(nu, n) for nu in range(1, 4)
+                                   for n in range(6)] + [(2, 8)])
+def test_shape_streams_the_text_it_renders_in_memory(nu, n, flags, capsys):
+    assert main(["shape", "--nu", str(nu), "-n", str(n),
+                 *_FLAGS[flags]]) == 0
+    out = capsys.readouterr().out
+    assert out == _shape_text(nu, n, "--json" in _FLAGS[flags],
+                              "--dot" in _FLAGS[flags])
+
+
+@pytest.mark.parametrize("piece_lines", [1, 4, 11, 12])
+@pytest.mark.parametrize("flags", ["dot", "json-dot"])
+def test_shape_streams_pieces_of_any_size(piece_lines, flags, capsys,
+                                          monkeypatch):
+    # The square's DOT text has 11 lines: 1 and 11 divide it exactly.
+    assert to_dot(standard_shape(2, 2)).count("\n") == 11
+    monkeypatch.setattr(shapes, "DOT_PIECE_LINES", piece_lines)
+    assert main(["shape", "--nu", "2", "-n", "2", *_FLAGS[flags]]) == 0
+    assert capsys.readouterr().out == _shape_text(2, 2, flags == "json-dot",
+                                                  True)
+
+
+def test_shape_json_escapes_the_point_label(capsys):
+    assert main(["shape", "--nu", "2", "-n", "0", "--json", "--dot"]) == 0
+    out = capsys.readouterr().out
+    assert '\\u03b5' in out and "ε" not in out
+    assert json.loads(out)["dot"] == to_dot(standard_shape(2, 0))
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_shape_memory_is_the_structure_plus_a_piece(monkeypatch):
+    """Streamed, ``shape --json --dot`` never holds the DOT text (426 kB
+    at nu=2, n=8) whole: its traced peak stays below that of building
+    the structure plus half the text."""
+    argv = ["shape", "--nu", "2", "-n", "8", "--json", "--dot"]
+    half_text = len(to_dot(standard_shape(2, 8))) // 2
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    main(argv)  # warm: nothing left to import
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        P = standard_shape(2, 8)
+        build = tracemalloc.get_traced_memory()[1] - base
+        del P
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        call = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert call < build + half_text, (call, build, half_text)
+
+
+# A reader that goes away ends the call with exit 2 and one error line,
+# whether stdout is buffered or not and whether any text was read.
+@pytest.mark.parametrize("read", [0, 1], ids=["closed", "one-line-read"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flags", ["dot", "json-dot"])
+def test_shape_into_a_closed_pipe_exits_two(flags, unbuffered, read):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nusets.cli", "shape", "--nu", "2", "-n", "8",
+         *_FLAGS[flags]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for _ in range(read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)  # one line of stderr fits its pipe
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 2, err
+    assert b"Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(b"error:"), err
 
 
 def test_validate_ok(square_indexed, square_fibred):

@@ -14,7 +14,8 @@ from nusets.presheaf import (
     TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )
 from nusets.shapes import (
-    geometric_inventory, orientation_endpoints, standard_shape, to_dot,
+    DOT_PIECE_LINES, dot_pieces, geometric_inventory, orientation_endpoints,
+    standard_shape, to_dot,
 )
 from nusets.words import (
     Word, check_text_arity, compose, hom_count, hom_enumerate, parse_word,
@@ -153,6 +154,16 @@ def test_dot_point():
     dot = to_dot(standard_shape(2, 0))
     assert "ε" in dot
     assert "--" not in dot
+
+
+def test_dot_pieces_hold_whole_lines():
+    P = standard_shape(2, 8)
+    pieces = list(dot_pieces(P))
+    assert len(pieces) == 13  # 6563 lines
+    assert all(p.count("\n") == DOT_PIECE_LINES for p in pieces[:-1])
+    assert 0 < pieces[-1].count("\n") <= DOT_PIECE_LINES
+    assert all(p.endswith("\n") for p in pieces)
+    assert "".join(pieces) == to_dot(P)
 
 
 def test_dot_deterministic():
