@@ -10,13 +10,11 @@ would discharge by rewriting become runtime checks.
 """
 
 from nusets.errors import CoherenceMismatch
-from nusets.frames import (
-    FrameVal, LayerVal, enumerate_frames, enumerate_paintings, frame_key,
-    grow_indexed, parse_value,
-)
+from nusets.frames import enumerate_frames, enumerate_paintings, grow_indexed
 from nusets.indexed import (
     check_coh_frame, restr_frame, restr_layer, validate_indexed,
 )
+from nusets.values import FrameVal, LayerVal, frame_key, parse_value
 
 # grow a two-point set: 2 vertices, one cell in every higher fibre
 S = grow_indexed(2, 2, lambda n, d: 2 if n == 0 else 1)

@@ -9,8 +9,8 @@ data, and the fibre sizes always partition the carrier sizes.
 
 from nusets.equivalence import (boundary_frame, random_indexed,
                                 round_trip_report, to_fibred, to_indexed)
-from nusets.frames import frame_key
 from nusets.shapes import standard_shape
+from nusets.values import frame_key
 
 # the square's unique 2-cell, as the shell it closes off
 square = standard_shape(2, 2)

@@ -8,9 +8,10 @@ up. Levels are produced lazily, memoized, and shared across next() copies.
 """
 
 from nusets.errors import ValidationFailure
-from nusets.frames import enumerate_frames, frame_key, grow_indexed
+from nusets.frames import enumerate_frames, grow_indexed
 from nusets.indexed import validate_indexed
 from nusets.streams import NuSetStream, extend_singleton, take
+from nusets.values import frame_key
 
 base = grow_indexed(2, 1, lambda n, d: 2 if n == 0 else 1)
 

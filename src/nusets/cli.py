@@ -60,8 +60,29 @@ def _load_any(text):
     return parse(text), indexed
 
 
+def _write(text):
+    """Write text to stdout, every byte of it or an OSError: the one path
+    every command's output takes.
+
+    Unbuffered (``python -u``), stdout's text layer hands the encoded text
+    to the raw file in one call and drops what a short write leaves, which
+    a pipe whose reader goes away makes. So the text is encoded here and
+    its bytes written to stdout's binary layer in a loop, until all are
+    sent; the next write after a short one meets the closed pipe and
+    raises. A stream with no binary layer takes the text as it is."""
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+        return
+    out.flush()  # what the text layer holds goes first
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data):]
+
+
 def _emit_report(rep, as_json):
-    print(rep.to_json() if as_json else str(rep))
+    _write((rep.to_json() if as_json else str(rep)) + "\n")
     return 0 if rep.ok else 1
 
 
@@ -72,12 +93,11 @@ def _cmd_hom(args):
     ws = [str(w) for w in hom_enumerate(args.nu, args.p, args.n)]
     assert len(ws) == hom_count(args.nu, args.p, args.n)
     if args.json:
-        print(json.dumps({"nu": args.nu, "p": args.p, "n": args.n,
-                          "count": len(ws), "words": ws},
-                         indent=2, sort_keys=True))
+        _write(json.dumps({"nu": args.nu, "p": args.p, "n": args.n,
+                           "count": len(ws), "words": ws},
+                          indent=2, sort_keys=True) + "\n")
     else:
-        for w in ws:
-            print(w)
+        _write("".join(w + "\n" for w in ws))
     return 0
 
 
@@ -88,10 +108,9 @@ def _cmd_compose(args):
     f = parse_word(args.nu, args.f)
     out = str(compose(g, f))
     if args.json:
-        print(json.dumps({"nu": args.nu, "g": args.g, "f": args.f,
-                          "result": out}, indent=2, sort_keys=True))
-    else:
-        print(out)
+        out = json.dumps({"nu": args.nu, "g": args.g, "f": args.f,
+                          "result": out}, indent=2, sort_keys=True)
+    _write(out + "\n")
     return 0
 
 
@@ -100,16 +119,15 @@ def _cmd_shape(args):
 
     P = standard_shape(args.nu, args.n)
     sizes = [c.size for c in P.carriers]
-    write = sys.stdout.write
     if args.dot and not args.json:
         for piece in dot_pieces(P):
-            write(piece)
+            _write(piece)
         return 0
     if args.json:
         doc = {"nu": args.nu, "n": args.n, "carriers": sizes,
                "inventory": list(geometric_inventory(P))}
         if not args.dot:
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            _write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             return 0
         # The DOT text is the one string of the document: it is written
         # around, piece by piece, as json.dumps would escape it whole (the
@@ -117,14 +135,14 @@ def _cmd_shape(args):
         doc["dot"] = ""
         head, tail = json.dumps(doc, indent=2,
                                 sort_keys=True).split('"dot": ""')
-        write(head + '"dot": "')
+        _write(head + '"dot": "')
         for piece in dot_pieces(P):
-            write(encode_basestring_ascii(piece)[1:-1])
-        write('"' + tail + "\n")
+            _write(encode_basestring_ascii(piece)[1:-1])
+        _write('"' + tail + "\n")
         return 0
-    print(f"standard shape nu={args.nu} n={args.n}")
-    print(f"carriers: {sizes}")
-    print(f"cells by geometric dimension: {list(geometric_inventory(P))}")
+    _write(f"standard shape nu={args.nu} n={args.n}\n"
+           f"carriers: {sizes}\n"
+           f"cells by geometric dimension: {list(geometric_inventory(P))}\n")
     return 0
 
 
@@ -146,9 +164,9 @@ def _cmd_convert(args):
 
     obj, indexed = _load_any(_read(args.file))
     if indexed:
-        sys.stdout.write(emit_nuset(to_fibred(obj)))
+        _write(emit_nuset(to_fibred(obj)))
     else:
-        sys.stdout.write(emit_indexed(to_indexed(obj)))
+        _write(emit_indexed(to_indexed(obj)))
     return 0
 
 
@@ -161,7 +179,8 @@ def _cmd_coh_check(args):
 
 
 def _cmd_param(args):
-    from .terms import normalize, print_type, telescope_stats
+    from .normal import normalize
+    from .terms import print_type, telescope_stats
 
     if args.steps is not None:
         if args.file is not None:
@@ -173,13 +192,12 @@ def _cmd_param(args):
         T = normalize(parse_type(_read(args.file)))
     stats = telescope_stats(T)
     if args.json:
-        print(json.dumps({"telescope": print_type(T),
-                          "stats": {str(k): v for k, v in stats.items()}},
-                         indent=2, sort_keys=True))
+        _write(json.dumps({"telescope": print_type(T),
+                           "stats": {str(k): v for k, v in stats.items()}},
+                          indent=2, sort_keys=True) + "\n")
     else:
-        print(print_type(T))
-        for level in sorted(stats):
-            print(f"X{level}: {stats[level]}")
+        _write(print_type(T) + "\n" + "".join(
+            f"X{level}: {stats[level]}\n" for level in sorted(stats)))
     return 0
 
 
@@ -189,7 +207,7 @@ def _cmd_extend(args):
 
     S = parse_indexed(_read(args.file))
     out = take(extend_singleton(S), S.trunc + args.levels)
-    sys.stdout.write(emit_indexed(out))
+    _write(emit_indexed(out))
     return 0
 
 

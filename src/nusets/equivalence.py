@@ -23,12 +23,14 @@ from .errors import (
 )
 from .fileformat import FinSet
 from .frames import (
-    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, _faces,
-    _intern, check_totality, enumerate_frames, family_gaps, frame_key,
-    grow_indexed,
+    IndexedNuSet, _cells, _faces, check_totality, enumerate_frames,
+    family_gaps, grow_indexed,
 )
 from .presheaf import TruncatedPresheaf, check_functor_laws
 from .report import Report
+from .values import (
+    _VALUES, FrameVal, LayerVal, PaintingVal, _intern, frame_key,
+)
 from .words import face_word
 
 

@@ -1,8 +1,8 @@
 """Indexed nu-sets, the laws: restriction and coherence.
 
-The data (frames, layers, paintings, the families of cells over frames,
-their enumeration and their file format) is in ``frames``; this module
-restricts it and checks the laws.
+The data is in ``values`` (frames, layers, paintings) and ``frames`` (the
+families of cells over frames, their enumeration and their file format);
+this module restricts it and checks the laws.
 
 Restriction extracts the face of a frame/layer/painting in direction eps at
 stratum q. The operators follow a strict index discipline (side conditions
@@ -25,10 +25,10 @@ from .errors import (
     CoherenceMismatch, IndexOutOfRange, SideConditionViolated, UnknownFrame,
 )
 from .frames import (
-    FrameVal, LayerVal, PaintingVal, _intern, _paintings, check_totality,
-    enumerate_frames, enumerate_paintings, frame_key,
+    _paintings, check_totality, enumerate_frames, enumerate_paintings,
 )
 from .report import Report
+from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 
 
 # ------------------------------------------------------------ restriction

@@ -10,9 +10,10 @@ convention chosen here.
 """
 
 from .errors import ArityError, UnsupportedConstruct
+from .normal import _normal_form
 from .terms import (
     App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _Names, _fresh,
-    _info, _made, _normal_form, _prod, _proj, _table, _tuple,
+    _info, _made, _prod, _proj, _table, _tuple,
 )
 
 

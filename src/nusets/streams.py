@@ -13,7 +13,8 @@ import threading
 from .errors import ValidationFailure
 from .fileformat import FinSet
 from .frames import IndexedNuSet, check_totality, enumerate_frames, \
-    family_gaps, frame_key
+    family_gaps
+from .values import frame_key
 
 
 class NuSetStream:

@@ -45,6 +45,11 @@ def _tokenize(text):
     return tokens
 
 
+def _found(tok):
+    """How an error message names the token tok found out of place."""
+    return "the end of the input" if tok is None else repr(tok)
+
+
 class _Reader:
     """Recursive descent over the token list, by index. Every node is
     stamped under the reader's name table as it is built (see "scoping"
@@ -66,7 +71,7 @@ class _Reader:
     def expect(self, what):
         kind, tok, ln, col = self.take()
         if kind != what:
-            raise ParseError(f"expected {what!r}, found {tok!r}",
+            raise ParseError(f"expected {what!r}, found {_found(tok)}",
                              line=ln, col=col)
 
     def type_(self):
@@ -89,8 +94,9 @@ class _Reader:
                 kind, tok, ln, col = tokens[self.pos + 1]
                 self.pos += 2
                 if kind != _ID:
-                    raise ParseError(f"expected binder name, found {tok!r}",
-                                     line=ln, col=col)
+                    raise ParseError(
+                        f"expected binder name, found {_found(tok)}",
+                        line=ln, col=col)
                 self.expect(":")
                 dom = self.arrow()
                 self.expect(".")
@@ -141,7 +147,8 @@ class _Reader:
             if len(items) == 1:
                 return items[0]
             return _stamp(Tuple(items), items, self.names)
-        raise ParseError(f"expected a type, found {tok!r}", line=ln, col=col)
+        raise ParseError(f"expected a type, found {_found(tok)}",
+                         line=ln, col=col)
 
 
 def parse_type(text):

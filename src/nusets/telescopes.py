@@ -4,9 +4,10 @@ variables, substitution, alpha-equivalence and telescope equality.
 
 from collections import Counter
 
+from .normal import _bind, _entry, _reaching, normalize
 from .terms import (
-    DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _bind, _entry, _info,
-    _kids, _reaching, _table, flatten_telescope, normalize,
+    DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _info, _kids, _table,
+    flatten_telescope,
 )
 
 
@@ -27,7 +28,7 @@ def subst(e, name, value):
     A binder that would capture a free variable of value is renamed, even
     where name does not occur below it; those renames give the printed
     names. It is the one-entry case of the substitutions normalize
-    carries (see "substitution" in nusets.terms): a subterm the entry
+    carries (see "substitution" in nusets.normal): a subterm the entry
     does not change is returned as it is, so only the paths down to an
     occurrence or a renamed binder are rebuilt."""
     names = _table(e, value)

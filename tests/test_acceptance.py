@@ -15,8 +15,7 @@ from nusets.equivalence import (
 )
 from nusets.errors import CoherenceMismatch
 from nusets.frames import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, emit_indexed,
-    enumerate_frames, frame_key, full_frame, grow_indexed, parse_value,
+    IndexedNuSet, _cells, emit_indexed, enumerate_frames, grow_indexed,
 )
 from nusets.indexed import (
     coherence_sweep, restr_frame, restr_layer, restr_painting,
@@ -28,8 +27,13 @@ from nusets.terms import telescope_stats
 from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.shapes import geometric_inventory, standard_shape
 from nusets.streams import extend_singleton, take
+from nusets.values import (
+    FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
+)
 from nusets.words import compose, hom_count, hom_enumerate, identity, \
     parse_word
+
+from test_frames_oracle import full_frame
 
 
 def _budget(t0, limit):

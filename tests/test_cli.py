@@ -1,6 +1,7 @@
 """Command line conventions: the exit-code contract, JSON mode on every
 subcommand, and the documented example invocations."""
 
+import ast
 import io
 import json
 import os
@@ -211,6 +212,72 @@ def test_shape_into_a_closed_pipe_exits_two(flags, unbuffered, read):
     assert b"Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(b"error:"), err
+
+
+@pytest.fixture(scope="module")
+def large_outputs(tmp_path_factory):
+    """Inputs of calls that write one document larger than a pipe holds
+    (64 KiB): convert of the fibred standard shape (2, 6), 251 kB of
+    indexed JSON, and extend of nine binary points by two levels, 356 kB."""
+    root = tmp_path_factory.mktemp("large")
+    shape = root / "shape26.fibred.json"
+    shape.write_text(emit_nuset(standard_shape(2, 6)))
+    points = root / "points9.indexed.json"
+    points.write_text(emit_indexed(
+        grow_indexed(2, 0, lambda n, d: 9 if n == 0 else 1)))
+    return {"convert": ["convert", str(shape)],
+            "extend": ["extend", str(points), "--levels", "2"]}
+
+
+def _cli_env(unbuffered):
+    """The environment of a CLI child, with stdout unbuffered or not."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# Unbuffered, stdout's text layer once dropped what a short write to the
+# pipe left: the call exited 0 with its document cut short and no message.
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["convert", "extend"])
+def test_document_into_a_closed_pipe_exits_two(command, unbuffered,
+                                               large_outputs):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nusets.cli", *large_outputs[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_cli_env(unbuffered))
+    try:
+        proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 2, err
+    assert b"Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(b"error:"), err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["convert", "extend"])
+def test_document_read_whole_is_whole(command, unbuffered, large_outputs,
+                                      capsys):
+    """Read to its end, the document is the one main writes in process,
+    every byte of it."""
+    assert main(large_outputs[command]) == 0
+    want = capsys.readouterr().out.encode()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nusets.cli", *large_outputs[command]],
+        capture_output=True, timeout=60, env=_cli_env(unbuffered))
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(want) > 1 << 16 and proc.stdout == want
 
 
 def test_validate_ok(square_indexed, square_fibred):
@@ -518,6 +585,21 @@ def test_param_syntax_error_exits_two(monkeypatch, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("Pi x", "expected ':', found the end of the input (line 1, column 5)"),
+    ("(U", "expected ')', found the end of the input (line 1, column 3)"),
+    ("U ->", "expected a type, found the end of the input (line 1, column 5)"),
+    ("", "expected a type, found the end of the input (line 1, column 1)"),
+], ids=["pi-binder", "open-paren", "arrow", "empty"])
+def test_param_input_ending_early_names_the_end(text, message, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["param"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_extend_adds_singleton_levels(grown_indexed, capsys):
     assert main(["extend", grown_indexed, "--levels", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -664,27 +746,29 @@ _CALLS = {
     "shape": (["shape", "--nu", "2", "-n", "2"],
               "fileformat frozen presheaf report shapes words"),
     "validate-indexed": (["validate", "{indexed}"],
-                         "fileformat frames frozen indexed report"),
+                         "fileformat frames frozen indexed report values"),
     "validate-fibred": (["validate", "{fibred}"],
                         "fileformat frozen presheaf report words"),
     "convert-indexed": (["convert", "{indexed}"], "equivalence fileformat "
-                        "frames frozen presheaf report words"),
+                        "frames frozen presheaf report values words"),
     "convert-fibred": (["convert", "{fibred}"], "equivalence fileformat "
-                       "frames frozen presheaf report words"),
+                       "frames frozen presheaf report values words"),
     "coh-check": (["coh-check", "{indexed}"],
-                  "fileformat frames frozen indexed report"),
+                  "fileformat frames frozen indexed report values"),
     "roundtrip-indexed": (["roundtrip", "{indexed}"], "equivalence "
-                          "fileformat frames frozen presheaf report words"),
+                          "fileformat frames frozen presheaf report values "
+                          "words"),
     "roundtrip-fibred": (["roundtrip", "{fibred}"], "equivalence "
-                         "fileformat frames frozen presheaf report words"),
+                         "fileformat frames frozen presheaf report values "
+                         "words"),
     "roundtrip-random": (["roundtrip", "--nu", "2", "-n", "2", "--seed", "1"],
                          "equivalence fileformat frames frozen presheaf "
-                         "report words"),
+                         "report values words"),
     "extend": (["extend", "{indexed}", "--levels", "1"],
-               "fileformat frames frozen report streams"),
+               "fileformat frames frozen report streams values"),
     "param": (["param", "--nu", "2", "-n", "2"],
-              "frozen parametricity terms"),
-    "param-file": (["param", "{type}"], "frozen syntax terms"),
+              "frozen normal parametricity terms"),
+    "param-file": (["param", "{type}"], "frozen normal syntax terms"),
 }
 
 
@@ -710,6 +794,29 @@ def test_each_call_imports_only_the_modules_it_runs(argv, expected,
             if m.startswith("nusets.")}
     assert ours == {f"nusets.{m}" for m in ["cli", "errors",
                                             *expected.split()]}
+
+
+MAX_MODULE_NODES = 2500
+
+
+def test_every_module_compiles_small():
+    """No module of the package has more than MAX_MODULE_NODES AST nodes.
+
+    With no bytecode written, as the benchmark's children run, each call
+    compiles every module it imports, and the largest compile, not the
+    data, sets the call's peak memory. Measured under tracemalloc on
+    CPython 3.11, compiling the 4,032-node module that held the indexed
+    values and sets peaked at 1,507 KiB, and the 3,913-node one that held
+    the terms and their normalizer at 1,712 KiB, while every other module
+    stayed under about 830 KiB; importing either raised VmHWM by about
+    1.4-1.7 MiB, and the data of a benchmark call adds at most about
+    0.15 MiB. Split, the largest compile peaks at about 940 KiB."""
+    src = Path(__file__).resolve().parent.parent / "src" / "nusets"
+    sizes = {path.name: sum(1 for _ in ast.walk(ast.parse(
+        path.read_text(encoding="utf-8"))))
+        for path in sorted(src.glob("*.py"))}
+    assert len(sizes) > 10
+    assert max(sizes.values()) <= MAX_MODULE_NODES, sizes
 
 
 def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):

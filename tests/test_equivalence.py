@@ -23,9 +23,7 @@ from nusets.errors import (
 )
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    _VALUES, FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells,
-    check_totality, emit_indexed, frame_key, full_frame, parse_indexed,
-    parse_value,
+    IndexedNuSet, _cells, check_totality, emit_indexed, parse_indexed,
 )
 from nusets.indexed import restr_frame, validate_indexed
 from nusets.presheaf import (
@@ -34,7 +32,12 @@ from nusets.presheaf import (
 from nusets.report import Report
 from nusets.shapes import standard_shape
 from nusets.streams import extend_singleton, take
+from nusets.values import (
+    _VALUES, FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
+)
 from nusets.words import face_word
+
+from test_frames_oracle import full_frame
 
 
 def _collect(S, offsets, base, c, acc):

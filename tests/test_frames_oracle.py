@@ -12,16 +12,16 @@ from itertools import product
 import pytest
 
 from nusets.equivalence import random_indexed, to_fibred, to_indexed
-from nusets.errors import UnknownFrame
+from nusets.errors import SideConditionViolated, UnknownFrame
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, _cells, _faces, _frames,
-    _intern, check_totality, emit_indexed, enumerate_frames,
-    enumerate_paintings, frame_key, full_frame, grow_indexed, parse_indexed,
+    IndexedNuSet, _cells, _faces, _frames, check_totality, emit_indexed,
+    enumerate_frames, enumerate_paintings, grow_indexed, parse_indexed,
 )
 from nusets.indexed import restr_frame
 from nusets.report import Report
 from nusets.shapes import standard_shape
+from nusets.values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 
 
 def _product_enumerator(S):
@@ -156,6 +156,15 @@ def test_join_agrees_on_random_sets(nu, trunc):
         compared += _agree(random_indexed(nu, trunc, seed, sizes=sizes,
                                           dim0=dim0))
     assert compared > 100
+
+
+def full_frame(base, painting):
+    """The full frame completed by a painting over its base frame."""
+    if base.n != painting.n or base.p != painting.p:
+        raise SideConditionViolated(
+            f"painting at ({painting.n},{painting.p}) does not sit over "
+            f"frame at ({base.n},{base.p})")
+    return FrameVal(base.n, base.n, base.layers + painting.layers)
 
 
 def _restricted_face(S, d, q, w):

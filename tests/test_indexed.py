@@ -20,14 +20,18 @@ from nusets.errors import (
 )
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    FrameVal, IndexedNuSet, LayerVal, PaintingVal, emit_indexed,
-    enumerate_frames, enumerate_paintings, frame_key, full_frame, grow_indexed,
-    parse_indexed, parse_value,
+    IndexedNuSet, emit_indexed, enumerate_frames, enumerate_paintings,
+    grow_indexed, parse_indexed,
 )
 from nusets.indexed import (
     check_coh_frame, check_coh_painting, restr_frame, restr_layer,
     restr_painting, validate_indexed,
 )
+from nusets.values import (
+    FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
+)
+
+from test_frames_oracle import full_frame
 
 
 def ones(n, d):

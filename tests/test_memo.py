@@ -11,13 +11,13 @@ import pytest
 import nusets.equivalence
 import nusets.frames
 import nusets.indexed
+import nusets.values
 from nusets.equivalence import to_fibred, to_indexed
 from nusets.errors import CoherenceMismatch, DimensionOutOfRange
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    _VALUES, FrameVal, LayerVal, PaintingVal, _frames, _paintings,
-    check_totality, emit_indexed, enumerate_frames, enumerate_paintings,
-    frame_key, grow_indexed, parse_indexed, parse_value,
+    _frames, _paintings, check_totality, emit_indexed, enumerate_frames,
+    enumerate_paintings, grow_indexed, parse_indexed,
 )
 from nusets.indexed import (
     coherence_sweep, restr_frame, restr_layer, restr_painting,
@@ -25,6 +25,9 @@ from nusets.indexed import (
 )
 from nusets.shapes import standard_shape
 from nusets.streams import NuSetStream, take
+from nusets.values import (
+    _VALUES, FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
+)
 
 
 @pytest.fixture(scope="module", params=[(2, 3), (3, 2), (1, 5)],
@@ -354,7 +357,8 @@ def test_parse_and_validate_hold_each_frame_once():
 
 def _module_containers():
     return {(mod.__name__, name): len(obj)
-            for mod in (nusets.frames, nusets.indexed, nusets.equivalence)
+            for mod in (nusets.values, nusets.frames, nusets.indexed,
+                        nusets.equivalence)
             for name, obj in vars(mod).items()
             if isinstance(obj, (dict, list, set)) and name != "__builtins__"}
 

@@ -12,7 +12,7 @@ terms as it built them, with Pi and arrow spines read by recursion; and
 alpha_rename, alpha_eq, _splice and same_telescope as they were before
 alpha-equivalence went by binder position. Unqualified names in this
 module are the reference; the engine is reached through the modules that
-define it (``terms.normalize``, ``syntax.parse_type``, ...). Each test
+define it (``normal.normalize``, ``syntax.parse_type``, ...). Each test
 asserts equal terms and byte-equal printed text from both, or equal
 answers.
 """
@@ -26,7 +26,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nusets import parametricity, syntax, telescopes, terms
+from nusets import normal, parametricity, syntax, telescopes, terms
 from nusets.errors import ArityError, ParseError, UnsupportedConstruct
 from nusets.terms import (
     App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _prod, _proj,
@@ -516,13 +516,13 @@ def test_printed_telescopes_read_back_as_before(reference, case):
     text = terms.print_type(reference[case])
     T = syntax.parse_type(text)
     assert T == ref_parse(text)
-    assert terms.print_type(terms.normalize(T)) == text
+    assert terms.print_type(normal.normalize(T)) == text
     renamed = _renamed(text, random.Random(str(case)))
     R = syntax.parse_type(renamed)
     assert R == ref_parse(renamed)
     G = _grouped(R)
     for variant in (R, G):
-        assert (terms.print_type(terms.normalize(variant))
+        assert (terms.print_type(normal.normalize(variant))
                 == print_type(normalize(variant)))
     if case[1] >= 3:
         assert renamed != text and G != R
@@ -618,7 +618,7 @@ def test_random_terms_agree_with_the_reference(e, name, value):
     got = telescopes.subst(e, name, value)
     assert got == subst(e, name, value)
     assert terms.print_type(got) == print_type(got)
-    assert (_outcome(lambda: terms.normalize(e), terms.print_type)
+    assert (_outcome(lambda: normal.normalize(e), terms.print_type)
             == _outcome(lambda: normalize(e), print_type))
 
 
@@ -670,7 +670,7 @@ CHAINED = st.recursive(st.one_of(CHAIN_ATOMS, st.just(Univ())), _chained,
                (Prod((Var("X0"), Var("y"))),)))),
         (FamApp(Var("X1"), (Var("b"), Var("b2"))),)))
 def test_chained_pending_substitutions_agree_with_the_reference(e):
-    assert (_outcome(lambda: terms.normalize(e), terms.print_type)
+    assert (_outcome(lambda: normal.normalize(e), terms.print_type)
             == _outcome(lambda: normalize(e), print_type))
 
 
@@ -725,18 +725,18 @@ LEFTOVER = FamApp(Lam("x", FamApp(Lam("x2", FamApp(Var("x"), (Univ(),))),
 
 
 def _ways(e):
-    """normalize(e) by terms._normal_form's steps, and which way its beta
+    """normalize(e) by normal._normal_form's steps, and which way its beta
     steps went: "short" when short steps were taken and kept, "long" when
     the call started again the long way, "none" when no short step
     applied."""
     names = terms._table(e)
     names.fast = 0
     try:
-        out = terms._normalize(e, names)
+        out = normal._normalize(e, names)
         way = "short" if names.fast else "none"
-    except terms._LongWay:
+    except normal._LongWay:
         names.fast = None
-        out, way = terms._normalize(e, names), "long"
+        out, way = normal._normalize(e, names), "long"
     finally:
         names.fast = None
     return out, way
@@ -777,7 +777,7 @@ def test_short_beta_steps_and_their_fallback():
 @example(CAPTURING)
 @example(LEFTOVER)
 def test_short_beta_steps_agree_with_the_reference(e):
-    out = terms.normalize(e)
+    out = normal.normalize(e)
     assert out == normalize(e)
     assert terms.print_type(out) == print_type(out)
 
@@ -809,7 +809,7 @@ def test_random_translations_agree_with_the_reference(T, nu):
                     terms.print_type) == want
     if isinstance(want[0], Lam):
         diag = _tuple([Var(n) for n in ("a", "f", "as")[:nu]])
-        assert (terms.print_type(terms.normalize(FamApp(want[0], (diag,))))
+        assert (terms.print_type(normal.normalize(FamApp(want[0], (diag,))))
                 == print_type(normalize(FamApp(want[0], (diag,)))))
 
 
@@ -1048,10 +1048,10 @@ def test_normalize_is_idempotent(e):
     """normalize returns its own result at once: every node it builds is
     stamped normal (see terms._stamp), a beta step's spine included."""
     try:
-        out = terms.normalize(e)
+        out = normal.normalize(e)
     except UnsupportedConstruct:
         return
-    assert terms.normalize(out) is out
+    assert normal.normalize(out) is out
 
 
 def test_inner_binders_compare_by_position():

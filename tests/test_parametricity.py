@@ -16,12 +16,13 @@ import pytest
 
 from nusets import parametricity, syntax, telescopes, terms
 from nusets.errors import NotATelescope, ParseError, UnsupportedConstruct
+from nusets.normal import normalize
 from nusets.parametricity import iterate_types, translate
 from nusets.syntax import parse_type
 from nusets.telescopes import alpha_eq, free_vars, same_telescope
 from nusets.terms import (
-    DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, normalize,
-    print_type, telescope_stats,
+    DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, print_type,
+    telescope_stats,
 )
 from nusets.words import hom_count
 

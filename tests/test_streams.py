@@ -13,11 +13,11 @@ import pytest
 from nusets.errors import ValidationFailure
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    IndexedNuSet, emit_indexed, enumerate_frames, frame_key, grow_indexed,
-    parse_value,
+    IndexedNuSet, emit_indexed, enumerate_frames, grow_indexed,
 )
 from nusets.indexed import validate_indexed
 from nusets.streams import NuSetStream, extend_singleton, take
+from nusets.values import frame_key, parse_value
 
 
 def two_points(n, d):
