@@ -8,12 +8,12 @@ machine-parseable document on stdout. Word arguments contain ``*``, so they
 need shell quoting.
 """
 
-import argparse
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+from .cmdline import REQUIRED, read
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
 
@@ -215,6 +215,8 @@ def _cmd_roundtrip(args):
     from .equivalence import random_indexed, round_trip_report
 
     if args.file is not None:
+        if args.given & {"nu", "n", "seed"}:
+            raise NuSetError("give a FILE or --nu/-n/--seed, not both")
         obj = _load_any(_read(args.file))[0]
     else:
         obj = random_indexed(args.nu, args.n, args.seed)
@@ -223,81 +225,49 @@ def _cmd_roundtrip(args):
 
 def _natural(text):
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a natural, got {text!r}")
+        raise ValueError(f"must be a natural, got {text!r}")
     return int(text)
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="nusets",
-        description="semi-simplicial and semi-cubical set toolkit")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=fn)
-        p.add_argument("--json", action="store_true",
-                       help="machine-parseable JSON on stdout")
-        return p
-
-    p = add("hom", _cmd_hom, "list the words from p to n")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("-p", type=_natural, required=True)
-    p.add_argument("-n", type=_natural, required=True)
-
-    p = add("compose", _cmd_compose,
-            "compose two words (shell-quote the '*'s)")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("g")
-    p.add_argument("f")
-
-    p = add("shape", _cmd_shape, "standard shape at dimension n")
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("-n", type=_natural, required=True)
-    p.add_argument("--dot", action="store_true", help="DOT graph text")
-
-    p = add("validate", _cmd_validate,
-            "check a nu-set file (either format)")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
-
-    p = add("convert", _cmd_convert,
-            "convert between the fibred and indexed formats")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
-
-    p = add("coh-check", _cmd_coh_check,
-            "run the coherence sweep on an indexed file")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
-
-    p = add("param", _cmd_param,
-            "normalized telescope plus hypothesis counts")
-    p.add_argument("file", nargs="?",
-                   help="type in the surface syntax; path or - for stdin")
-    p.add_argument("--nu", type=int, default=2)
-    p.add_argument("-n", "--steps", dest="steps", type=_natural,
-                   default=None,
-                   help="emit the step-n iterated telescope instead")
-
-    p = add("extend", _cmd_extend,
-            "extend an indexed file by singleton levels")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
-    p.add_argument("--levels", type=_natural, required=True,
-                   help="number of levels to add")
-
-    p = add("roundtrip", _cmd_roundtrip,
-            "round-trip a nu-set file through the other form")
-    p.add_argument("file", nargs="?", help="path or - for stdin")
-    p.add_argument("--nu", type=int, default=2)
-    p.add_argument("-n", type=_natural, default=2)
-    p.add_argument("--seed", type=int, default=0,
-                   help="randomized instance when no file is given")
-
-    return top
+# Each subcommand's handler, help line and arguments, as nusets.cmdline
+# reads them: (flags or a positional's name, convert, default, help).
+_NU = ("--nu", int, REQUIRED, "")
+_N = ("-n", _natural, REQUIRED, "")
+_FILE = ("file", str, None, "path or - for stdin")
+_COMMANDS = {
+    "hom": (_cmd_hom, "list the words from p to n",
+            [_NU, ("-p", _natural, REQUIRED, ""), _N]),
+    "compose": (_cmd_compose, "compose two words (shell-quote the '*'s)",
+                [_NU, ("g", str, REQUIRED, ""), ("f", str, REQUIRED, "")]),
+    "shape": (_cmd_shape, "standard shape at dimension n",
+              [_NU, _N, ("--dot", None, False, "DOT graph text")]),
+    "validate": (_cmd_validate, "check a nu-set file (either format)",
+                 [_FILE]),
+    "convert": (_cmd_convert,
+                "convert between the fibred and indexed formats", [_FILE]),
+    "coh-check": (_cmd_coh_check,
+                  "run the coherence sweep on an indexed file", [_FILE]),
+    "param": (_cmd_param, "normalized telescope plus hypothesis counts",
+              [("file", str, None,
+                "type in the surface syntax; path or - for stdin"),
+               ("--nu", int, 2, ""),
+               ("-n --steps", _natural, None,
+                "emit the step-n iterated telescope instead")]),
+    "extend": (_cmd_extend, "extend an indexed file by singleton levels",
+               [_FILE, ("--levels", _natural, REQUIRED,
+                        "number of levels to add")]),
+    "roundtrip": (_cmd_roundtrip,
+                  "round-trip a nu-set file through the other form",
+                  [_FILE, ("--nu", int, 2, ""), ("-n", _natural, 2, ""),
+                   ("--seed", int, 0,
+                    "randomized instance when no file is given")]),
+}
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    handler, args = read(_COMMANDS, argv)
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a reader gone shows here, not at exit
         return code
     except (LawViolation, ValidationFailure, CoherenceMismatch) as e:

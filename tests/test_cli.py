@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from nusets import shapes
-from nusets.cli import main
+from nusets.cli import _COMMANDS, main
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
 from nusets.frames import emit_indexed, grow_indexed, parse_indexed
@@ -622,6 +623,18 @@ def test_roundtrip_file(square_indexed, square_fibred, capsys):
     assert main(["roundtrip", square_fibred]) == 0
 
 
+@pytest.mark.parametrize("option", [["--nu", "2"], ["-n", "2"],
+                                    ["--seed", "0"]], ids=lambda o: o[0])
+def test_roundtrip_file_with_random_options_exits_two(option, square_indexed,
+                                                      capsys):
+    """--nu, -n and --seed shape only the random instance, so with a FILE
+    they are a usage error, even given with their default values."""
+    assert main(["roundtrip", square_indexed, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give a FILE or --nu/-n/--seed, not both\n"
+
+
 def test_roundtrip_random_seeded(capsys):
     assert main(["roundtrip", "--nu", "2", "-n", "2", "--seed", "3",
                  "--json"]) == 0
@@ -629,6 +642,24 @@ def test_roundtrip_random_seeded(capsys):
     assert json.loads(first)["ok"] is True
     main(["roundtrip", "--nu", "2", "-n", "2", "--seed", "3", "--json"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero_and_lists_every_argument(command, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([flag] if command is None else [command, flag])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: nusets")
+    if command is None:
+        listed = list(_COMMANDS)
+    else:
+        listed = ["--help", "--json", *(name for flags, *_ in
+                                         _COMMANDS[command][2]
+                                         for name in flags.split())]
+    assert all(name in out.split() or name + "," in out.split()
+               for name in listed), out
 
 
 def test_usage_error_exits_two():
@@ -734,10 +765,11 @@ def _modules(argv, files):
     return set(last[len("imported: "):].split())
 
 
-# Each call, and the nusets modules it imports besides nusets.cli and
-# nusets.errors. Only validate and coh-check of an indexed file restrict
-# (nusets.indexed). An indexed file is read without the fibred format
-# (presheaf) and words, unless the call builds a fibred structure.
+# Each call, and the nusets modules it imports besides nusets.cli,
+# nusets.cmdline and nusets.errors. Only validate and coh-check of an
+# indexed file restrict (nusets.indexed). An indexed file is read without
+# the fibred format (presheaf) and words, unless the call builds a fibred
+# structure.
 # Iterating a telescope does not read one (syntax), reading one does not
 # iterate (parametricity), and neither compares up to names (telescopes).
 _CALLS = {
@@ -783,7 +815,10 @@ def probe_files(square_indexed, square_fibred, tmp_path):
 @pytest.mark.parametrize("argv", [argv for argv, _ in _CALLS.values()],
                          ids=list(_CALLS))
 def test_no_command_imports_dataclasses(argv, probe_files):
-    assert "dataclasses" not in _modules(argv, probe_files)
+    """Nor argparse, nor the gettext and locale modules it imports: its
+    import and parser cost every call about 6 ms and 0.5 MiB."""
+    assert not {"dataclasses", "argparse", "gettext", "locale"} & _modules(
+        argv, probe_files)
 
 
 @pytest.mark.parametrize("argv, expected", list(_CALLS.values()),
@@ -792,7 +827,7 @@ def test_each_call_imports_only_the_modules_it_runs(argv, expected,
                                                     probe_files):
     ours = {m for m in _modules(argv, probe_files)
             if m.startswith("nusets.")}
-    assert ours == {f"nusets.{m}" for m in ["cli", "errors",
+    assert ours == {f"nusets.{m}" for m in ["cli", "cmdline", "errors",
                                             *expected.split()]}
 
 
@@ -817,6 +852,28 @@ def test_every_module_compiles_small():
         for path in sorted(src.glob("*.py"))}
     assert len(sizes) > 10
     assert max(sizes.values()) <= MAX_MODULE_NODES, sizes
+
+
+MAX_START_TOKENS = 2048
+
+
+def test_every_call_compiles_below_the_token_step():
+    """The modules every call compiles (cli, cmdline, errors) have at most
+    MAX_START_TOKENS tokens, counted without comments and blank lines.
+
+    Past a power of two, CPython's parser doubles its token array and
+    allocates a token record per new slot: measured under tracemalloc on
+    CPython 3.11, cli.py's compile peaked at 853 KiB with 2,114 tokens and
+    at 683 KiB with 1,888, and every call pays it, with no bytecode
+    written, as the benchmark's children run. Python 3.12 splits
+    f-strings into more tokens; the bound holds there too."""
+    src = Path(__file__).resolve().parent.parent / "src" / "nusets"
+    skip = {tokenize.COMMENT, tokenize.NL}
+    for name in ["cli.py", "cmdline.py", "errors.py"]:
+        with open(src / name, encoding="utf-8") as fh:
+            count = sum(1 for tok in tokenize.generate_tokens(fh.readline)
+                        if tok.type not in skip)
+        assert count <= MAX_START_TOKENS, (name, count)
 
 
 def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):
