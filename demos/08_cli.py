@@ -16,7 +16,7 @@ from pathlib import Path
 
 from nusets.cli import main
 from nusets.equivalence import to_indexed
-from nusets.frames import emit_indexed
+from nusets.indexedfile import emit_indexed
 from nusets.presheaf import emit_nuset
 from nusets.shapes import standard_shape
 

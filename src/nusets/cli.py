@@ -31,12 +31,13 @@ def _read(path):
         raise ParseError(f"input is not UTF-8: {e.reason} at byte {e.start}")
 
 
-def _load_any(text):
-    """Parse either nu-set JSON format, telling them apart by their keys.
-    Returns the structure and whether it is indexed.
+def _parser(text):
+    """The parse function of text's nu-set format, and whether that format
+    is the indexed one, not the fibred one. The decoded keys decide, so a
+    key written with escapes is still found; ParseError when it is
+    neither.
 
-    The decoded keys decide, so a key written with escapes is still
-    found. Only the chosen format's module is imported, once the decoded
+    Only the chosen format's module is imported, once the decoded
     document is dropped: a module compiled beside it peaks higher in
     memory. Measured as VmHWM with no bytecode written (Python 3.11,
     median of 9 runs), ``validate`` of the ternary 2-cell (nu=3, n=2)
@@ -54,9 +55,16 @@ def _load_any(text):
             "'carriers' (fibred) field")
     del doc
     if indexed:
-        from .frames import parse_indexed as parse
+        from .indexedfile import parse_indexed as parse
     else:
         from .presheaf import parse_nuset as parse
+    return parse, indexed
+
+
+def _load_any(text):
+    """Parse either nu-set JSON format; returns the structure and whether
+    it is indexed."""
+    parse, indexed = _parser(text)
     return parse(text), indexed
 
 
@@ -147,19 +155,22 @@ def _cmd_shape(args):
 
 
 def _cmd_validate(args):
-    obj, indexed = _load_any(_read(args.file))
+    # The laws' module compiles before the set is built, not on top of it,
+    # and the text goes before the laws run.
+    text = _read(args.file)
+    parse, indexed = _parser(text)
     if indexed:
-        from .indexed import validate_indexed
-        rep = validate_indexed(obj)
+        from .indexed import validate_indexed as check
     else:
-        from .presheaf import check_functor_laws
-        rep = check_functor_laws(obj)
-    return _emit_report(rep, args.json)
+        from .presheaf import check_functor_laws as check
+    obj = parse(text)
+    del text
+    return _emit_report(check(obj), args.json)
 
 
 def _cmd_convert(args):
     from .equivalence import to_fibred, to_indexed
-    from .frames import emit_indexed
+    from .indexedfile import emit_indexed
     from .presheaf import emit_nuset
 
     obj, indexed = _load_any(_read(args.file))
@@ -171,8 +182,8 @@ def _cmd_convert(args):
 
 
 def _cmd_coh_check(args):
-    from .frames import parse_indexed
     from .indexed import coherence_sweep
+    from .indexedfile import parse_indexed
 
     S = parse_indexed(_read(args.file))
     return _emit_report(coherence_sweep(S), args.json)
@@ -188,6 +199,8 @@ def _cmd_param(args):
         from .parametricity import iterate_types
         T = iterate_types(args.nu, args.steps)
     else:
+        if "nu" in args.given:
+            raise NuSetError("--nu goes with -n/--steps, not a FILE")
         from .syntax import parse_type
         T = normalize(parse_type(_read(args.file)))
     stats = telescope_stats(T)
@@ -202,7 +215,7 @@ def _cmd_param(args):
 
 
 def _cmd_extend(args):
-    from .frames import emit_indexed, parse_indexed
+    from .indexedfile import emit_indexed, parse_indexed
     from .streams import extend_singleton, take
 
     S = parse_indexed(_read(args.file))

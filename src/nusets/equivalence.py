@@ -21,7 +21,7 @@ from collections import defaultdict
 from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
-from .fileformat import FinSet
+from .fileformat import FinSet, finset
 from .frames import (
     IndexedNuSet, _cells, _faces, check_totality, enumerate_frames,
     family_gaps, grow_indexed,
@@ -126,7 +126,7 @@ def to_indexed(P):
         fam = {}
         for d in enumerate_frames(S, n, n):
             members = groups.get(d, ())
-            fam[d] = FinSet(len(members), None if labels is None else
+            fam[d] = finset(len(members), None if labels is None else
                             tuple(labels[x] for x in members))
         if n:
             S = S.extended(fam)

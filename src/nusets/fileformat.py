@@ -2,8 +2,8 @@
 file's JSON and its header.
 
 Both formats are JSON objects with a positive integer "nu" and a natural
-"trunc" (see ``presheaf`` for the fibred format and ``frames`` for the
-indexed one), and both write a carrier or fibre as a size or a list of
+"trunc" (see ``presheaf`` for the fibred format and ``indexedfile`` for
+the indexed one), and both write a carrier or fibre as a size or a list of
 distinct labels.
 """
 
@@ -38,6 +38,17 @@ class FinSet(Record):
 
     def __iter__(self):
         return iter(range(self.size))
+
+
+# Most fibres of an indexed set are empty, and a FinSet is immutable: every
+# empty one is one of these two, which files write as 0 and [].
+_EMPTY = {None: FinSet(0), (): FinSet(0, ())}
+
+
+def finset(size, labels=None):
+    """FinSet(size, labels), shared when it is empty: ``labels`` is None
+    or a tuple."""
+    return FinSet(size, labels) if size else _EMPTY[labels]
 
 
 def load_json(text):
@@ -78,14 +89,14 @@ def parse_finset(entry, where):
     if type(entry) is int:
         if entry < 0:
             raise RangeError(f"{where} has negative size")
-        return FinSet(entry)
+        return finset(entry)
     if not isinstance(entry, list):
         raise ParseError(f"{where} must be a size or a label list")
     if not all(isinstance(x, str) for x in entry):
         raise ParseError(f"{where} labels must be strings")
     if len(set(entry)) < len(entry):
         raise RangeError(f"{where} labels are not distinct")
-    return FinSet(len(entry), tuple(entry))
+    return finset(len(entry), tuple(entry))
 
 
 def _unique_keys(pairs):

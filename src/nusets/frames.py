@@ -11,22 +11,17 @@ reading, writing and converting a set restrict nothing; restriction and
 the coherence laws it must satisfy are in ``indexed``.
 
 Families are keyed by their full frames, as values, each built through
-the set's intern table. Text is the file and report format only: the
-file format below writes each key as ``frame_key`` renders it, grouped
-under its dimension, and reads it back with the reader of ``values``.
+the set's intern table. Text is the file and report format only; the
+file format is in ``indexedfile``.
 """
 
-import json
-
 from .errors import (
-    ArityError, DimensionOutOfRange, ParseError, RangeError,
-    SideConditionViolated, UnknownFrame,
+    ArityError, DimensionOutOfRange, RangeError, SideConditionViolated,
+    UnknownFrame,
 )
-from .fileformat import FinSet, load_header, parse_finset
+from .fileformat import finset
 from .report import Report
-from .values import (
-    _VALUES, FrameVal, LayerVal, PaintingVal, _intern, _read, frame_key,
-)
+from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 
 
 # ------------------------------------------------------------ indexed set
@@ -283,62 +278,10 @@ def grow_indexed(nu, trunc, size_at):
     built.
     """
     S = IndexedNuSet(nu, 0, {})  # level 0 keyed by S's own empty frame
-    S.families[0] = {d: FinSet(size_at(0, d)) for d in _frames(S, 0, 0)}
-    for n in range(1, trunc + 1):
-        S = S.extended({d: FinSet(size_at(n, d)) for d in _frames(S, n, n)})
-    return S
-
-
-# ------------------------------------------------------------ file format
-
-def emit_indexed(S):
-    """Serialize to the indexed JSON format (sorted keys, 2-space)."""
-    families = {}
-    for n in range(S.trunc + 1):
-        block = {}
-        for d, fib in S.families[n].items():
-            block[frame_key(d)] = list(fib.labels) \
-                if fib.labels is not None else fib.size
-        families[str(n)] = block
-    doc = {"nu": S.nu, "trunc": S.trunc, "families": families}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def parse_indexed(text):
-    """Parse the indexed JSON format; structural errors are precise.
-
-    Each key is read by ``_read`` as a full frame of its dimension, in the
-    one text frame_key writes for it, into the set's intern table, and the
-    families are keyed by those frames. Any other key raises ParseError
-    naming ``families[n]``, the key, the dimension and the position of its
-    first non-canonical character. Totality is check_totality's job.
-    """
-    doc, nu, trunc = load_header(text, "families")
-    raw = doc["families"]
-    if not isinstance(raw, dict):
-        raise ParseError("field 'families' must be an object")
-    extra = set(raw) - {str(n) for n in range(trunc + 1)}
-    if extra:
-        raise ParseError(
-            f"families mention dimension {sorted(extra)[0]} outside "
-            f"0..{trunc}")
-    families, values = {}, {}
     for n in range(trunc + 1):
-        block = raw.get(str(n))
-        if block is None:
-            raise ParseError(f"families missing dimension {n}")
-        if not isinstance(block, dict):
-            raise ParseError(f"families[{n}] must be an object")
-        fam = {}
-        for key, entry in block.items():
-            try:
-                frame = _read(key, nu, n, n, "frame", values)
-            except ParseError as exc:
-                raise ParseError(
-                    f"families[{n}] key {key!r} is not a full frame at "
-                    f"dimension {n}: {exc}")
-            fam[frame] = parse_finset(entry, f"families[{n}][{key!r}]")
-        families[n] = fam
-    S = IndexedNuSet(nu, trunc, families)
-    S._memo[_VALUES] = values  # the keys and their subtrees, interned
+        family = {d: finset(size_at(n, d)) for d in _frames(S, n, n)}
+        if n:
+            S = S.extended(family)
+        else:
+            S.families[0] = family
     return S

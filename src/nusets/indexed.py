@@ -1,8 +1,8 @@
 """Indexed nu-sets, the laws: restriction and coherence.
 
 The data is in ``values`` (frames, layers, paintings) and ``frames`` (the
-families of cells over frames, their enumeration and their file format);
-this module restricts it and checks the laws.
+families of cells over frames and their enumeration), its file format in
+``indexedfile``; this module restricts it and checks the laws.
 
 Restriction extracts the face of a frame/layer/painting in direction eps at
 stratum q. The operators follow a strict index discipline (side conditions

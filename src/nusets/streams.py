@@ -11,7 +11,7 @@ next() advances the prefix by exactly that family.
 import threading
 
 from .errors import ValidationFailure
-from .fileformat import FinSet
+from .fileformat import finset
 from .frames import IndexedNuSet, check_totality, enumerate_frames, \
     family_gaps
 from .values import frame_key
@@ -58,7 +58,7 @@ class NuSetStream:
                         f"head rule at dimension {n} names a frame that "
                         f"does not occur: {stray[0]}")
                 self._prefixes[n] = cur.extended(
-                    {d: FinSet(produced[d])
+                    {d: finset(produced[d])
                      for d in enumerate_frames(cur, n, n)})
                 top = n
             return self._prefixes[to]

@@ -15,11 +15,12 @@ from nusets.equivalence import (
 )
 from nusets.errors import CoherenceMismatch
 from nusets.frames import (
-    IndexedNuSet, _cells, emit_indexed, enumerate_frames, grow_indexed,
+    IndexedNuSet, _cells, enumerate_frames, grow_indexed,
 )
 from nusets.indexed import (
     coherence_sweep, restr_frame, restr_layer, restr_painting,
 )
+from nusets.indexedfile import emit_indexed
 from nusets.parametricity import iterate_types
 from nusets.syntax import parse_type
 from nusets.telescopes import same_telescope

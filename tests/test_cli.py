@@ -2,6 +2,7 @@
 subcommand, and the documented example invocations."""
 
 import ast
+import importlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tokenize
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ from nusets import shapes
 from nusets.cli import _COMMANDS, main
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
-from nusets.frames import emit_indexed, grow_indexed, parse_indexed
+from nusets.frames import grow_indexed
+from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.parametricity import iterate_types
 from nusets.presheaf import emit_nuset, parse_nuset
 from nusets.shapes import geometric_inventory, standard_shape, to_dot
@@ -575,6 +578,29 @@ def test_param_file_and_steps_exit_two(steps, tmp_path, capsys):
     assert captured.err == "error: give a FILE or -n/--steps, not both\n"
 
 
+@pytest.mark.parametrize("nu", ["3", "2"], ids=["nu3", "default"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_param_nu_without_steps_exits_two(nu, source, tmp_path, monkeypatch,
+                                          capsys):
+    """--nu is the arity of the iterated telescope, so with a FILE or
+    stdin, whose telescope it would not change, it is a usage error, even
+    given with its default value. The line used to exit 0 with --nu
+    ignored."""
+    text = "Pi a:X0. X1 a -> U"
+    argv = ["param", "--nu", nu]
+    if source == "file":
+        f = tmp_path / "t.ty"
+        f.write_text(text)
+        argv.append(str(f))
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --nu goes with -n/--steps, not a FILE\n"
+    assert main(["param", *argv[3:]]) == 0  # the same input without it
+
+
 def test_param_non_telescope_exits_two(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("Pi a:X0. X0"))
     assert main(["param"]) == 2
@@ -777,19 +803,21 @@ _CALLS = {
     "compose": (["compose", "--nu", "2", "L*", "*"], "frozen words"),
     "shape": (["shape", "--nu", "2", "-n", "2"],
               "fileformat frozen presheaf report shapes words"),
-    "validate-indexed": (["validate", "{indexed}"],
-                         "fileformat frames frozen indexed report values"),
+    "validate-indexed": (["validate", "{indexed}"], "fileformat frames "
+                         "frozen indexed indexedfile report values"),
     "validate-fibred": (["validate", "{fibred}"],
                         "fileformat frozen presheaf report words"),
     "convert-indexed": (["convert", "{indexed}"], "equivalence fileformat "
-                        "frames frozen presheaf report values words"),
+                        "frames frozen indexedfile presheaf report values "
+                        "words"),
     "convert-fibred": (["convert", "{fibred}"], "equivalence fileformat "
-                       "frames frozen presheaf report values words"),
-    "coh-check": (["coh-check", "{indexed}"],
-                  "fileformat frames frozen indexed report values"),
+                       "frames frozen indexedfile presheaf report values "
+                       "words"),
+    "coh-check": (["coh-check", "{indexed}"], "fileformat frames frozen "
+                  "indexed indexedfile report values"),
     "roundtrip-indexed": (["roundtrip", "{indexed}"], "equivalence "
-                          "fileformat frames frozen presheaf report values "
-                          "words"),
+                          "fileformat frames frozen indexedfile presheaf "
+                          "report values words"),
     "roundtrip-fibred": (["roundtrip", "{fibred}"], "equivalence "
                          "fileformat frames frozen presheaf report values "
                          "words"),
@@ -797,7 +825,8 @@ _CALLS = {
                          "equivalence fileformat frames frozen presheaf "
                          "report values words"),
     "extend": (["extend", "{indexed}", "--levels", "1"],
-               "fileformat frames frozen report streams values"),
+               "fileformat frames frozen indexedfile report streams "
+               "values"),
     "param": (["param", "--nu", "2", "-n", "2"],
               "frozen normal parametricity terms"),
     "param-file": (["param", "{type}"], "frozen normal syntax terms"),
@@ -831,6 +860,84 @@ def test_each_call_imports_only_the_modules_it_runs(argv, expected,
                                             *expected.split()]}
 
 
+# Runs the CLI with the indexed reader watched: it writes whether the laws'
+# module was imported when the reader was called.
+_ORDER_PROBE = """
+import sys
+import nusets.indexedfile
+
+parse = nusets.indexedfile.parse_indexed
+
+
+def watched(text):
+    sys.stderr.write("laws before the set: %s\\n"
+                     % ("nusets.indexed" in sys.modules))
+    return parse(text)
+
+
+nusets.indexedfile.parse_indexed = watched
+from nusets.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_validate_compiles_the_laws_before_it_reads_the_set(probe_files):
+    """validate of an indexed file imports the laws (nusets.indexed)
+    before it reads the set, so that compile peaks before the set is
+    built, not on top of it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORDER_PROBE, "validate",
+         probe_files["{indexed}"]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "laws before the set: True\n"
+
+
+class _Text(str):
+    """File text that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("fmt, laws", [
+    ("{indexed}", "nusets.indexed.validate_indexed"),
+    ("{fibred}", "nusets.presheaf.check_functor_laws")])
+def test_validate_drops_the_text_before_the_laws_run(fmt, laws, probe_files,
+                                                    monkeypatch):
+    """The file's text is freed once the structure is read: held through
+    the sweep, the 4.76 MB text of random_indexed(2, 3, 5) raised
+    validate's VmHWM from about 85 to 90 MiB."""
+    texts = []
+
+    def read(path):
+        text = _Text(Path(path).read_text())
+        texts.append(weakref.ref(text))
+        return text
+
+    module, name = laws.rsplit(".", 1)
+    check = getattr(importlib.import_module(module), name)
+
+    def checked(obj):
+        assert texts and texts[-1]() is None
+        return check(obj)
+
+    monkeypatch.setattr("nusets.cli._read", read)
+    monkeypatch.setattr(laws, checked)
+    assert main(["validate", probe_files[fmt]]) == 0
+
+
+def test_truncated_file_compiles_no_format(probe_files, tmp_path):
+    """validate of a file cut short is refused by the JSON decoder, before
+    either format's modules, or the laws, are imported."""
+    text = Path(probe_files["{indexed}"]).read_text()
+    cut = tmp_path / "cut.json"
+    cut.write_text(text[:len(text) // 2])
+    ours = {m for m in _modules(["validate", str(cut)], probe_files)
+            if m.startswith("nusets.")}
+    assert ours == {f"nusets.{m}" for m in
+                    ["cli", "cmdline", "errors", "fileformat", "frozen"]}
+
+
 MAX_MODULE_NODES = 2500
 
 
@@ -858,18 +965,23 @@ MAX_START_TOKENS = 2048
 
 
 def test_every_call_compiles_below_the_token_step():
-    """The modules every call compiles (cli, cmdline, errors) have at most
-    MAX_START_TOKENS tokens, counted without comments and blank lines.
+    """The modules every call compiles (cli, cmdline, errors), and those
+    every call on an indexed file compiles (frames, indexedfile, values,
+    indexed, fileformat, report, frozen), have at most MAX_START_TOKENS
+    tokens, counted without comments and blank lines.
 
     Past a power of two, CPython's parser doubles its token array and
     allocates a token record per new slot: measured under tracemalloc on
     CPython 3.11, cli.py's compile peaked at 853 KiB with 2,114 tokens and
-    at 683 KiB with 1,888, and every call pays it, with no bytecode
-    written, as the benchmark's children run. Python 3.12 splits
-    f-strings into more tokens; the bound holds there too."""
+    at 683 KiB with 1,888, and frames.py's at 940 KiB with 2,328 tokens;
+    every call pays it, with no bytecode written, as the benchmark's
+    children run. Python 3.12 splits f-strings into more tokens; the
+    bound holds there too."""
     src = Path(__file__).resolve().parent.parent / "src" / "nusets"
     skip = {tokenize.COMMENT, tokenize.NL}
-    for name in ["cli.py", "cmdline.py", "errors.py"]:
+    for name in ["cli.py", "cmdline.py", "errors.py", "frames.py",
+                 "indexedfile.py", "values.py", "indexed.py",
+                 "fileformat.py", "report.py", "frozen.py"]:
         with open(src / name, encoding="utf-8") as fh:
             count = sum(1 for tok in tokenize.generate_tokens(fh.readline)
                         if tok.type not in skip)

@@ -22,10 +22,9 @@ from nusets.errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
 )
 from nusets.fileformat import FinSet
-from nusets.frames import (
-    IndexedNuSet, _cells, check_totality, emit_indexed, parse_indexed,
-)
+from nusets.frames import IndexedNuSet, _cells, check_totality
 from nusets.indexed import restr_frame, validate_indexed
+from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.presheaf import (
     TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )

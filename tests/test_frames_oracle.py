@@ -15,10 +15,11 @@ from nusets.equivalence import random_indexed, to_fibred, to_indexed
 from nusets.errors import SideConditionViolated, UnknownFrame
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    IndexedNuSet, _cells, _faces, _frames, check_totality, emit_indexed,
-    enumerate_frames, enumerate_paintings, grow_indexed, parse_indexed,
+    IndexedNuSet, _cells, _faces, _frames, check_totality,
+    enumerate_frames, enumerate_paintings, grow_indexed,
 )
 from nusets.indexed import restr_frame
+from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.report import Report
 from nusets.shapes import standard_shape
 from nusets.values import FrameVal, LayerVal, PaintingVal, _intern, frame_key

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nusets.cli import main
 from nusets.equivalence import to_indexed
-from nusets.frames import emit_indexed
+from nusets.indexedfile import emit_indexed
 from nusets.presheaf import emit_nuset
 from nusets.shapes import standard_shape
 

@@ -20,13 +20,13 @@ from nusets.errors import (
 )
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    IndexedNuSet, emit_indexed, enumerate_frames, enumerate_paintings,
-    grow_indexed, parse_indexed,
+    IndexedNuSet, enumerate_frames, enumerate_paintings, grow_indexed,
 )
 from nusets.indexed import (
     check_coh_frame, check_coh_painting, restr_frame, restr_layer,
     restr_painting, validate_indexed,
 )
+from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.values import (
     FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
 )

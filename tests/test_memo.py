@@ -11,18 +11,20 @@ import pytest
 import nusets.equivalence
 import nusets.frames
 import nusets.indexed
+import nusets.indexedfile
 import nusets.values
 from nusets.equivalence import to_fibred, to_indexed
 from nusets.errors import CoherenceMismatch, DimensionOutOfRange
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    _frames, _paintings, check_totality, emit_indexed, enumerate_frames,
-    enumerate_paintings, grow_indexed, parse_indexed,
+    _frames, _paintings, check_totality, enumerate_frames,
+    enumerate_paintings, grow_indexed,
 )
 from nusets.indexed import (
     coherence_sweep, restr_frame, restr_layer, restr_painting,
     validate_indexed,
 )
+from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.shapes import standard_shape
 from nusets.streams import NuSetStream, take
 from nusets.values import (
@@ -358,14 +360,15 @@ def test_parse_and_validate_hold_each_frame_once():
 def _module_containers():
     return {(mod.__name__, name): len(obj)
             for mod in (nusets.values, nusets.frames, nusets.indexed,
-                        nusets.equivalence)
+                        nusets.indexedfile, nusets.equivalence)
             for name, obj in vars(mod).items()
             if isinstance(obj, (dict, list, set)) and name != "__builtins__"}
 
 
 def test_no_module_level_memo():
-    """validate, to_fibred and restriction leave nothing behind, and the
-    intern table is the set's: only its memo refers to it."""
+    """validate, to_fibred, restriction and a file written and read back
+    leave nothing behind, and the intern table is the set's: only its
+    memo refers to it."""
     before = _module_containers()
     # point counts no other test uses, so that no value is memoized yet
     for nu, points in ((1, 5), (2, 3)):
@@ -376,5 +379,8 @@ def test_no_module_level_memo():
             restr_frame(0, 1, 2, 1, d, S)
         values = S._memo[_VALUES]
         assert values and gc.get_referrers(values) == [S._memo]
+        T = parse_indexed(emit_indexed(S))
+        assert T == S
+        assert gc.get_referrers(T._memo[_VALUES]) == [T._memo]
     after = _module_containers()
     assert all(after[k] <= before.get(k, 0) for k in after), after

@@ -12,10 +12,9 @@ import pytest
 
 from nusets.errors import ValidationFailure
 from nusets.fileformat import FinSet
-from nusets.frames import (
-    IndexedNuSet, emit_indexed, enumerate_frames, grow_indexed,
-)
+from nusets.frames import IndexedNuSet, enumerate_frames, grow_indexed
 from nusets.indexed import validate_indexed
+from nusets.indexedfile import emit_indexed
 from nusets.streams import NuSetStream, extend_singleton, take
 from nusets.values import frame_key, parse_value
 
