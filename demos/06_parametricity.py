@@ -8,11 +8,12 @@ rebuilds the shape categories: the number of depth-p hypotheses after n
 steps equals the number of words from p to n.
 """
 
+from nusets.hypotheses import telescope_stats
 from nusets.normal import normalize
-from nusets.parametricity import iterate_types, translate
+from nusets.parametricity import App, Pair, iterate_types, translate
 from nusets.syntax import parse_type
 from nusets.telescopes import same_telescope
-from nusets.terms import App, Pair, Univ, Var, print_type, telescope_stats
+from nusets.terms import Univ, Var, print_type
 from nusets.words import hom_count
 
 # parse and print are inverse on the nose modulo binder names

@@ -190,8 +190,9 @@ def _cmd_coh_check(args):
 
 
 def _cmd_param(args):
+    from .hypotheses import telescope_stats
     from .normal import normalize
-    from .terms import print_type, telescope_stats
+    from .terms import print_type
 
     if args.steps is not None:
         if args.file is not None:

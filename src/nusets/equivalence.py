@@ -211,22 +211,26 @@ def _round_trip_fibred(P):
 
 def _round_trip_indexed(S):
     rep = Report("round trip indexed -> fibred -> indexed")
-    P = to_fibred(S)
-    S2 = to_indexed(P)
+    S2 = to_indexed(to_fibred(S))
     bijections = {}
     for n in range(S.trunc + 1):
-        texts = {frame_key(d): d
-                 for d in S.families[n].keys() | S2.families[n].keys()}
-        for key in sorted(texts):
-            a = S.families[n].get(texts[key])
-            b = S2.families[n].get(texts[key])
-            if a is None or b is None or a.size != b.size:
-                rep.add("fibre-mismatch", dimension=n, frame=key,
-                        source=None if a is None else a.size,
-                        target=None if b is None else b.size)
-                return rep
-            if a.size:
-                bijections[f"{n}:{key}"] = list(range(a.size))
+        # The families are compared by frame: S2 is keyed by S's own
+        # frame objects (see to_fibred), so no lookup compares trees. Only
+        # the frames reported are rendered: the first mismatch in text
+        # order, else each non-empty fibre, in text order.
+        A, B = S.families[n], S2.families[n]
+        bad = list(A.keys() ^ B.keys())
+        bad += [d for d, a in A.items() if d in B and B[d].size != a.size]
+        if bad:
+            d = min(bad, key=frame_key)
+            a, b = A.get(d), B.get(d)
+            rep.add("fibre-mismatch", dimension=n, frame=frame_key(d),
+                    source=None if a is None else a.size,
+                    target=None if b is None else b.size)
+            return rep
+        for key, size in sorted((frame_key(d), a.size)
+                                for d, a in A.items() if a.size):
+            bijections[f"{n}:{key}"] = list(range(size))
     rep.data["fibre_bijections"] = bijections
     return rep
 

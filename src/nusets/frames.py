@@ -29,7 +29,9 @@ from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 class IndexedNuSet:
     """Truncated indexed nu-set: ``families[n]`` maps each full frame at n
     (a FrameVal) to its fibre, a FinSet; the frame text is only how files
-    write the keys. Treated as immutable after construction. ``_memo`` is
+    write the keys. The set takes the family dicts it is given over, and
+    they are treated as immutable after construction, so sets may share
+    them (``extended`` shares the levels below its new one). ``_memo`` is
     its only memo: the intern table of its values, the frame tables
     (ordered, each frame mapped to its row) and painting tables (ordered
     sets), which serve both enumeration and membership, the face maps,
@@ -44,12 +46,12 @@ class IndexedNuSet:
             raise RangeError(f"truncation must be a natural, got {trunc}")
         self.nu = nu
         self.trunc = trunc
-        self.families = {n: dict(families.get(n, {}))
-                         for n in range(trunc + 1)}
+        self.families = {n: families.get(n, {}) for n in range(trunc + 1)}
         self._memo = {}
 
     def extended(self, family):
-        """This set plus ``family`` at trunc + 1, taking over this set's memo.
+        """This set plus ``family`` at trunc + 1, taking over this set's memo
+        and ``family`` itself, and sharing this set's families.
 
         Every entry stays true of the extension, since nothing memoized
         about a set reads a level above it (frames at n read the families

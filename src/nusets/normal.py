@@ -323,13 +323,11 @@ def _split(binder, dom, cod, sigma, names):
 
 def _normalize_items(e, names, sigma):
     """Normalize a product, tuple or projection with sigma pending; the
-    result is stamped."""
-    if isinstance(e, Prod):
-        return _made(Prod(tuple(_part(i, names, sigma) for i in e.items)),
-                     names)
-    if isinstance(e, Tuple):
+    result is stamped. A one-item tuple is its item (a product has two
+    or more)."""
+    if isinstance(e, (Prod, Tuple)):
         items = tuple(_part(i, names, sigma) for i in e.items)
-        return items[0] if len(items) == 1 else _made(Tuple(items), names)
+        return items[0] if len(items) == 1 else _made(type(e)(items), names)
     t = _part(e.tuple_, names, sigma)
     if isinstance(t, Tuple):
         if not (0 <= e.index < len(t.items)):

@@ -12,9 +12,35 @@ convention chosen here.
 from .errors import ArityError, UnsupportedConstruct
 from .normal import _normal_form
 from .terms import (
-    App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _Names, _fresh,
-    _info, _made, _prod, _proj, _table, _tuple,
+    DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _Names, _fresh, _info,
+    _made, _table,
 )
+
+
+# Unstamped builders; width 1 gives the one item.
+
+
+def App(fun, arg):
+    """Single-argument application."""
+    return FamApp(fun, (arg,))
+
+
+def Pair(left, right):
+    return Tuple((left, right))
+
+
+def _tuple(items):
+    items = tuple(items)
+    return items[0] if len(items) == 1 else Tuple(items)
+
+
+def _proj(i, t, width):
+    return t if width == 1 else Proj(i, t)
+
+
+def _prod(items):
+    items = tuple(items)
+    return items[0] if len(items) == 1 else Prod(items)
 
 
 def _copy(e, i, nu, env, names):

@@ -4,10 +4,10 @@ variables, substitution, alpha-equivalence and telescope equality.
 
 from collections import Counter
 
+from .hypotheses import flatten_telescope
 from .normal import _bind, _entry, _reaching, normalize
 from .terms import (
     DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _info, _kids, _table,
-    flatten_telescope,
 )
 
 
@@ -19,7 +19,8 @@ def free_vars(e):
     This reads e's mask; only nodes not yet stamped under e's table are
     scanned, once."""
     names = _table(e)
-    return names.decode(_info(e, names).fv)
+    fv = _info(e, names).fv
+    return {name for name, b in names.bits.items() if b & fv}
 
 
 def subst(e, name, value):

@@ -1,5 +1,5 @@
 """Terms of a small dependent type language: nodes, the masks each node
-caches, printing and telescope counts.
+caches, and printing.
 
 The language has just enough structure for the iterated-translation
 experiment of nusets.parametricity: the universe, dependent functions,
@@ -7,13 +7,12 @@ finite products, variables, and application. Lambdas and projections are
 internal only: the normalizer removes every one it can reach, and
 printing them uses a non-surface form ("\\x. e", "e.0") meant for
 diagnostics. Binders named "_" print as arrows. nusets.normal substitutes
-and normalizes, nusets.syntax reads the surface text, and
-nusets.telescopes compares terms up to names.
+and normalizes, nusets.syntax reads the surface text, nusets.hypotheses
+counts a telescope's hypotheses, and nusets.telescopes compares terms up
+to names.
 """
 
-import re
-
-from .errors import NotATelescope, UnsupportedConstruct
+from .errors import UnsupportedConstruct
 from .frozen import Record
 
 
@@ -97,29 +96,6 @@ class Proj(_Node):
         set_tuple(self, tuple_)
 
 
-def App(fun, arg):
-    """Single-argument application."""
-    return FamApp(fun, (arg,))
-
-
-def Pair(left, right):
-    return Tuple((left, right))
-
-
-def _tuple(items):
-    items = tuple(items)
-    return items[0] if len(items) == 1 else Tuple(items)
-
-
-def _proj(i, t, width):
-    return t if width == 1 else Proj(i, t)
-
-
-def _prod(items):
-    items = tuple(items)
-    return items[0] if len(items) == 1 else Prod(items)
-
-
 # ------------------------------------------------------------ scoping
 #
 # Terms stay named, because the printed names are output: they come from
@@ -162,9 +138,6 @@ class _Names:
         if b is None:
             b = self.bits[name] = 1 << len(self.bits)
         return b
-
-    def decode(self, mask):
-        return {name for name, b in self.bits.items() if b & mask}
 
 
 class _Info:
@@ -299,46 +272,6 @@ def _fresh(base, avoid, names):
     while bits.get(f"{base}{k}", 0) & avoid:
         k += 1
     return f"{base}{k}"
-
-
-# ------------------------------------------------------------ telescopes
-
-
-def _atom_level(d):
-    """Level p when d is X_p or X_p applied to arguments, else None."""
-    head = d
-    if isinstance(head, FamApp):
-        head = head.head
-    if isinstance(head, Var) and re.fullmatch(r"X\d+", head.name):
-        return int(head.name[1:])
-    return None
-
-
-def flatten_telescope(T):
-    """The binder list of a normalized telescope ending in the universe.
-
-    Returns a list of (binder name, domain); raises NotATelescope when the
-    spine deviates from that shape.
-    """
-    out = []
-    while isinstance(T, DepFun):
-        out.append((T.binder, T.domain))
-        T = T.codomain
-    if not isinstance(T, Univ):
-        raise NotATelescope(
-            f"telescope must end in the universe, found {type(T).__name__}")
-    return out
-
-
-def telescope_stats(T):
-    """Hypothesis counts of a normalized telescope, keyed by family level."""
-    stats = {}
-    for _, dom in flatten_telescope(T):
-        level = _atom_level(dom)
-        if level is None:
-            raise NotATelescope(f"domain is not a family atom: {dom!r}")
-        stats[level] = stats.get(level, 0) + 1
-    return stats
 
 
 # ------------------------------------------------------------ printing

@@ -17,6 +17,7 @@ from nusets.errors import CoherenceMismatch
 from nusets.frames import (
     IndexedNuSet, _cells, enumerate_frames, grow_indexed,
 )
+from nusets.hypotheses import telescope_stats
 from nusets.indexed import (
     coherence_sweep, restr_frame, restr_layer, restr_painting,
 )
@@ -24,7 +25,6 @@ from nusets.indexedfile import emit_indexed
 from nusets.parametricity import iterate_types
 from nusets.syntax import parse_type
 from nusets.telescopes import same_telescope
-from nusets.terms import telescope_stats
 from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.shapes import geometric_inventory, standard_shape
 from nusets.streams import extend_singleton, take

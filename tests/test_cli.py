@@ -797,7 +797,8 @@ def _modules(argv, files):
 # the fibred format (presheaf) and words, unless the call builds a fibred
 # structure.
 # Iterating a telescope does not read one (syntax), reading one does not
-# iterate (parametricity), and neither compares up to names (telescopes).
+# iterate (parametricity), both count its hypotheses (hypotheses), and
+# neither compares up to names (telescopes).
 _CALLS = {
     "hom": (["hom", "--nu", "2", "-p", "1", "-n", "2"], "frozen words"),
     "compose": (["compose", "--nu", "2", "L*", "*"], "frozen words"),
@@ -828,8 +829,9 @@ _CALLS = {
                "fileformat frames frozen indexedfile report streams "
                "values"),
     "param": (["param", "--nu", "2", "-n", "2"],
-              "frozen normal parametricity terms"),
-    "param-file": (["param", "{type}"], "frozen normal syntax terms"),
+              "frozen hypotheses normal parametricity terms"),
+    "param-file": (["param", "{type}"],
+                   "frozen hypotheses normal syntax terms"),
 }
 
 
@@ -945,14 +947,16 @@ def test_every_module_compiles_small():
     """No module of the package has more than MAX_MODULE_NODES AST nodes.
 
     With no bytecode written, as the benchmark's children run, each call
-    compiles every module it imports, and the largest compile, not the
-    data, sets the call's peak memory. Measured under tracemalloc on
+    compiles every module it imports, and its compiles, more than its
+    data, set the call's peak memory. Measured under tracemalloc on
     CPython 3.11, compiling the 4,032-node module that held the indexed
     values and sets peaked at 1,507 KiB, and the 3,913-node one that held
     the terms and their normalizer at 1,712 KiB, while every other module
     stayed under about 830 KiB; importing either raised VmHWM by about
-    1.4-1.7 MiB, and the data of a benchmark call adds at most about
-    0.15 MiB. Split, the largest compile peaks at about 940 KiB."""
+    1.4-1.7 MiB. The data of a benchmark call adds at most about
+    0.75 MiB above importing the same modules alone (``shape --nu 2 -n 8
+    --json --dot``). Split, the largest compile peaks at about 710 KiB
+    (``normal``)."""
     src = Path(__file__).resolve().parent.parent / "src" / "nusets"
     sizes = {path.name: sum(1 for _ in ast.walk(ast.parse(
         path.read_text(encoding="utf-8"))))
@@ -965,10 +969,11 @@ MAX_START_TOKENS = 2048
 
 
 def test_every_call_compiles_below_the_token_step():
-    """The modules every call compiles (cli, cmdline, errors), and those
-    every call on an indexed file compiles (frames, indexedfile, values,
-    indexed, fileformat, report, frozen), have at most MAX_START_TOKENS
-    tokens, counted without comments and blank lines.
+    """The modules every call compiles (cli, cmdline, errors), those every
+    call on an indexed file compiles (frames, indexedfile, values,
+    indexed, fileformat, report, frozen), and those a param call compiles
+    (terms, normal, hypotheses, parametricity, syntax) have at most
+    MAX_START_TOKENS tokens, counted without comments and blank lines.
 
     Past a power of two, CPython's parser doubles its token array and
     allocates a token record per new slot: measured under tracemalloc on
@@ -981,7 +986,9 @@ def test_every_call_compiles_below_the_token_step():
     skip = {tokenize.COMMENT, tokenize.NL}
     for name in ["cli.py", "cmdline.py", "errors.py", "frames.py",
                  "indexedfile.py", "values.py", "indexed.py",
-                 "fileformat.py", "report.py", "frozen.py"]:
+                 "fileformat.py", "report.py", "frozen.py", "terms.py",
+                 "normal.py", "hypotheses.py", "parametricity.py",
+                 "syntax.py"]:
         with open(src / name, encoding="utf-8") as fh:
             count = sum(1 for tok in tokenize.generate_tokens(fh.readline)
                         if tok.type not in skip)

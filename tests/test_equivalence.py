@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nusets.cli import main
+from nusets import equivalence
 from nusets.equivalence import (
     _rank, boundary_frame, random_indexed, round_trip_report,
     to_fibred, to_indexed,
@@ -343,6 +344,72 @@ def test_round_trip_reports_fibre_mismatches_in_text_order(monkeypatch):
     assert rep.violations == [{"kind": "fibre-mismatch", "dimension": 1,
                                "frame": "([{0} {7}])", "source": None,
                                "target": 3}]
+
+
+def _round_trip_indexed_oracle(S):
+    """equivalence._round_trip_indexed as it was before it compared the
+    families by frame: it renders every key of both sets and walks their
+    union in text order."""
+    rep = Report("round trip indexed -> fibred -> indexed")
+    P = equivalence.to_fibred(S)
+    S2 = equivalence.to_indexed(P)
+    bijections = {}
+    for n in range(S.trunc + 1):
+        texts = {frame_key(d): d
+                 for d in S.families[n].keys() | S2.families[n].keys()}
+        for key in sorted(texts):
+            a = S.families[n].get(texts[key])
+            b = S2.families[n].get(texts[key])
+            if a is None or b is None or a.size != b.size:
+                rep.add("fibre-mismatch", dimension=n, frame=key,
+                        source=None if a is None else a.size,
+                        target=None if b is None else b.size)
+                return rep
+            if a.size:
+                bijections[f"{n}:{key}"] = list(range(a.size))
+    rep.data["fibre_bijections"] = bijections
+    return rep
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(1, 3), (2, 2), (3, 1), (2, 1)]),
+       st.integers(0, 10 ** 6),
+       st.lists(st.tuples(st.sampled_from(["drop", "resize", "add"]),
+                          st.integers(0, 10 ** 6)), max_size=3))
+def test_round_trip_report_agrees_with_the_one_it_replaced(shape, seed,
+                                                           edits):
+    """On random sets, as they come back and with fibres of the second
+    set dropped, resized or added, the round trip reports what the old
+    body, which rendered every key, reported."""
+    nu, trunc = shape
+    S = random_indexed(nu, trunc, seed)
+    real = to_indexed
+    done = []  # the edits made: a level may have no frame to edit
+
+    def edited(P):
+        S2 = real(P)
+        fams = {n: dict(S2.families[n]) for n in S2.families}
+        for kind, k in edits:
+            n = k % (trunc + 1) if kind != "add" else 1 + k % trunc
+            frames = sorted(fams[n], key=frame_key)
+            if not frames:
+                continue
+            d = frames[k // (trunc + 1) % len(frames)]
+            done.append(kind)
+            if kind == "drop":
+                del fams[n][d]
+            elif kind == "resize":
+                fams[n][d] = FinSet((fams[n][d].size + 1 + k % 2) % 4)
+            else:
+                fams[n][_far(d)] = FinSet(k % 3)
+        return IndexedNuSet(S2.nu, S2.trunc, fams)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("nusets.equivalence.to_indexed", edited)
+        got = round_trip_report(S)
+        want = _round_trip_indexed_oracle(S)
+    assert got.to_json() == want.to_json()
+    assert got.ok == (not done)
 
 
 def _far(d):

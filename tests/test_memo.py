@@ -13,11 +13,11 @@ import nusets.frames
 import nusets.indexed
 import nusets.indexedfile
 import nusets.values
-from nusets.equivalence import to_fibred, to_indexed
+from nusets.equivalence import random_indexed, to_fibred, to_indexed
 from nusets.errors import CoherenceMismatch, DimensionOutOfRange
 from nusets.fileformat import FinSet
 from nusets.frames import (
-    _frames, _paintings, check_totality, enumerate_frames,
+    IndexedNuSet, _frames, _paintings, check_totality, enumerate_frames,
     enumerate_paintings, grow_indexed,
 )
 from nusets.indexed import (
@@ -212,6 +212,20 @@ def test_memo_per_set_and_handed_on_by_extended(text):
     assert S._memo == {} and S._memo is not memo
     P, Q = standard_shape(S.nu, S.trunc), standard_shape(S.nu, S.trunc)
     assert P == Q and P._memo is not Q._memo
+
+
+def test_extended_takes_the_family_over_and_shares_the_rest():
+    """extended keeps the new family as it is given and shares the levels
+    below with the set it extends, which stays as it was."""
+    S, again = random_indexed(2, 2, 5), random_indexed(2, 2, 5)
+    before = {n: dict(fam) for n, fam in S.families.items()}
+    family = {d: FinSet(1) for d in enumerate_frames(S, 3, 3)}
+    T = S.extended(family)
+    assert S.families == before and S == again
+    assert T.families[3] is family
+    assert all(T.families[n] is S.families[n] for n in range(3))
+    assert T == IndexedNuSet(2, 3, {**before, 3: dict(family)}) != S
+    assert check_totality(T).ok
 
 
 def test_prefix_keeps_its_range_after_an_extension():

@@ -26,11 +26,14 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nusets import normal, parametricity, syntax, telescopes, terms
+from nusets import (
+    hypotheses, normal, parametricity, syntax, telescopes, terms,
+)
 from nusets.errors import ArityError, ParseError, UnsupportedConstruct
+from nusets.hypotheses import flatten_telescope
+from nusets.parametricity import App, _prod, _proj, _tuple
 from nusets.terms import (
-    App, DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, _prod, _proj,
-    _tuple, flatten_telescope,
+    DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var,
 )
 from nusets.words import hom_count
 
@@ -486,7 +489,7 @@ def _renamed(text, rng):
 def _grouped(T):
     """T with every two consecutive arrows made one arrow from a product,
     which normalize splits again under fresh names from base "x"."""
-    hyps = terms.flatten_telescope(T)
+    hyps = hypotheses.flatten_telescope(T)
     out = Univ()
     i = len(hyps)
     while i > 0:
@@ -555,7 +558,7 @@ def test_iterates_past_the_reference_print_as_recorded(far_iterates, case):
     T = far_iterates[case]
     text = terms.print_type(T)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[case]
-    assert terms.telescope_stats(T) == {p: hom_count(nu, p, n)
+    assert hypotheses.telescope_stats(T) == {p: hom_count(nu, p, n)
                                          for p in range(n)}
 
 

@@ -14,15 +14,15 @@ import time
 
 import pytest
 
-from nusets import parametricity, syntax, telescopes, terms
+from nusets import hypotheses, parametricity, syntax, telescopes, terms
 from nusets.errors import NotATelescope, ParseError, UnsupportedConstruct
+from nusets.hypotheses import telescope_stats
 from nusets.normal import normalize
-from nusets.parametricity import iterate_types, translate
+from nusets.parametricity import Pair, iterate_types, translate
 from nusets.syntax import parse_type
 from nusets.telescopes import alpha_eq, free_vars, same_telescope
 from nusets.terms import (
-    DepFun, FamApp, Lam, Pair, Prod, Proj, Tuple, Univ, Var, print_type,
-    telescope_stats,
+    DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, print_type,
 )
 from nusets.words import hom_count
 
@@ -409,7 +409,7 @@ def test_long_split_spines_do_not_recurse():
         "1451b5dfae2ffc1211c7480b98ef3754929de073fd11d579891f9e9e7241c554")
 
 
-MODULES = (terms, syntax, parametricity, telescopes)
+MODULES = (terms, syntax, parametricity, telescopes, hypotheses)
 
 
 def _module_containers():
