@@ -9,10 +9,11 @@ witnessing bijections.
 
 The boundary frame of a cell is computed recursively: the layer at stratum
 q collects, per direction, the painting of the cell's (direction, q)-face,
-and a painting carries the faces of its own cell above stratum q plus the
-fibre-relative rank of that cell. The correspondence between layer index
-and face-word position (q counted from the left) is wired here and pinned
-by the compatibility invariant tested alongside.
+and a painting is the rest of its own cell's boundary, the strata of that
+cell's frame from q on, plus the fibre-relative rank of that cell. The
+correspondence between layer index and face-word position (q counted from
+the left) is wired here and pinned by the compatibility invariant tested
+alongside.
 """
 
 import random
@@ -54,32 +55,12 @@ def _rank(P, m, y):
     return memo[key][y]
 
 
-def _painting_of(P, m, p, y):
-    memo = P._memo
-    key = ("p", m, p, y)
-    if key not in memo:
-        layers = tuple(_layer_of(P, m, j, y) for j in range(p, m))
-        memo[key] = _intern(P, PaintingVal(m, p, layers, _rank(P, m, y)))
-    return memo[key]
-
-
-def _layer_of(P, m, j, y):
-    memo = P._memo
-    key = ("l", m, j, y)
-    if key not in memo:
-        comps = []
-        for omega in range(P.nu):
-            w = str(face_word(P.nu, omega, j, m))
-            comps.append(_painting_of(P, m - 1, j, P.face(m, w)[y]))
-        memo[key] = _intern(P, LayerVal(m, j, tuple(comps)))
-    return memo[key]
-
-
 def boundary_frame(P, n, x):
     """The full frame of cell x in carrier n: all n strata of its boundary.
 
     Stratum q holds, per direction, the painting of the corresponding
-    codimension-1 face of x.
+    codimension-1 face y of x: the strata of y's own boundary frame from
+    q on, and y's rank in its fibre.
     """
     if not (0 <= n <= P.trunc):
         raise DimensionOutOfRange(
@@ -90,8 +71,16 @@ def boundary_frame(P, n, x):
     memo = P._memo
     key = ("b", n, x)
     if key not in memo:
-        memo[key] = _intern(P, FrameVal(n, n, tuple(_layer_of(P, n, j, x)
-                                                     for j in range(n))))
+        layers = []
+        for j in range(n):
+            comps = []
+            for omega in range(P.nu):
+                y = P.face(n, str(face_word(P.nu, omega, j, n)))[x]
+                comps.append(_intern(P, PaintingVal(
+                    n - 1, j, boundary_frame(P, n - 1, y).layers[j:],
+                    _rank(P, n - 1, y))))
+            layers.append(_intern(P, LayerVal(n, j, tuple(comps))))
+        memo[key] = _intern(P, FrameVal(n, n, tuple(layers)))
     return memo[key]
 
 

@@ -26,10 +26,6 @@ class NoLetter(NuSetError):
     """factor_leftmost needs at least one non-star letter."""
 
 
-class AllLetters(NuSetError):
-    """orientation_endpoints needs at least one star."""
-
-
 class DimensionOutOfRange(NuSetError):
     """An operation was asked about a dimension beyond the truncation."""
 

@@ -6,12 +6,14 @@ from .errors import NotATelescope
 from .terms import DepFun, FamApp, Univ, Var
 
 
-def _atom_level(d):
-    """Level p when d is X_p or X_p applied to arguments, else None."""
+def _atom_level(d, bound):
+    """Level p when d is X_p or X_p applied to arguments, with X_p not
+    among the names bound, else None."""
     head = d
     if isinstance(head, FamApp):
         head = head.head
-    if isinstance(head, Var) and re.fullmatch(r"X\d+", head.name):
+    if (isinstance(head, Var) and head.name not in bound
+            and re.fullmatch(r"X\d+", head.name)):
         return int(head.name[1:])
     return None
 
@@ -33,11 +35,15 @@ def flatten_telescope(T):
 
 
 def telescope_stats(T):
-    """Hypothesis counts of a normalized telescope, keyed by family level."""
+    """Hypothesis counts of a normalized telescope, keyed by family level.
+    A domain counts under the family X_p only when X_p is free there: a
+    head bound by an earlier binder of the telescope is no family."""
     stats = {}
-    for _, dom in flatten_telescope(T):
-        level = _atom_level(dom)
+    bound = set()
+    for name, dom in flatten_telescope(T):
+        level = _atom_level(dom, bound)
         if level is None:
             raise NotATelescope(f"domain is not a family atom: {dom!r}")
         stats[level] = stats.get(level, 0) + 1
+        bound.add(name)
     return stats

@@ -37,8 +37,8 @@ class TruncatedPresheaf:
     faces: dict n -> dict word text -> tuple of images in carrier n-1.
     Treated as immutable after construction; all operations are pure.
     ``_memo``, its only memo, holds what equivalence derives from it (the
-    boundary frames, paintings, layers and ranks of cells, and the intern
-    table they are built through); freed with it.
+    boundary frames and ranks of cells, and the intern table the frames
+    are built through); freed with it.
     """
 
     def __init__(self, nu, trunc, carriers, faces):

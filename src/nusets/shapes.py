@@ -1,4 +1,4 @@
-"""Standard shapes by Yoneda, orientation, and DOT export.
+"""Standard shapes by Yoneda, and DOT export.
 
 The standard shape of an object n has the words of Hom(p, n) as p-cells and
 acts by precomposition. For nu=1 the geometric reading is shifted by one:
@@ -12,12 +12,10 @@ writes each piece as it comes never holds the whole text.
 
 from itertools import islice
 
-from .errors import AllLetters, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .fileformat import FinSet
 from .presheaf import TruncatedPresheaf
-from .words import (
-    STAR, Word, check_text_arity, hom_count, hom_enumerate, letter_symbol,
-)
+from .words import check_text_arity, hom_count, hom_enumerate, letter_symbol
 
 # Lines per piece of DOT text: few enough that a piece is small (about
 # 33 kB at nu=2, n=8), many enough that a caller writing each piece makes
@@ -81,18 +79,6 @@ def standard_shape(nu, n):
             tuple(level.pop((j, eps)))  # each list freed once copied
             for j in reversed(range(m)) for eps in range(nu)}
         for m, level in faces.items()})
-
-
-def orientation_endpoints(w):
-    """The nu words obtained by replacing the leftmost star of w with each
-    direction, in direction order."""
-    for j, a in enumerate(w.letters):
-        if a == STAR:
-            return [
-                Word(w.nu, w.letters[:j] + (d,) + w.letters[j + 1:])
-                for d in range(w.nu)
-            ]
-    raise AllLetters(f"{w} has no star to orient")
 
 
 def geometric_inventory(P):

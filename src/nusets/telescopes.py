@@ -1,11 +1,11 @@
 """Terms up to names, and the term operations that no command runs: free
-variables, substitution, alpha-equivalence and telescope equality.
+variables, alpha-equivalence and telescope equality.
 """
 
 from collections import Counter
 
 from .hypotheses import flatten_telescope
-from .normal import _bind, _entry, _reaching, normalize
+from .normal import normalize
 from .terms import (
     DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _info, _kids, _table,
 )
@@ -21,58 +21,6 @@ def free_vars(e):
     names = _table(e)
     fv = _info(e, names).fv
     return {name for name, b in names.bits.items() if b & fv}
-
-
-def subst(e, name, value):
-    """Capture-avoiding substitution of value for the free variable.
-
-    A binder that would capture a free variable of value is renamed, even
-    where name does not occur below it; those renames give the printed
-    names. It is the one-entry case of the substitutions normalize
-    carries (see "substitution" in nusets.normal): a subterm the entry
-    does not change is returned as it is, so only the paths down to an
-    occurrence or a renamed binder are rebuilt."""
-    names = _table(e, value)
-    return _apply(e, [_entry(name, value, names)], names)
-
-
-def _apply(e, sigma, names):
-    """e[sigma], not normalized."""
-    # Binders and applications on the way down, rebuilt on the way back;
-    # the loop walks codomains, bodies, heads and the values of
-    # variables, so spines do not recurse.
-    outer = []
-    while True:
-        sigma = _reaching(sigma, e, names)
-        if not sigma:
-            break
-        if isinstance(e, (DepFun, Lam)):
-            dep = isinstance(e, DepFun)
-            inner = e.codomain if dep else e.body
-            dom = _apply(e.domain, sigma, names) if dep else None
-            binder, sigma = _bind(e.binder, inner, sigma, names)
-            outer.append((e, binder, dom))
-            e = inner
-        elif isinstance(e, FamApp):
-            outer.append((e, None, tuple(_apply(a, sigma, names)
-                                         for a in e.args)))
-            e = e.head
-        elif isinstance(e, Var):  # the first entry is e's; the rest go on
-            e, sigma = sigma[0][2], sigma[1:]
-        elif isinstance(e, Proj):
-            e = Proj(e.index, _apply(e.tuple_, sigma, names))
-            break
-        else:  # Prod or Tuple
-            e = type(e)(tuple(_apply(i, sigma, names) for i in e.items))
-            break
-    for node, binder, part in reversed(outer):
-        if isinstance(node, DepFun):
-            e = DepFun(binder, part, e)
-        elif isinstance(node, Lam):
-            e = Lam(binder, e)
-        else:
-            e = FamApp(e, part)
-    return e
 
 
 # ------------------------------------------------------------ alpha

@@ -280,11 +280,11 @@ def _fresh(base, avoid, names):
 _PREC_TYPE, _PREC_PROD, _PREC_APP, _PREC_ATOM = 0, 1, 2, 3
 
 
-def print_type(e, prec=_PREC_TYPE):
+def print_type(e):
     """The surface text of e. A binder prints as "Pi" when its codomain's
     cached mask has it free, else as an arrow; a spine of binders is read
     in a loop and joined once, so printing is linear in the output."""
-    return _print(e, prec, _table(e))
+    return _print(e, _PREC_TYPE, _table(e))
 
 
 def _print(e, prec, names):

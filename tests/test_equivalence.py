@@ -9,6 +9,7 @@ frame in the first place.
 
 import json
 import time
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,7 @@ from nusets.report import Report
 from nusets.shapes import standard_shape
 from nusets.streams import extend_singleton, take
 from nusets.values import (
-    _VALUES, FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
+    _VALUES, FrameVal, LayerVal, PaintingVal, _intern, frame_key, parse_value,
 )
 from nusets.words import face_word
 
@@ -526,6 +527,90 @@ def test_rank_matches_its_reference():
         for m in range(P.trunc + 1):
             for y in range(P.carriers[m].size):
                 assert _rank(P, m, y) == _rank_reference(P, m, y)
+
+
+class _Before:
+    """P seen through a memo of its own whose intern table is ``values``,
+    so the boundary frames as they were built before run beside today's
+    without reading their memo entries."""
+
+    def __init__(self, P, values):
+        self.nu, self.trunc, self.carriers = P.nu, P.trunc, P.carriers
+        self.face = P.face
+        self._memo = {_VALUES: values}
+
+
+# The boundary frames as equivalence built them before a painting was read
+# off its cell's own frame: ranks, paintings, layers and frames by four
+# memoized functions, copied unchanged but for the names of _rank and
+# boundary_frame.
+
+
+def _rank_before(P, m, y):
+    memo = P._memo
+    key = ("r", m)
+    if key not in memo:
+        seen = defaultdict(int)
+        ranks = []
+        for z in range(P.carriers[m].size):
+            frame = _boundary_frame_before(P, m, z)
+            ranks.append(seen[frame])
+            seen[frame] += 1
+        memo[key] = ranks
+    return memo[key][y]
+
+
+def _painting_of(P, m, p, y):
+    memo = P._memo
+    key = ("p", m, p, y)
+    if key not in memo:
+        layers = tuple(_layer_of(P, m, j, y) for j in range(p, m))
+        memo[key] = _intern(P, PaintingVal(m, p, layers,
+                                           _rank_before(P, m, y)))
+    return memo[key]
+
+
+def _layer_of(P, m, j, y):
+    memo = P._memo
+    key = ("l", m, j, y)
+    if key not in memo:
+        comps = []
+        for omega in range(P.nu):
+            w = str(face_word(P.nu, omega, j, m))
+            comps.append(_painting_of(P, m - 1, j, P.face(m, w)[y]))
+        memo[key] = _intern(P, LayerVal(m, j, tuple(comps)))
+    return memo[key]
+
+
+def _boundary_frame_before(P, n, x):
+    memo = P._memo
+    key = ("b", n, x)
+    if key not in memo:
+        memo[key] = _intern(P, FrameVal(n, n, tuple(_layer_of(P, n, j, x)
+                                                     for j in range(n))))
+    return memo[key]
+
+
+@pytest.mark.parametrize("nu, n, seed", [
+    *((1, n, None) for n in range(7)), *((2, n, None) for n in range(5)),
+    *((3, n, None) for n in range(4)),
+    *((nu, n, seed) for nu, n in ((1, 4), (2, 2), (3, 2))
+      for seed in range(4))])
+def test_boundary_frame_agrees_with_the_one_it_replaced(nu, n, seed):
+    """On the standard shapes (seed None) and on random sets laid out as
+    carriers, every cell's boundary frame equals the one the four memoized
+    functions built, and is that very object once both are interned in
+    one table. P's memo keeps frames, ranks and the intern table only."""
+    P = (standard_shape(nu, n) if seed is None
+         else to_fibred(random_indexed(nu, n, seed, dim0=2)))
+    new = {(m, x): boundary_frame(P, m, x) for m in range(n + 1)
+           for x in range(P.carriers[m].size)}
+    alone = _Before(P, {})
+    shared = _Before(P, P._memo.setdefault(_VALUES, {}))
+    for (m, x), d in new.items():
+        assert _boundary_frame_before(alone, m, x) == d
+        assert _boundary_frame_before(shared, m, x) is d
+    assert {k[0] for k in P._memo if k != _VALUES} <= {"b", "r"}
 
 
 def test_round_trip_of_a_large_carrier_is_not_quadratic():

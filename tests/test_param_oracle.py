@@ -610,17 +610,13 @@ def _outcome(run, printer):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(TERMS, st.sampled_from(NAMES), VALUES)
+@given(TERMS)
 @example(  # two bad projections: the head's error comes out first
     FamApp(Lam("x", Proj(2, Tuple((Var("x"), Var("y"))))),
-           (Proj(3, Tuple((Var("y"), Var("f"), Var("A")))),)),
-    "x", Var("y"))
-def test_random_terms_agree_with_the_reference(e, name, value):
+           (Proj(3, Tuple((Var("y"), Var("f"), Var("A")))),)))
+def test_random_terms_agree_with_the_reference(e):
     assert telescopes.free_vars(e) == free_vars(e)
     assert terms.print_type(e) == print_type(e)
-    got = telescopes.subst(e, name, value)
-    assert got == subst(e, name, value)
-    assert terms.print_type(got) == print_type(got)
     assert (_outcome(lambda: normal.normalize(e), terms.print_type)
             == _outcome(lambda: normalize(e), print_type))
 

@@ -357,6 +357,17 @@ def test_stats_rejects_non_telescope():
         telescope_stats(parse_type("U -> U"))
 
 
+def test_stats_count_only_free_families():
+    """A head counts under its family only where no earlier binder binds
+    it; a binder named like a family binds only what comes after it."""
+    with pytest.raises(NotATelescope, match="not a family atom"):
+        telescope_stats(parse_type("Pi X1:X0. Pi a:X1. U"))
+    assert telescope_stats(parse_type("Pi a:X1. Pi X1:X0. U")) == {0: 1,
+                                                                   1: 1}
+    assert telescope_stats(parse_type("Pi X0:X0. X1 X0 -> U")) == {0: 1,
+                                                                   1: 1}
+
+
 def test_same_telescope_modulo_binders_and_order():
     a = parse_type("Pi a:X0. Pi b:X0. X1 (a, b) -> U")
     b = parse_type("Pi q:X0. Pi p:X0. X1 (p, q) -> U")

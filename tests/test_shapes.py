@@ -1,4 +1,4 @@
-"""Standard shapes: frozen inventories and labels, orientation, DOT output.
+"""Standard shapes: frozen inventories and labels, DOT output.
 
 Frozen oracle values:
   square (nu=2, n=2): 4 points {LL,LR,RL,RR}, 4 edges {L*,R*,*L,*R}, 1 filler
@@ -8,18 +8,15 @@ Frozen oracle values:
 
 import pytest
 
-from nusets.errors import AllLetters, ArityError, IndexOutOfRange
+from nusets.errors import ArityError, IndexOutOfRange
 from nusets.fileformat import FinSet
 from nusets.presheaf import (
     TruncatedPresheaf, carrier_sizes, check_functor_laws,
 )
 from nusets.shapes import (
-    DOT_PIECE_LINES, dot_pieces, geometric_inventory, orientation_endpoints,
-    standard_shape, to_dot,
+    DOT_PIECE_LINES, dot_pieces, geometric_inventory, standard_shape, to_dot,
 )
-from nusets.words import (
-    Word, check_text_arity, compose, hom_count, hom_enumerate, parse_word,
-)
+from nusets.words import check_text_arity, compose, hom_count, hom_enumerate
 
 
 def _shape_by_compose(nu, n):
@@ -102,33 +99,11 @@ def test_geometric_inventories_acceptance_table():
     assert geometric_inventory(standard_shape(2, 2)) == (4, 4, 1)
 
 
-def test_orientation_frozen():
-    assert [str(x) for x in orientation_endpoints(parse_word(1, "**0"))] \
-        == ["0*0"]
-    assert [str(x) for x in orientation_endpoints(parse_word(2, "*R"))] \
-        == ["LR", "RR"]
-    assert [str(x) for x in orientation_endpoints(parse_word(1, "*"))] == ["0"]
-    with pytest.raises(AllLetters):
-        orientation_endpoints(parse_word(2, "LR"))
-    with pytest.raises(AllLetters, match="11 has no star"):
-        orientation_endpoints(Word(12, (11,)))
-
-
 def test_standard_shape_labels_need_text():
     # its labels are word text, which stops at arity 10
     assert standard_shape(10, 2).carriers[0].labels[:2] == ("00", "01")
     with pytest.raises(ArityError, match="must be <= 10"):
         standard_shape(11, 1)
-
-
-def test_orientation_typing():
-    for nu in (1, 2):
-        for n in range(1, 5):
-            for p in range(1, n + 1):
-                for w in hom_enumerate(nu, p, n):
-                    for e in orientation_endpoints(w):
-                        assert e.length == w.length
-                        assert e.stars == w.stars - 1
 
 
 def test_functor_laws_delegated():
