@@ -191,15 +191,15 @@ def _join(S, n, p):
     # is the order of the bound cells read stratum-major.
     rows = sorted(tuple(row[w * p + q] for q in range(p) for w in range(nu))
                   for row in rows)
-    layers, table = {}, {}
+    layers, table = [{} for _ in range(p)], {}  # [q][ys]: one dict per q
     for row in rows:
         frame = []
-        for q in range(p):
+        for q, made in enumerate(layers):
             ys = row[q * nu:(q + 1) * nu]
-            if (q, ys) not in layers:
-                layers[q, ys] = _intern(S, LayerVal(
+            if ys not in made:
+                made[ys] = _intern(S, LayerVal(
                     n, q, tuple(paintings[q][y] for y in ys)))
-            frame.append(layers[q, ys])
+            frame.append(made[ys])
         table[_intern(S, FrameVal(n, p, tuple(frame)))] = row
     return table
 

@@ -180,17 +180,30 @@ def _intern(S, v):
 
 # -------------------------------------------------------- canonical text
 
-def frame_key(v):
+def frame_key(v, texts=None):
     """Injective s-expression text for a frame, layer, or painting: the
-    form values take in files and reports."""
+    form values take in files and reports.
+
+    ``texts`` maps the paintings already rendered to their text, and
+    gains those rendered now. A caller that renders many values passes one
+    dict to every call, so a painting shared among them (one object, or
+    equal ones) is rendered once. Layers are not kept: most are one
+    frame's own, and keeping them would hold a text per key while a file
+    is read."""
+    if texts is None:
+        texts = {}
     if isinstance(v, FrameVal):
-        return "(" + " ".join(frame_key(x) for x in v.layers) + ")"
+        return "(" + " ".join([frame_key(x, texts) for x in v.layers]) + ")"
     if isinstance(v, LayerVal):
-        return "[" + " ".join(frame_key(x) for x in v.components) + "]"
-    if isinstance(v, PaintingVal):
-        inner = [frame_key(x) for x in v.layers] + [str(v.cell)]
-        return "{" + " ".join(inner) + "}"
-    raise TypeError(f"not a frame/layer/painting: {v!r}")
+        return "[" + " ".join([frame_key(x, texts)
+                               for x in v.components]) + "]"
+    if not isinstance(v, PaintingVal):
+        raise TypeError(f"not a frame/layer/painting: {v!r}")
+    text = texts.get(v)
+    if text is None:
+        inner = [frame_key(x, texts) for x in v.layers] + [str(v.cell)]
+        text = texts[v] = "{" + " ".join(inner) + "}"
+    return text
 
 
 def parse_value(text, nu, n, p, kind="frame"):
