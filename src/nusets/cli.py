@@ -13,7 +13,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .cmdline import REQUIRED, read
+from .cmdline import REQUIRED, natural, read
 from .errors import CoherenceMismatch, LawViolation, NuSetError, ParseError, \
     ValidationFailure
 
@@ -29,43 +29,6 @@ def _read(path):
             return fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"input is not UTF-8: {e.reason} at byte {e.start}")
-
-
-def _parser(text):
-    """The parse function of text's nu-set format, and whether that format
-    is the indexed one, not the fibred one. The decoded keys decide, so a
-    key written with escapes is still found; ParseError when it is
-    neither.
-
-    Only the chosen format's module is imported, once the decoded
-    document is dropped: a module compiled beside it peaks higher in
-    memory. Measured as VmHWM with no bytecode written (Python 3.11,
-    median of 9 runs), ``validate`` of the ternary 2-cell (nu=3, n=2)
-    peaks at 16.04 MiB this way and at 16.20 MiB with the document kept;
-    importing the indexed modules before decoding, on a sniff of the
-    text, read 16.02 MiB, so no sniff is made.
-    """
-    from .fileformat import load_json
-
-    doc = load_json(text)
-    indexed = isinstance(doc, dict) and "families" in doc
-    if not (indexed or isinstance(doc, dict) and "carriers" in doc):
-        raise ParseError(
-            "cannot tell the format: expected a 'families' (indexed) or "
-            "'carriers' (fibred) field")
-    del doc
-    if indexed:
-        from .indexedfile import parse_indexed as parse
-    else:
-        from .presheaf import parse_nuset as parse
-    return parse, indexed
-
-
-def _load_any(text):
-    """Parse either nu-set JSON format; returns the structure and whether
-    it is indexed."""
-    parse, indexed = _parser(text)
-    return parse(text), indexed
 
 
 def _write(text):
@@ -157,8 +120,10 @@ def _cmd_shape(args):
 def _cmd_validate(args):
     # The laws' module compiles before the set is built, not on top of it,
     # and the text goes before the laws run.
+    from .fileformat import parser
+
     text = _read(args.file)
-    parse, indexed = _parser(text)
+    parse, indexed = parser(text)
     if indexed:
         from .indexed import validate_indexed as check
     else:
@@ -170,10 +135,11 @@ def _cmd_validate(args):
 
 def _cmd_convert(args):
     from .equivalence import to_fibred, to_indexed
+    from .fileformat import load_any
     from .indexedfile import emit_indexed
     from .presheaf import emit_nuset
 
-    obj, indexed = _load_any(_read(args.file))
+    obj, indexed = load_any(_read(args.file))
     if indexed:
         _write(emit_nuset(to_fibred(obj)))
     else:
@@ -227,30 +193,25 @@ def _cmd_extend(args):
 
 def _cmd_roundtrip(args):
     from .equivalence import random_indexed, round_trip_report
+    from .fileformat import load_any
 
     if args.file is not None:
         if args.given & {"nu", "n", "seed"}:
             raise NuSetError("give a FILE or --nu/-n/--seed, not both")
-        obj = _load_any(_read(args.file))[0]
+        obj = load_any(_read(args.file))[0]
     else:
         obj = random_indexed(args.nu, args.n, args.seed)
     return _emit_report(round_trip_report(obj), args.json)
 
 
-def _natural(text):
-    if not text.isdecimal():
-        raise ValueError(f"must be a natural, got {text!r}")
-    return int(text)
-
-
 # Each subcommand's handler, help line and arguments, as nusets.cmdline
 # reads them: (flags or a positional's name, convert, default, help).
 _NU = ("--nu", int, REQUIRED, "")
-_N = ("-n", _natural, REQUIRED, "")
+_N = ("-n", natural, REQUIRED, "")
 _FILE = ("file", str, None, "path or - for stdin")
 _COMMANDS = {
     "hom": (_cmd_hom, "list the words from p to n",
-            [_NU, ("-p", _natural, REQUIRED, ""), _N]),
+            [_NU, ("-p", natural, REQUIRED, ""), _N]),
     "compose": (_cmd_compose, "compose two words (shell-quote the '*'s)",
                 [_NU, ("g", str, REQUIRED, ""), ("f", str, REQUIRED, "")]),
     "shape": (_cmd_shape, "standard shape at dimension n",
@@ -265,14 +226,14 @@ _COMMANDS = {
               [("file", str, None,
                 "type in the surface syntax; path or - for stdin"),
                ("--nu", int, 2, ""),
-               ("-n --steps", _natural, None,
+               ("-n --steps", natural, None,
                 "emit the step-n iterated telescope instead")]),
     "extend": (_cmd_extend, "extend an indexed file by singleton levels",
-               [_FILE, ("--levels", _natural, REQUIRED,
+               [_FILE, ("--levels", natural, REQUIRED,
                         "number of levels to add")]),
     "roundtrip": (_cmd_roundtrip,
                   "round-trip a nu-set file through the other form",
-                  [_FILE, ("--nu", int, 2, ""), ("-n", _natural, 2, ""),
+                  [_FILE, ("--nu", int, 2, ""), ("-n", natural, 2, ""),
                    ("--seed", int, 0,
                     "randomized instance when no file is given")]),
 }
@@ -302,6 +263,11 @@ def main(argv=None):
     except RecursionError:
         # The parsers and the term code recurse on the input's nesting.
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # A small file can denote a structure too large to build. The
+        # message is fixed: the traceback still holds what filled memory.
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

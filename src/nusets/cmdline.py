@@ -32,6 +32,13 @@ _JSON = ("--json", None, False, "machine-parseable JSON on stdout")
 _TOP = {"-h": _HELP, "--help": _HELP}
 
 
+def natural(text):
+    """The convert of an argument that takes a natural number."""
+    if not text.isdecimal():
+        raise ValueError(f"must be a natural, got {text!r}")
+    return int(text)
+
+
 class Args:
     """The fields of one command line, an attribute each, and ``given``:
     the set of the fields it set, so that a handler can tell a value

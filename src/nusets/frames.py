@@ -4,8 +4,8 @@ An indexed set keys each fibre by a full frame, a value of ``values``. A
 p-frame at n is also a family of (n-1)-cells, one per face (q, w) with
 q < p, any two of which agree on the codimension-2 face they share, and
 that is how every frame is enumerated: a join over the cells one
-dimension down (``_join``), which keeps each frame's cells as its row.
-The face maps of the cells are read off those rows, and the paintings
+dimension down (``nusets.join``), which keeps each frame's cells as its
+row. The face maps of the cells are read off those rows, and the paintings
 over a partial frame off the full frames that extend it. So building,
 reading, writing and converting a set restrict nothing; restriction and
 the coherence laws it must satisfy are in ``indexed``.
@@ -20,8 +20,9 @@ from .errors import (
     UnknownFrame,
 )
 from .fileformat import finset
+from .join import join
 from .report import Report
-from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
+from .values import FrameVal, PaintingVal, _intern, frame_key
 
 
 # ------------------------------------------------------------ indexed set
@@ -102,12 +103,17 @@ def enumerate_frames(S, n, p):
 
 def _frames(S, n, p):
     """The p-frames at n as an ordered table, memoized in S: each frame
-    maps to its row (see ``_join``), and the empty frame to ``()``."""
+    maps to its row (see ``nusets.join``), and the empty frame to
+    ``()``."""
     key = ("frames", n, p)
     table = S._memo.get(key)
     if table is None:
-        table = S._memo[key] = _join(S, n, p) if p else \
-            {_intern(S, FrameVal(n, 0, ())): ()}
+        if p:
+            below = _cells(S, n - 1)
+            table = join(S, n, p, below, _faces(S, n - 1) if p > 1 else ())
+        else:
+            table = {_intern(S, FrameVal(n, 0, ())): ()}
+        S._memo[key] = table
     return table
 
 
@@ -142,66 +148,6 @@ def _faces(S, m):
             [tuple(row[q * S.nu + w] for row in spread) for w in range(S.nu)]
             for q in range(m)]
     return faces
-
-
-def _join(S, n, p):
-    """The p-frames at n, 1 <= p <= n, as an ordered table, by a join over
-    the cells at n-1.
-
-    A p-frame is one (n-1)-cell y[q, w] per face (q, w) with q < p, and
-    component w of its layer q is that cell's painting from stratum q on.
-    Two faces at strata j < k agree where they meet: the (k-1, e)-face of
-    y[j, w] is the (j, w)-face of y[k, e], the exchange law
-    d^e_{k-1} d^w_j = d^w_j d^e_k. The search binds the faces direction by
-    direction, so that each one after the first meets a bound face at
-    another stratum, and takes its candidates as the intersection of the
-    index lists of those meetings. Each frame maps to its row: the index
-    at n-1 of the cell on each face, stratum-major (face (q, w) at
-    ``q * nu + w``), which is what ``_faces`` reads."""
-    nu, below = S.nu, _cells(S, n - 1)
-    paintings = [[_intern(S, PaintingVal(n - 1, q, d.layers[q:], c))
-                  for d in below for c in range(S.families[n - 1][d].size)]
-                 for q in range(p)]  # [q][y]: cell y's painting from q on
-    faces = _faces(S, n - 1) if p > 1 else ()
-    # (q, w) -> face at n-2 -> the cells with that (q, w)-face; the meets
-    # below read it at strata q < p-1 only
-    index = {}
-    for q, maps in enumerate(faces[:p - 1]):
-        for w, face in enumerate(maps):
-            groups = index[q, w] = {}
-            for y, z in enumerate(face):
-                groups.setdefault(z, set()).add(y)
-    order = [(q, w) for w in range(nu) for q in range(p)]
-    everything, rows = range(len(paintings[0])), [()]
-    for b, (k, e) in enumerate(order):
-        # y[k, e] meets each bound y[j, w] with j != k: for j < k the
-        # (k-1, e)-face of y[j, w] is its (j, w)-face, for j > k the
-        # (k, e)-face of y[j, w] is its (j-1, w)-face
-        meets = [(a, faces[k - 1][e], index[j, w]) if j < k else
-                 (a, faces[k][e], index[j - 1, w])
-                 for a, (j, w) in enumerate(order[:b]) if j != k]
-        rows = [row + (y,) for row in rows
-                for y in (set.intersection(*[groups.get(face[row[a]], set())
-                                             for a, face, groups in meets])
-                          if meets else everything)]
-    # Enumeration order is lexicographic in the components, stratum by
-    # stratum and direction by direction, each in its painting table's
-    # order; a painting table lists the full frames over its base in
-    # enumeration order, then their cells, which is layout order. So it
-    # is the order of the bound cells read stratum-major.
-    rows = sorted(tuple(row[w * p + q] for q in range(p) for w in range(nu))
-                  for row in rows)
-    layers, table = [{} for _ in range(p)], {}  # [q][ys]: one dict per q
-    for row in rows:
-        frame = []
-        for q, made in enumerate(layers):
-            ys = row[q * nu:(q + 1) * nu]
-            if ys not in made:
-                made[ys] = _intern(S, LayerVal(
-                    n, q, tuple(paintings[q][y] for y in ys)))
-            frame.append(made[ys])
-        table[_intern(S, FrameVal(n, p, tuple(frame)))] = row
-    return table
 
 
 def enumerate_paintings(S, n, p, d):

@@ -125,10 +125,6 @@ def check_functor_laws(P):
     return rep
 
 
-def carrier_sizes(P):
-    return tuple(c.size for c in P.carriers)
-
-
 # ------------------------------------------------------------- file format
 
 def emit_nuset(P):

@@ -1,26 +1,10 @@
-"""Terms up to names, and the term operations that no command runs: free
-variables, alpha-equivalence and telescope equality.
-"""
+"""Telescopes up to names (``same_telescope``), which no command runs."""
 
 from collections import Counter
 
 from .hypotheses import flatten_telescope
 from .normal import normalize
-from .terms import (
-    DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _info, _kids, _table,
-)
-
-
-def free_vars(e):
-    """The free variables of e.
-
-    Each node caches in ``_cache`` its free variables and the names bound
-    inside it, as bitmasks over a name table, and whether it is normal.
-    This reads e's mask; only nodes not yet stamped under e's table are
-    scanned, once."""
-    names = _table(e)
-    fv = _info(e, names).fv
-    return {name for name, b in names.bits.items() if b & fv}
+from .terms import DepFun, FamApp, Lam, Prod, Proj, Tuple, Var, _kids
 
 
 # ------------------------------------------------------------ alpha
@@ -59,12 +43,6 @@ def _shape(e, env):
                 out.append(e.index if isinstance(e, Proj) else len(kids))
                 todo += reversed(kids)
     return tuple(out)
-
-
-def alpha_eq(a, b):
-    """Structural equality up to renaming of bound variables: each bound
-    variable is compared by the position of its binder."""
-    return _shape(a, {}) == _shape(b, {})
 
 
 def _splice(e):

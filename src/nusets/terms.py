@@ -7,9 +7,10 @@ finite products, variables, and application. Lambdas and projections are
 internal only: the normalizer removes every one it can reach, and
 printing them uses a non-surface form ("\\x. e", "e.0") meant for
 diagnostics. Binders named "_" print as arrows. nusets.normal substitutes
-and normalizes, nusets.syntax reads the surface text, nusets.hypotheses
-counts a telescope's hypotheses, and nusets.telescopes compares terms up
-to names.
+and normalizes, with the pending substitutions of nusets.pending,
+nusets.syntax reads the surface text, nusets.hypotheses counts a
+telescope's hypotheses, and nusets.telescopes compares telescopes up to
+names.
 """
 
 from .errors import UnsupportedConstruct
@@ -110,7 +111,7 @@ class Proj(_Node):
 #
 # Normalization does not substitute into a term and then walk the
 # result. It walks the term with the substitution pending, a list of
-# entries (see "substitution" in nusets.normal), and the masks say, without applying the
+# entries (see nusets.pending), and the masks say, without applying the
 # entries, which of them change a subterm and what its free variables
 # will be; so each node is rebuilt at most once per walk.
 #
@@ -145,7 +146,7 @@ class _Info:
     names bound anywhere inside (bv), normal form (nf), and whether a
     product or a projection lies inside, the node included (pp). A
     closure's bv may hold more names than it binds (see _prune in
-    nusets.normal)."""
+    nusets.pending)."""
 
     __slots__ = ("names", "fv", "bv", "nf", "pp")
 

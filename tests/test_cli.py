@@ -17,6 +17,7 @@ import pytest
 
 from nusets import shapes
 from nusets.cli import _COMMANDS, main
+from nusets.cmdline import REQUIRED
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
 from nusets.frames import grow_indexed
@@ -710,6 +711,79 @@ def test_usage_error_exits_two():
     assert e.value.code == 2
 
 
+# The value of each argument a line must give, by its name.
+_REQUIRED_VALUES = {"nu": "2", "p": "1", "n": "2", "g": "L*", "f": "*",
+                    "levels": "1"}
+# The options whose output is one JSON document with the flag or without
+# it: they print the same bytes either way.
+_SAME_BYTES = {("convert", "--json"), ("extend", "--json")}
+
+
+def _option_lines():
+    """(command, option words, input kind) for each optional argument of
+    each subcommand in _COMMANDS, --json among them, with a value that is
+    not its default, and each way the subcommand takes its input: a FILE,
+    "-" for stdin, or none (stdin, or roundtrip's random instance)."""
+    for command, (_, _, spec) in _COMMANDS.items():
+        kinds = ["file", "stdin", "none"] if any(
+            flags == "file" for flags, *_ in spec) else ["none"]
+        for flags, convert, default, _ in [("--json", None, False, ""),
+                                           *spec]:
+            if flags[0] != "-" or default is REQUIRED:
+                continue
+            words = [flags.split()[0]]
+            if convert is not None:
+                words.append("1" if default is None else str(default + 1))
+            for kind in kinds:
+                case = (command, words, kind)
+                if case == ("roundtrip", ["-n", "3"], "none"):
+                    # seed 0 draws no cell above dimension 1, and the
+                    # report names no truncation
+                    case = pytest.param(*case, marks=pytest.mark.xfail(
+                        strict=True, reason="the report shows no trunc"))
+                yield case
+
+
+def _outcome(argv, text, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, option, kind", _option_lines(),
+                         ids=lambda v: v if isinstance(v, str) else
+                         "=".join(v))
+def test_every_option_given_is_used_or_refused(command, option, kind,
+                                               square_indexed, tmp_path,
+                                               monkeypatch, capsys):
+    """A line that gives an optional argument a value other than its
+    default prints other bytes than the line without it, or exits 2: no
+    option given is dropped unseen."""
+    if command == "param":
+        path = tmp_path / "t.ty"
+        path.write_text("Pi a:X0. X1 a -> U")
+    else:
+        path = Path(square_indexed)
+    line = [command]
+    for flags, _, default, _ in _COMMANDS[command][2]:
+        if default is REQUIRED:
+            word = flags.split()[0]
+            value = _REQUIRED_VALUES[word.lstrip("-")]
+            line += [word, value] if word[0] == "-" else [value]
+    line += {"file": [str(path)], "stdin": ["-"], "none": []}[kind]
+    text = path.read_text()
+    base = _outcome(line, text, monkeypatch, capsys)
+    assert base[0] in (0, 1)
+    got = _outcome(line + option, text, monkeypatch, capsys)
+    if (command, option[0]) in _SAME_BYTES:
+        assert got == base
+    else:
+        assert got[0] == 2 or got[1] != base[1]
+
+
 @pytest.mark.parametrize("p, n", [("-1", "1"), ("0", "-1")])
 def test_hom_negative_object_is_usage_error(p, n, capsys):
     with pytest.raises(SystemExit) as e:
@@ -743,6 +817,33 @@ def test_param_nested_too_deep_exits_two(monkeypatch, capsys):
     assert main(["param"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# Runs the CLI with its own address space limited to 400 MiB.
+_MEMORY_PROBE = """
+import resource
+import sys
+
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from nusets.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_two(tmp_path):
+    """A 65-byte file can denote a structure too large to build: 30,000
+    points make the join list 9 x 10^8 1-frames. Memory running out ends
+    the call with exit 2 and one fixed line, not a traceback."""
+    path = tmp_path / "points.json"
+    path.write_text('{"nu": 2, "trunc": 1, '
+                    '"families": {"0": {"()": 30000}, "1": {}}}')
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE, "validate", str(path)],
+        capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", b"error: out of memory\n")
 
 
 FILE_COMMANDS = [["validate"], ["convert"], ["coh-check"], ["param"],
@@ -818,33 +919,33 @@ _CALLS = {
     "shape": (["shape", "--nu", "2", "-n", "2"],
               "fileformat frozen presheaf report shapes words"),
     "validate-indexed": (["validate", "{indexed}"], "fileformat frames "
-                         "frozen indexed indexedfile report values"),
+                         "frozen indexed indexedfile join report values"),
     "validate-fibred": (["validate", "{fibred}"],
                         "fileformat frozen presheaf report words"),
     "convert-indexed": (["convert", "{indexed}"], "equivalence fileformat "
-                        "frames frozen indexedfile presheaf report values "
-                        "words"),
+                        "frames frozen indexedfile join presheaf report "
+                        "values words"),
     "convert-fibred": (["convert", "{fibred}"], "equivalence fileformat "
-                       "frames frozen indexedfile presheaf report values "
-                       "words"),
+                       "frames frozen indexedfile join presheaf report "
+                       "values words"),
     "coh-check": (["coh-check", "{indexed}"], "fileformat frames frozen "
-                  "indexed indexedfile report values"),
+                  "indexed indexedfile join report values"),
     "roundtrip-indexed": (["roundtrip", "{indexed}"], "equivalence "
-                          "fileformat frames frozen indexedfile presheaf "
-                          "report values words"),
+                          "fileformat frames frozen indexedfile join "
+                          "presheaf report values words"),
     "roundtrip-fibred": (["roundtrip", "{fibred}"], "equivalence "
-                         "fileformat frames frozen presheaf report values "
-                         "words"),
+                         "fileformat frames frozen join presheaf report "
+                         "values words"),
     "roundtrip-random": (["roundtrip", "--nu", "2", "-n", "2", "--seed", "1"],
-                         "equivalence fileformat frames frozen presheaf "
-                         "report values words"),
+                         "equivalence fileformat frames frozen join "
+                         "presheaf report values words"),
     "extend": (["extend", "{indexed}", "--levels", "1"],
-               "fileformat frames frozen indexedfile report streams "
+               "fileformat frames frozen indexedfile join report streams "
                "values"),
     "param": (["param", "--nu", "2", "-n", "2"],
-              "frozen hypotheses normal parametricity terms"),
+              "frozen hypotheses normal pending parametricity terms"),
     "param-file": (["param", "{type}"],
-                   "frozen hypotheses normal syntax terms"),
+                   "frozen hypotheses normal pending syntax terms"),
 }
 
 
@@ -969,7 +1070,7 @@ def test_every_module_compiles_small():
     1.4-1.7 MiB. The data of a benchmark call adds at most about
     0.75 MiB above importing the same modules alone (``shape --nu 2 -n 8
     --json --dot``). Split, the largest compile peaks at about 710 KiB
-    (``normal``)."""
+    (``indexed``)."""
     src = Path(__file__).resolve().parent.parent / "src" / "nusets"
     sizes = {path.name: sum(1 for _ in ast.walk(ast.parse(
         path.read_text(encoding="utf-8"))))
@@ -998,11 +1099,13 @@ def test_every_call_compiles_below_the_token_step():
     skip = {tokenize.COMMENT, tokenize.NL}
     names = {"cli", "cmdline", "errors"}
     names.update(m for _, ours in _CALLS.values() for m in ours.split())
+    counts = {}
     for name in sorted(names):
         with open(src / f"{name}.py", encoding="utf-8") as fh:
-            count = sum(1 for tok in tokenize.generate_tokens(fh.readline)
-                        if tok.type not in skip)
-        assert count <= MAX_START_TOKENS, (name, count)
+            counts[name] = sum(
+                1 for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type not in skip)
+    assert max(counts.values()) <= MAX_START_TOKENS, counts
 
 
 def test_format_told_by_decoded_keys(square_indexed, tmp_path, capsys):

@@ -27,9 +27,7 @@ from nusets.fileformat import FinSet
 from nusets.frames import IndexedNuSet, _cells, check_totality
 from nusets.indexed import restr_frame, validate_indexed
 from nusets.indexedfile import emit_indexed, parse_indexed
-from nusets.presheaf import (
-    TruncatedPresheaf, carrier_sizes, check_functor_laws,
-)
+from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.report import Report
 from nusets.shapes import standard_shape
 from nusets.streams import extend_singleton, take
@@ -39,6 +37,7 @@ from nusets.values import (
 from nusets.words import face_word
 
 from test_frames_oracle import full_frame
+from test_presheaf import carrier_sizes
 
 
 def _collect(S, offsets, base, c, acc):

@@ -20,11 +20,27 @@ from nusets.hypotheses import telescope_stats
 from nusets.normal import normalize
 from nusets.parametricity import Pair, iterate_types, translate
 from nusets.syntax import parse_type
-from nusets.telescopes import alpha_eq, free_vars, same_telescope
+from nusets.telescopes import same_telescope
 from nusets.terms import (
     DepFun, FamApp, Lam, Prod, Proj, Tuple, Univ, Var, print_type,
 )
 from nusets.words import hom_count
+
+
+def free_vars(e):
+    """The free variables of e, read off the mask the normalizer trusts
+    (see "scoping" in nusets.terms); test_param_oracle checks it against
+    a walk of the term."""
+    names = terms._table(e)
+    fv = terms._info(e, names).fv
+    return {name for name, b in names.bits.items() if b & fv}
+
+
+def alpha_eq(a, b):
+    """Structural equality up to renaming of bound variables: each bound
+    variable is compared by the position of its binder, as
+    same_telescope compares domains."""
+    return telescopes._shape(a, {}) == telescopes._shape(b, {})
 
 
 # ---------------------------------------------------------------- parsing

@@ -13,11 +13,14 @@ from nusets.errors import (
 )
 from nusets.fileformat import FinSet
 from nusets.presheaf import (
-    TruncatedPresheaf, action, carrier_sizes, check_functor_laws, emit_nuset,
-    parse_nuset,
+    TruncatedPresheaf, action, check_functor_laws, emit_nuset, parse_nuset,
 )
 from nusets.shapes import standard_shape
 from nusets.words import compose, hom_enumerate, identity, parse_word
+
+
+def carrier_sizes(P):
+    return tuple(c.size for c in P.carriers)
 
 
 def _cell_index(P, dim, label):

@@ -10,13 +10,13 @@ import pytest
 
 from nusets.errors import ArityError, IndexOutOfRange
 from nusets.fileformat import FinSet
-from nusets.presheaf import (
-    TruncatedPresheaf, carrier_sizes, check_functor_laws,
-)
+from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.shapes import (
     DOT_PIECE_LINES, dot_pieces, geometric_inventory, standard_shape, to_dot,
 )
 from nusets.words import check_text_arity, compose, hom_count, hom_enumerate
+
+from test_presheaf import carrier_sizes
 
 
 def _shape_by_compose(nu, n):
