@@ -7,17 +7,17 @@ cells, to_fibred lays the fibres back out as one carrier per dimension.
 Neither direction loses information, and round_trip_report exhibits the
 witnessing bijections.
 
-The boundary frame of a cell is computed recursively: the layer at stratum
-q collects, per direction, the painting of the cell's (direction, q)-face,
-and a painting is the rest of its own cell's boundary, the strata of that
-cell's frame from q on, plus the fibre-relative rank of that cell. The
-correspondence between layer index and face-word position (q counted from
-the left) is wired here and pinned by the compatibility invariant tested
-alongside.
+The boundary frames of a level's cells are built by the builders of the
+join (``nusets.join``), each cell's row read off the face maps: the layer
+at stratum q holds, per direction, the painting of the (direction,
+q)-face from q on. The correspondence between layer index and face-word
+position (q counted from the left) is wired here and pinned by the
+compatibility invariant tested alongside.
 """
 
 import random
 from collections import defaultdict
+from itertools import count
 
 from .errors import (
     DimensionOutOfRange, IndexOutOfRange, LawViolation, ValidationFailure,
@@ -27,32 +27,39 @@ from .frames import (
     IndexedNuSet, _cells, _faces, check_totality, enumerate_frames,
     family_gaps, grow_indexed,
 )
+from .join import frames_of, suffixes
 from .presheaf import TruncatedPresheaf, check_functor_laws
 from .report import Report
-from .values import (
-    _VALUES, FrameVal, LayerVal, PaintingVal, _intern, frame_key,
-)
+from .values import _VALUES, frame_key
 from .words import face_word
 
 
 # ------------------------------------------------------------ boundaries
 
 
-def _rank(P, m, y):
-    """Fibre-relative index of cell y: its rank, in carrier order, among
-    the dimension-m cells sharing its boundary frame. One pass ranks the
-    whole carrier."""
-    memo = P._memo
-    key = ("r", m)
-    if key not in memo:
-        seen = defaultdict(int)
-        ranks = []
-        for z in range(P.carriers[m].size):
-            frame = boundary_frame(P, m, z)
-            ranks.append(seen[frame])
-            seen[frame] += 1
-        memo[key] = ranks
-    return memo[key][y]
+def _level(P, n):
+    """The boundary frames and fibre ranks of the cells at n, as two lists
+    in carrier order, memoized in P one entry per level. A fibre rank is
+    the cell's index, in carrier order, among the cells sharing its frame.
+    A level with no cells looks up no face map."""
+    level = P._memo.get(("level", n))
+    if level is None:
+        size, paintings = P.carriers[n].size, []
+        rows = [()] * size
+        if n and size:
+            rows = list(zip(*[P.face(n, str(face_word(P.nu, w, q, n)))
+                              for q in range(n) for w in range(P.nu)],
+                            strict=True))
+            below = list(zip(*_level(P, n - 1)))
+            low, high = min(map(min, rows)), max(map(max, rows))
+            if low < 0 or high >= len(below):
+                raise IndexOutOfRange(
+                    f"element {low if low < 0 else high} outside carrier "
+                    f"of size {len(below)}")
+            paintings = suffixes(P, below, n)
+        built, seen = frames_of(P, n, n, rows, paintings), defaultdict(count)
+        level = P._memo["level", n] = built, [next(seen[d]) for d in built]
+    return level
 
 
 def boundary_frame(P, n, x):
@@ -68,20 +75,7 @@ def boundary_frame(P, n, x):
     if not (0 <= x < P.carriers[n].size):
         raise IndexOutOfRange(
             f"element {x} outside carrier of size {P.carriers[n].size}")
-    memo = P._memo
-    key = ("b", n, x)
-    if key not in memo:
-        layers = []
-        for j in range(n):
-            comps = []
-            for omega in range(P.nu):
-                y = P.face(n, str(face_word(P.nu, omega, j, n)))[x]
-                comps.append(_intern(P, PaintingVal(
-                    n - 1, j, boundary_frame(P, n - 1, y).layers[j:],
-                    _rank(P, n - 1, y))))
-            layers.append(_intern(P, LayerVal(n, j, tuple(comps))))
-        memo[key] = _intern(P, FrameVal(n, n, tuple(layers)))
-    return memo[key]
+    return _level(P, n)[0][x]
 
 
 # ------------------------------------------------------------ conversion
@@ -91,8 +85,8 @@ def to_indexed(P):
     """Group every carrier by boundary frame; empty fibres included.
 
     The fibre over a frame lists the cells filling it in carrier order, so
-    fibre-relative cell indices agree with the ranks used by
-    boundary_frame. Carrier labels, when present, move onto the fibres.
+    fibre-relative cell indices agree with the fibre ranks the boundary
+    frames are built with. Carrier labels, when present, move onto the fibres.
     The set interns its values in P's table, the one the boundary frames
     are built through, so its family keys are those frames themselves.
     """
@@ -103,14 +97,13 @@ def to_indexed(P):
     S._memo[_VALUES] = P._memo.setdefault(_VALUES, {})
     for n in range(P.trunc + 1):
         groups = defaultdict(list)
-        for x in range(P.carriers[n].size):
-            groups[boundary_frame(P, n, x)].append(x)
-        if n:  # at 0 every cell's boundary frame is the empty frame
-            stray = family_gaps(S, n, groups)[1]
-            if stray:
-                raise LawViolation(
-                    f"boundary frame not enumerable at dimension {n}: "
-                    f"{stray[0]}")
+        for x, d in enumerate(_level(P, n)[0]):
+            groups[d].append(x)
+        stray = family_gaps(S, n, groups)[1]
+        if stray:
+            raise LawViolation(
+                f"boundary frame not enumerable at dimension {n}: "
+                f"{stray[0]}")
         labels = P.carriers[n].labels
         fam = {}
         for d in enumerate_frames(S, n, n):
@@ -173,8 +166,7 @@ def _round_trip_fibred(P):
     bijections = {}
     for n in range(P.trunc + 1):
         starts = _cells(S, n)
-        perm = [starts[boundary_frame(P, n, x)] + _rank(P, n, x)
-                for x in range(P.carriers[n].size)]
+        perm = [starts[d] + r for d, r in zip(*_level(P, n))]
         if sorted(perm) != list(range(P2.carriers[n].size)):
             rep.add("not-bijective", dimension=n, map=perm,
                     target_size=P2.carriers[n].size)
@@ -201,23 +193,24 @@ def _round_trip_fibred(P):
 def _round_trip_indexed(S):
     rep = Report("round trip indexed -> fibred -> indexed")
     S2 = to_indexed(to_fibred(S))
-    bijections = {}
+    bijections, texts = {}, {}
     for n in range(S.trunc + 1):
         # The families are compared by frame: S2 is keyed by S's own
         # frame objects (see to_fibred), so no lookup compares trees. Only
-        # the frames reported are rendered: the first mismatch in text
-        # order, else each non-empty fibre, in text order.
+        # the frames reported are rendered, through one painting-text
+        # memo: the first mismatch in text order, else each non-empty
+        # fibre, in text order.
         A, B = S.families[n], S2.families[n]
         bad = list(A.keys() ^ B.keys())
         bad += [d for d, a in A.items() if d in B and B[d].size != a.size]
         if bad:
-            d = min(bad, key=frame_key)
+            key, d = min((frame_key(d, texts), d) for d in bad)
             a, b = A.get(d), B.get(d)
-            rep.add("fibre-mismatch", dimension=n, frame=frame_key(d),
+            rep.add("fibre-mismatch", dimension=n, frame=key,
                     source=None if a is None else a.size,
                     target=None if b is None else b.size)
             return rep
-        for key, size in sorted((frame_key(d), a.size)
+        for key, size in sorted((frame_key(d, texts), a.size)
                                 for d, a in A.items() if a.size):
             bijections[f"{n}:{key}"] = list(range(size))
     rep.data["fibre_bijections"] = bijections

@@ -5,15 +5,17 @@ fibre, a size or a list of labels.
 
 Both ways render each painting once per call, through one ``frame_key``
 memo. The writer renders each key of the set. The reader builds the set
-level by level, as ``grow_indexed`` does: it enumerates the full frames
-at n by the join over the levels already read, and looks each one's text
-up among the keys. A level with a key that no frame claims, or with an
-entry that is refused, is read again key by key with ``values._read``,
-in file order, so every error, its position and every stray key are what
-that reader makes of them.
+level by level, as ``grow_indexed`` does: it reads the first key of a
+level with ``values._read``, then enumerates the full frames at n by the
+join over the levels already read, and looks each one's text up among
+the keys. A level with a key that no frame claims, or with an entry that
+is refused, is read again key by key with ``_read``, in file order, so
+every error, its position and every stray key are what that reader makes
+of them.
 """
 
 import json
+from itertools import islice
 
 from .errors import ParseError, UnknownFrame
 from .fileformat import load_header, parse_finset
@@ -59,9 +61,11 @@ def parse_indexed(text):
             raise ParseError(f"families missing dimension {n}")
         if not isinstance(block, dict):
             raise ParseError(f"families[{n}] must be an object")
+        # a bad first key fails before the join, however large the level
+        _read_keys(S, n, islice(block.items(), 1))
         fam = _looked_up(S, n, block, texts)
         if fam is None:
-            fam = _read_keys(S, n, block)
+            fam = _read_keys(S, n, block.items())
         if n:
             S = S.extended(fam)
         else:
@@ -88,11 +92,11 @@ def _looked_up(S, n, block, texts):
     return fam if len(fam) == len(block) else None
 
 
-def _read_keys(S, n, block):
-    """The family at n, each key of ``block`` read by ``_read`` in file
-    order into S's intern table, and the first error raised."""
+def _read_keys(S, n, items):
+    """The family at n, each key of the pairs (key, entry) ``items`` read
+    by ``_read`` in order into S's intern table, and the first error."""
     nu, values, fam = S.nu, S._memo.setdefault(_VALUES, {}), {}
-    for key, entry in block.items():
+    for key, entry in items:
         try:
             frame = _read(key, nu, n, n, "frame", values)
         except ParseError as exc:

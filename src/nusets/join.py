@@ -1,12 +1,39 @@
-"""The join that enumerates the frames of an indexed set (see ``frames``).
+"""The join that enumerates the frames of an indexed set (see ``frames``),
+and the builders both presentations build their frames with.
 
 A p-frame at n is one (n-1)-cell per face (q, w) with q < p, any two of
-which agree on the codimension-2 face they share. ``join`` finds those
-families among the cells one dimension down, given their layout and face
-maps, and builds each frame through the set's intern table.
+which agree on the codimension-2 face they share: its row, stratum-major
+(face (q, w) at ``q * nu + w``). ``join`` finds the rows among the cells
+one dimension down; ``equivalence`` reads each cell's off its face maps.
 """
 
 from .values import FrameVal, LayerVal, PaintingVal, _intern
+
+
+def suffixes(S, cells, p):
+    """``[q][y]`` for q < p: cell y's painting from stratum q on, the
+    strata of its frame from q on and its fibre rank, where ``cells`` lists
+    each cell as (frame, rank)."""
+    return [[_intern(S, PaintingVal(d.n, q, d.layers[q:], c))
+             for d, c in cells] for q in range(p)]
+
+
+def frames_of(S, n, p, rows, paintings):
+    """The p-frame at n of each row, in order: component w of its layer q
+    is ``paintings[q][y]`` of the cell y on face (q, w). Each layer is
+    built once per stratum, however many rows share it."""
+    nu = S.nu
+    layers, out = [{} for _ in range(p)], []  # [q][ys]: one dict per q
+    for row in rows:
+        frame = []
+        for q, made in enumerate(layers):
+            ys = row[q * nu:(q + 1) * nu]
+            if ys not in made:
+                made[ys] = _intern(S, LayerVal(
+                    n, q, tuple(paintings[q][y] for y in ys)))
+            frame.append(made[ys])
+        out.append(_intern(S, FrameVal(n, p, tuple(frame))))
+    return out
 
 
 def join(S, n, p, below, faces):
@@ -15,20 +42,16 @@ def join(S, n, p, below, faces):
     ``faces`` their face maps (``frames._faces``), which only p > 1
     reads.
 
-    A p-frame is one (n-1)-cell y[q, w] per face (q, w) with q < p, and
-    component w of its layer q is that cell's painting from stratum q on.
-    Two faces at strata j < k agree where they meet: the (k-1, e)-face of
-    y[j, w] is the (j, w)-face of y[k, e], the exchange law
-    d^e_{k-1} d^w_j = d^w_j d^e_k. The search binds the faces direction by
-    direction, so that each one after the first meets a bound face at
-    another stratum, and takes its candidates as the intersection of the
-    index lists of those meetings. Each frame maps to its row: the index
-    at n-1 of the cell on each face, stratum-major (face (q, w) at
-    ``q * nu + w``), which is what ``frames._faces`` reads."""
+    The cells y[j, w] and y[k, e] on two faces at strata j < k agree where
+    they meet: the (k-1, e)-face of y[j, w] is the (j, w)-face of y[k, e],
+    the exchange law d^e_{k-1} d^w_j = d^w_j d^e_k. The search binds the
+    faces direction by direction, so that each one after the first meets
+    a bound face at another stratum, and takes its candidates as the
+    intersection of the index lists of those meetings. Each frame maps to
+    its row, which is what ``frames._faces`` reads."""
     nu = S.nu
-    paintings = [[_intern(S, PaintingVal(n - 1, q, d.layers[q:], c))
-                  for d in below for c in range(S.families[n - 1][d].size)]
-                 for q in range(p)]  # [q][y]: cell y's painting from q on
+    paintings = suffixes(S, [(d, c) for d in below
+                             for c in range(S.families[n - 1][d].size)], p)
     # (q, w) -> face at n-2 -> the cells with that (q, w)-face; the meets
     # below read it at strata q < p-1 only
     index = {}
@@ -57,14 +80,4 @@ def join(S, n, p, below, faces):
     # is the order of the bound cells read stratum-major.
     rows = sorted(tuple(row[w * p + q] for q in range(p) for w in range(nu))
                   for row in rows)
-    layers, table = [{} for _ in range(p)], {}  # [q][ys]: one dict per q
-    for row in rows:
-        frame = []
-        for q, made in enumerate(layers):
-            ys = row[q * nu:(q + 1) * nu]
-            if ys not in made:
-                made[ys] = _intern(S, LayerVal(
-                    n, q, tuple(paintings[q][y] for y in ys)))
-            frame.append(made[ys])
-        table[_intern(S, FrameVal(n, p, tuple(frame)))] = row
-    return table
+    return dict(zip(frames_of(S, n, p, rows, paintings), rows))

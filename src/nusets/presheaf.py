@@ -37,8 +37,8 @@ class TruncatedPresheaf:
     faces: dict n -> dict word text -> tuple of images in carrier n-1.
     Treated as immutable after construction; all operations are pure.
     ``_memo``, its only memo, holds what equivalence derives from it (the
-    boundary frames and ranks of cells, and the intern table the frames
-    are built through); freed with it.
+    boundary frames and fibre ranks of each level's cells, and the intern
+    table the frames are built through); freed with it.
     """
 
     def __init__(self, nu, trunc, carriers, faces):
@@ -159,10 +159,8 @@ def parse_nuset(text):
     faces = {}
     for n in range(1, trunc + 1):
         block = raw_faces.get(str(n))
-        if block is None:
-            if hom_enumerate(nu, n - 1, n):
-                raise MissingFace(f"no faces for dimension {n}")
-            block = {}
+        if block is None:  # Hom(n-1, n) has n * nu words
+            raise MissingFace(f"no faces for dimension {n}")
         if not isinstance(block, dict):
             raise ParseError(f"faces[{n}] must be an object")
         expected = {str(wd) for wd in hom_enumerate(nu, n - 1, n)}

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from nusets.cli import main
 from nusets import equivalence
 from nusets.equivalence import (
-    _rank, boundary_frame, random_indexed, round_trip_report,
+    _level, boundary_frame, random_indexed, round_trip_report,
     to_fibred, to_indexed,
 )
 from nusets.errors import (
@@ -79,6 +79,36 @@ def test_boundary_frame_bounds():
         boundary_frame(P, 2, 0)
     with pytest.raises(IndexOutOfRange):
         boundary_frame(P, 1, 99)
+
+
+@pytest.mark.parametrize("image", [-1, 2])
+def test_face_images_outside_the_carrier_below_are_refused(image):
+    """A hand-built interval whose left end is a point that is not there:
+    its boundary frame is refused with IndexOutOfRange, not read at a
+    wrapped index or failed with a bare IndexError."""
+    P = TruncatedPresheaf(2, 1, [FinSet(2), FinSet(1)],
+                          {1: {"L": (image,), "R": (1,)}})
+    with pytest.raises(IndexOutOfRange):
+        boundary_frame(P, 1, 0)
+    with pytest.raises(IndexOutOfRange):
+        to_indexed(P)
+
+
+def test_a_level_with_no_cells_needs_no_face_maps():
+    P = TruncatedPresheaf(2, 1, [FinSet(2), FinSet(0)], {})
+    S = to_indexed(P)
+    assert [fs.size for fs in S.families[1].values()] == [0] * 4
+
+
+@pytest.mark.parametrize("nu, n, seed", [(2, 3, None), (3, 2, None),
+                                         (2, 3, 5)])
+def test_to_indexed_keeps_one_memo_entry_per_level(nu, n, seed):
+    """P's memo holds its intern table and one entry per level, not one
+    per cell."""
+    P = (standard_shape(nu, n) if seed is None
+         else to_fibred(random_indexed(nu, n, seed)))
+    to_indexed(P)
+    assert len(P._memo) <= P.trunc + 2
 
 
 def test_square_boundary_mentions_four_vertices_four_edges():
@@ -525,7 +555,7 @@ def test_rank_matches_its_reference():
     for P in shapes:
         for m in range(P.trunc + 1):
             for y in range(P.carriers[m].size):
-                assert _rank(P, m, y) == _rank_reference(P, m, y)
+                assert _level(P, m)[1][y] == _rank_reference(P, m, y)
 
 
 class _Before:
@@ -599,7 +629,8 @@ def test_boundary_frame_agrees_with_the_one_it_replaced(nu, n, seed):
     """On the standard shapes (seed None) and on random sets laid out as
     carriers, every cell's boundary frame equals the one the four memoized
     functions built, and is that very object once both are interned in
-    one table. P's memo keeps frames, ranks and the intern table only."""
+    one table. P's memo keeps the intern table and one entry per level
+    only."""
     P = (standard_shape(nu, n) if seed is None
          else to_fibred(random_indexed(nu, n, seed, dim0=2)))
     new = {(m, x): boundary_frame(P, m, x) for m in range(n + 1)
@@ -609,7 +640,7 @@ def test_boundary_frame_agrees_with_the_one_it_replaced(nu, n, seed):
     for (m, x), d in new.items():
         assert _boundary_frame_before(alone, m, x) == d
         assert _boundary_frame_before(shared, m, x) is d
-    assert {k[0] for k in P._memo if k != _VALUES} <= {"b", "r"}
+    assert set(P._memo) <= {_VALUES, *(("level", m) for m in range(n + 1))}
 
 
 def test_round_trip_of_a_large_carrier_is_not_quadratic():

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from nusets.equivalence import random_indexed, to_indexed
 from nusets.errors import ParseError
 from nusets.fileformat import FinSet, finset, load_header, parse_finset
-from nusets.frames import IndexedNuSet, enumerate_frames, grow_indexed
+from nusets.frames import (
+    IndexedNuSet, _frames, enumerate_frames, grow_indexed,
+)
 from nusets.indexedfile import emit_indexed, parse_indexed
 from nusets.shapes import standard_shape
 from nusets.streams import NuSetStream, take
@@ -346,3 +348,21 @@ def test_refused_entry_under_canonical_keys(entry):
     block[list(block)[-1]] = entry
     kind, message = _agree(json.dumps(doc))
     assert message.startswith("families[2][")
+
+
+def test_a_bad_first_key_fails_before_the_join(monkeypatch):
+    """A level's first key, in file order, is read before the join over the
+    level below runs, so a large level with a malformed key fails at once
+    (the join over 300 points would enumerate 90,000 1-frames)."""
+    def no_join(S, n, p):
+        assert n == 0, f"the join ran at dimension {n}"
+        return _frames(S, n, p)
+
+    monkeypatch.setattr("nusets.indexedfile._frames", no_join)
+    doc = {"nu": 2, "trunc": 1,
+           "families": {"0": {"()": 300}, "1": {"([{0}  {1}])": 1}}}
+    with pytest.raises(ParseError) as caught:
+        parse_indexed(json.dumps(doc))
+    assert str(caught.value) == (
+        "families[1] key '([{0}  {1}])' is not a full frame at dimension 1: "
+        "at position 7, canonical text needs '{'")

@@ -132,6 +132,9 @@ def test_parse_missing_face():
     del doc["faces"]["2"]["L*"]
     with pytest.raises(MissingFace):
         parse_nuset(json.dumps(doc))
+    del doc["faces"]["2"]
+    with pytest.raises(MissingFace, match="^no faces for dimension 2$"):
+        parse_nuset(json.dumps(doc))
 
 
 def test_parse_range_error():
