@@ -38,20 +38,22 @@ from .words import face_word
 
 
 def _level(P, n):
-    """The boundary frames and fibre ranks of the cells at n, as two lists
-    in carrier order, memoized in P one entry per level. A fibre rank is
-    the cell's index, in carrier order, among the cells sharing its frame.
-    A level with no cells looks up no face map."""
+    """The boundary frames and fibre ranks (index among the cells with the
+    same frame) of the cells at n in carrier order, one memo entry in P per
+    level. A level with no cells reads no face map; IndexOutOfRange for a
+    face map of the wrong length or an image off the carrier below."""
     level = P._memo.get(("level", n))
     if level is None:
         size, paintings = P.carriers[n].size, []
         rows = [()] * size
         if n and size:
-            rows = list(zip(*[P.face(n, str(face_word(P.nu, w, q, n)))
-                              for q in range(n) for w in range(P.nu)],
-                            strict=True))
-            below = list(zip(*_level(P, n - 1)))
-            low, high = min(map(min, rows)), max(map(max, rows))
+            maps = [P.face(n, str(face_word(P.nu, w, q, n)))
+                    for q in range(n) for w in range(P.nu)]
+            if any(len(m) != size for m in maps):
+                raise IndexOutOfRange(
+                    f"face map at dimension {n} without {size} images")
+            rows, below = list(zip(*maps)), list(zip(*_level(P, n - 1)))
+            low, high = min(map(min, maps)), max(map(max, maps))
             if low < 0 or high >= len(below):
                 raise IndexOutOfRange(
                     f"element {low if low < 0 else high} outside carrier "

@@ -188,14 +188,13 @@ def _paintings(S, n, p, d):
             for c in range(S.families[n][f].size)) or ()
     return table
 
-def family_gaps(S, n, keys, texts=None):
+def family_gaps(S, n, keys):
     """The full frames at n that ``keys`` lacks, in enumeration order, and
-    the sorted text of the keys that are none (``str`` of a non-frame),
-    rendered through the painting texts ``texts`` (see ``frame_key``).
+    the sorted text of the keys that are none (``str`` of a non-frame).
     UnknownFrame when the frames at n cannot be enumerated."""
     frames = _frames(S, n, n)
     missing = [d for d in frames if d not in keys]
-    stray = sorted(frame_key(k, texts) if isinstance(k, FrameVal) else str(k)
+    stray = sorted(frame_key(k) if isinstance(k, FrameVal) else str(k)
                    for k in keys if k not in frames)
     return missing, stray
 
@@ -206,15 +205,15 @@ def check_totality(S):
 
     Stops at the first dimension whose frames cannot be enumerated, since
     the dimensions above it read that one."""
-    rep, texts = Report("totality"), {}
+    rep = Report("totality")
     for n in range(S.trunc + 1):
         try:
-            missing, stray = family_gaps(S, n, S.families[n], texts)
+            missing, stray = family_gaps(S, n, S.families[n])
         except UnknownFrame as exc:
             rep.add("enumeration-failed", dimension=n, detail=str(exc))
             break
         for d in missing:
-            rep.add("missing-fibre", dimension=n, frame=frame_key(d, texts))
+            rep.add("missing-fibre", dimension=n, frame=frame_key(d))
         for key in stray:
             rep.add("orphan-frame-key", dimension=n, frame=key)
     return rep

@@ -94,6 +94,18 @@ def test_face_images_outside_the_carrier_below_are_refused(image):
         to_indexed(P)
 
 
+@pytest.mark.parametrize("images", [(0, 1), ()])
+def test_face_maps_of_the_wrong_length_are_refused(images):
+    """Face maps that all list more, or all fewer, images than the carrier
+    has cells are refused, not read as a carrier of another size."""
+    P = TruncatedPresheaf(2, 1, [FinSet(2), FinSet(1)],
+                          {1: {"L": images, "R": images[::-1]}})
+    with pytest.raises(IndexOutOfRange):
+        boundary_frame(P, 1, 0)
+    with pytest.raises(IndexOutOfRange):
+        to_indexed(P)
+
+
 def test_a_level_with_no_cells_needs_no_face_maps():
     P = TruncatedPresheaf(2, 1, [FinSet(2), FinSet(0)], {})
     S = to_indexed(P)
