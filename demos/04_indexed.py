@@ -9,7 +9,7 @@ these values directly, and the transport steps a dependent formalization
 would discharge by rewriting become runtime checks.
 """
 
-from nusets.errors import CoherenceMismatch
+from nusets.errors import CoherenceMismatch, SideConditionViolated
 from nusets.frames import enumerate_frames, enumerate_paintings, grow_indexed
 from nusets.indexed import (
     check_coh_frame, restr_frame, restr_layer, validate_indexed,
@@ -34,12 +34,19 @@ print("dimension-3 shells:", len(list(enumerate_frames(S, 3, 3))))
 # plus a top cell
 empty = FrameVal(2, 0, ())
 print("paintings over the empty 2-frame:",
-      len(list(enumerate_paintings(S, 2, 0, empty))))
+      len(list(enumerate_paintings(S, empty))))
 
-# restriction: the (direction 0, stratum 2) face of a partial 3-frame
+# restriction: the (direction 0, stratum 2) face of a partial 3-frame.
+# Each value carries its shape, so restriction reads n = 3 and p = 2 off
+# the frame itself; a layer or painting must sit at its frame's shape.
 d32 = next(iter(enumerate_frames(S, 3, 2)))
 print("a 3-frame:", frame_key(d32))
-print("its face :", frame_key(restr_frame(0, 2, 3, 2, d32, S)))
+print("its face :", frame_key(restr_frame(0, 2, d32, S)))
+try:
+    restr_layer(0, 1, d32.prefix(1), d32.layers[0], S)  # layer at (3, 0)
+    print("a layer at another shape slipped through")
+except SideConditionViolated as exc:
+    print("refused:", exc)
 
 # the laws hold on grown sets
 print("coherence at (2,0):", check_coh_frame(S, 0, 1, 0, 0, 2, 0))
@@ -60,7 +67,7 @@ d31 = FrameVal(3, 1, (LayerVal(3, 0, (sqA, sqB)),))
 good = parse_value("{[{0} {0}] 0}", 2, 2, 1, "painting")
 bad = parse_value("{[{1} {0}] 0}", 2, 2, 1, "painting")
 try:
-    restr_layer(0, 1, 3, 1, d31, LayerVal(3, 1, (bad, good)), SU)
+    restr_layer(0, 1, d31, LayerVal(3, 1, (bad, good)), SU)
     print("corruption slipped through")
 except CoherenceMismatch as exc:
     print("caught:", exc)

@@ -150,28 +150,24 @@ def _faces(S, m):
     return faces
 
 
-def enumerate_paintings(S, n, p, d):
-    """All paintings completing frame d up to a top n-cell, as a fresh
-    list; the table behind it is ``_paintings``."""
-    if not (0 <= p <= n):
-        raise SideConditionViolated(f"need 0 <= p <= n, got p={p}, n={n}")
-    if n > S.trunc:
-        raise DimensionOutOfRange(
-            f"paintings at {n} need cells at {n}, truncation is {S.trunc}")
-    if d.n != n or d.p != p:
-        raise SideConditionViolated(
-            f"frame at ({d.n},{d.p}) passed to paintings at ({n},{p})")
-    return list(_paintings(S, n, p, d))
+def enumerate_paintings(S, d):
+    """All paintings completing frame d up to a top cell at d.n, as a
+    fresh list; the table behind it is ``_paintings``."""
+    if d.n > S.trunc:
+        raise DimensionOutOfRange(f"paintings at {d.n} need cells at {d.n}, "
+                                  f"truncation is {S.trunc}")
+    return list(_paintings(S, d))
 
 
-def _paintings(S, n, p, d):
-    """The paintings over d as an ordered set (a dict). At p == n they are
-    the cells of one fibre, which is cheaper to list again than to keep.
-    Below n they are read off the cells at n: the full frames extending d,
-    in enumeration order, each with the cells of its fibre. The full
-    frames are grouped by their p-prefix once per (n, p), and each table
-    is memoized in S under d itself, which fixes n and p. Most tables are
-    empty; those all share the empty tuple."""
+def _paintings(S, d):
+    """The paintings over the p-frame d at n as an ordered set (a dict). At
+    p == n they are the cells of one fibre, which is cheaper to list again
+    than to keep. Below n they are read off the cells at n: the full frames
+    extending d, in enumeration order, each with the cells of its fibre.
+    The full frames are grouped by their p-prefix once per (n, p), and
+    each table is memoized in S under d itself, which fixes n and p. Most
+    tables are empty; those all share the empty tuple."""
+    n, p = d.n, d.p
     if p == n:
         return dict.fromkeys(_intern(S, PaintingVal(n, n, (), c))
                              for c in range(S.fibre(d).size))

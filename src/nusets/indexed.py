@@ -5,9 +5,10 @@ families of cells over frames and their enumeration), its file format in
 ``indexedfile``; this module restricts it and checks the laws.
 
 Restriction extracts the face of a frame/layer/painting in direction eps at
-stratum q. The operators follow a strict index discipline (side conditions
-``p <= q <= n-1`` for frames and paintings, ``p <= q <= n-2`` for layers);
-violations raise SideConditionViolated.
+stratum q. It reads n and p off the frame, never takes them: the side
+conditions ``p <= q <= n-1`` (frames, paintings) and ``p <= q <= n-2``
+(layers), and a layer or painting at another (n, p) than its frame, raise
+SideConditionViolated; a direction past the arity raises IndexOutOfRange.
 
 Restricting a layer requires, in dependent type theory, a transport along
 the commutation of two restrictions. Here, with finite values and decidable
@@ -46,37 +47,47 @@ from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 # within._memo, which the recursion shares, so each face is computed once.
 
 
-def restr_frame(eps, q, n, p, d, within):
-    """Face of a p-frame: direction eps, stratum q; p <= q <= n-1.
+def _direction(eps, size, of="width"):
+    if not 0 <= eps < size:
+        raise IndexOutOfRange(f"direction {eps} out of range for {of} {size}")
+
+
+def _at(v, n, p):
+    """Refuse a value that sits at another (n, p) than its context."""
+    if v.n != n or v.p != p:
+        raise SideConditionViolated(
+            f"value at ({v.n},{v.p}) where one at ({n},{p}) is needed")
+
+
+def restr_frame(eps, q, d, within):
+    """Face of a p-frame d at n: direction eps, stratum q; p <= q <= n-1.
 
     Structural recursion: the empty frame restricts to the empty frame, and
     each stratum j < p restricts through restr_layer at q-1 (with its own
     prefix as context). q does not change along the recursion.
     """
-    if not (0 <= p <= q <= n - 1):
+    n, p = d.n, d.p
+    if not p <= q <= n - 1:
         raise SideConditionViolated(
             f"restr_frame needs p <= q <= n-1, got p={p}, q={q}, n={n}")
-    if d.n != n or d.p != p:
-        raise SideConditionViolated(
-            f"frame at ({d.n},{d.p}) passed to restr_frame({n},{p})")
     key = ("f", eps, q, d)
     hit = within._memo.get(key)
     if hit is not None:
         return hit
     if p == 0:
+        _direction(eps, within.nu, "arity")
         result = FrameVal(n - 1, 0, ())
     else:
         head_frame = _intern(within, d.prefix(p - 1))
-        head = restr_frame(eps, q, n, p - 1, head_frame, within)
-        top = restr_layer(eps, q - 1, n, p - 1, head_frame,
-                          d.layers[p - 1], within)
+        head = restr_frame(eps, q, head_frame, within)
+        top = restr_layer(eps, q - 1, head_frame, d.layers[p - 1], within)
         result = head.extend(top)
     result = within._memo[key] = _intern(within, result)
     return result
 
 
-def restr_layer(eps, q, n, p, d, layer, within):
-    """Face of a layer over frame d; p <= q <= n-2.
+def restr_layer(eps, q, d, layer, within):
+    """Face of a layer over the p-frame d at n; p <= q <= n-2.
 
     Component w of the result is the (eps, q)-restriction of component w,
     computed over the w-restriction of d. The transport this step needs in
@@ -85,23 +96,21 @@ def restr_layer(eps, q, n, p, d, layer, within):
     two frame computations the transport equates must agree
     (CoherenceMismatch otherwise).
     """
-    if not (0 <= p <= q <= n - 2):
+    n, p = d.n, d.p
+    if not p <= q <= n - 2:
         raise SideConditionViolated(
             f"restr_layer needs p <= q <= n-2, got p={p}, q={q}, n={n}")
-    if d.n != n or d.p != p or layer.n != n or layer.p != p:
-        raise SideConditionViolated(
-            f"layer/frame at ({layer.n},{layer.p})/({d.n},{d.p}) passed "
-            f"to restr_layer({n},{p})")
+    _at(layer, n, p)
     key = ("l", eps, q, d, layer)
     hit = within._memo.get(key)
     if hit is not None:
         return hit
-    expected_base = restr_frame(eps, q + 1, n, p, d, within)
+    expected_base = restr_frame(eps, q + 1, d, within)
     comps = []
     for omega, comp in enumerate(layer.components):
-        base = restr_frame(omega, p, n, p, d, within)
+        base = restr_frame(omega, p, d, within)
         try:
-            ok = comp in _paintings(within, n - 1, p, base)
+            ok = comp in _paintings(within, base)
         except UnknownFrame as exc:
             raise CoherenceMismatch(
                 f"component {omega} sits over a frame that does not "
@@ -110,10 +119,9 @@ def restr_layer(eps, q, n, p, d, layer, within):
             raise CoherenceMismatch(
                 f"component {omega} is not a painting over "
                 f"{frame_key(base)}: {frame_key(comp)}")
-        out = restr_painting(eps, q, n - 1, p, base, comp, within)
-        via_projection = restr_frame(eps, q, n - 1, p, base, within)
-        via_restriction = restr_frame(omega, p, n - 1, p, expected_base,
-                                      within)
+        out = restr_painting(eps, q, base, comp, within)
+        via_projection = restr_frame(eps, q, base, within)
+        via_restriction = restr_frame(omega, p, expected_base, within)
         if via_projection != via_restriction:
             raise CoherenceMismatch(
                 f"transport failed at direction {omega}: "
@@ -125,34 +133,28 @@ def restr_layer(eps, q, n, p, d, layer, within):
     return result
 
 
-def restr_painting(eps, q, n, p, d, c, within):
-    """Face of a painting over frame d; p <= q <= n-1.
+def restr_painting(eps, q, d, c, within):
+    """Face of a painting c over the p-frame d at n; p <= q <= n-1.
 
     At p == q the first layer's eps component is the whole answer (the rest
     of the painting, top cell included, is discarded). Below q the first
     layer and the remaining painting are restricted side by side.
     """
-    if not (0 <= p <= q <= n - 1):
+    n, p = d.n, d.p
+    if not p <= q <= n - 1:
         raise SideConditionViolated(
             f"restr_painting needs p <= q <= n-1, got p={p}, q={q}, n={n}")
-    if d.n != n or d.p != p or c.n != n or c.p != p:
-        raise SideConditionViolated(
-            f"painting/frame at ({c.n},{c.p})/({d.n},{d.p}) passed "
-            f"to restr_painting({n},{p})")
+    _at(c, n, p)
     if p == q:
-        first = c.first_layer
-        if eps >= len(first.components):
-            raise IndexOutOfRange(
-                f"direction {eps} out of range for width "
-                f"{len(first.components)}")
-        return first.components[eps]
+        first = c.first_layer.components
+        _direction(eps, len(first))
+        return first[eps]
     key = ("p", eps, q, d, c)
     hit = within._memo.get(key)
     if hit is not None:
         return hit
-    first = restr_layer(eps, q - 1, n, p, d, c.first_layer, within)
-    rest = restr_painting(eps, q, n, p + 1,
-                          _intern(within, d.extend(c.first_layer)),
+    first = restr_layer(eps, q - 1, d, c.first_layer, within)
+    rest = restr_painting(eps, q, _intern(within, d.extend(c.first_layer)),
                           _intern(within, c.rest), within)
     result = within._memo[key] = _intern(
         within, PaintingVal(n - 1, p, (first,) + rest.layers, rest.cell))
@@ -167,9 +169,7 @@ def _legal_coh_indices(eps, omega, q, r, n, p, nu):
             f"coherence needs p <= r <= q <= n-2, got "
             f"p={p}, r={r}, q={q}, n={n}")
     for direction in (eps, omega):
-        if not (0 <= direction < nu):
-            raise IndexOutOfRange(
-                f"direction {direction} out of range for arity {nu}")
+        _direction(direction, nu, "arity")
 
 
 def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
@@ -177,8 +177,8 @@ def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
 
     restr(eps, q) after restr(omega, r) must equal restr(omega, r) after
     restr(eps, q+1). Corrupted values raise the transport assertion; that
-    is reported, not propagated. ``frames`` overrides the enumeration (used
-    to inject corrupted values in tests).
+    is reported, not propagated. ``frames``, a list of p-frames at n,
+    overrides the enumeration (used to inject corrupted values in tests).
 
     A composite needs no membership test: checked restriction maps
     members of the set's tables to members, since every layer it
@@ -191,12 +191,13 @@ def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
         f"coh_frame eps={eps} omega={omega} q={q} r={r} n={n} p={p}")
     if frames is None:
         frames = enumerate_frames(S, n, p)
+    else:  # an override states (n, p) apart from its values
+        for d in frames:
+            _at(d, n, p)
     for d in frames:
         try:
-            lhs = restr_frame(eps, q, n - 1, p,
-                              restr_frame(omega, r, n, p, d, S), S)
-            rhs = restr_frame(omega, r, n - 1, p,
-                              restr_frame(eps, q + 1, n, p, d, S), S)
+            lhs = restr_frame(eps, q, restr_frame(omega, r, d, S), S)
+            rhs = restr_frame(omega, r, restr_frame(eps, q + 1, d, S), S)
         except CoherenceMismatch as exc:
             rep.add("transport-mismatch", frame=frame_key(d), detail=str(exc))
             continue
@@ -214,7 +215,7 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
     restricts layers p..q checked, and r <= q, so when both routes
     succeed both composites are restrictions of members.
 
-    ``items`` overrides the enumerated pairs (corruption injection).
+    ``items``, a list of such pairs, overrides them (corruption injection).
     """
     _legal_coh_indices(eps, omega, q, r, n, p, S.nu)
     rep = Report(
@@ -222,17 +223,20 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
     if items is None:
         items = [(d, c)
                  for d in enumerate_frames(S, n, p)
-                 for c in enumerate_paintings(S, n, p, d)]
+                 for c in enumerate_paintings(S, d)]
+    else:
+        for d, _ in items:
+            _at(d, n, p)
     for d, c in items:
         try:
-            base_r = restr_frame(omega, r, n, p, d, S)
-            lhs = restr_painting(eps, q, n - 1, p, base_r,
-                                 restr_painting(omega, r, n, p, d, c, S), S)
-            over_lhs = restr_frame(eps, q, n - 1, p, base_r, S)
-            base_q = restr_frame(eps, q + 1, n, p, d, S)
-            rhs = restr_painting(omega, r, n - 1, p, base_q,
-                                 restr_painting(eps, q + 1, n, p, d, c, S), S)
-            over_rhs = restr_frame(omega, r, n - 1, p, base_q, S)
+            base_r = restr_frame(omega, r, d, S)
+            lhs = restr_painting(eps, q, base_r,
+                                 restr_painting(omega, r, d, c, S), S)
+            over_lhs = restr_frame(eps, q, base_r, S)
+            base_q = restr_frame(eps, q + 1, d, S)
+            rhs = restr_painting(omega, r, base_q,
+                                 restr_painting(eps, q + 1, d, c, S), S)
+            over_rhs = restr_frame(omega, r, base_q, S)
         except CoherenceMismatch as exc:
             rep.add("transport-mismatch", frame=frame_key(d),
                     painting=frame_key(c), detail=str(exc))

@@ -139,14 +139,14 @@ def _cells_by_dimension(S, P, d):
         D = base
         for j, layer in enumerate(c.layers):
             for tau, sub in enumerate(layer.components):
-                sub_base = restr_frame(tau, c.p + j, c.n, c.p + j, D, S)
+                sub_base = restr_frame(tau, c.p + j, D, S)
                 collect(sub_base, sub, acc)
             D = D.extend(layer)
 
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
-            collect(restr_frame(omega, q, d.n, q, d.prefix(q), S), c, acc)
+            collect(restr_frame(omega, q, d.prefix(q), S), c, acc)
     return {m: len(v) for m, v in acc.items()}
 
 
@@ -239,7 +239,7 @@ def test_criterion_8_transport_shadow():
                 for d in enumerate_frames(S, n, p):
                     for q in range(p, n - 1):
                         for eps in range(S.nu):
-                            restr_frame(eps, q + 1, n, p, d, S)
+                            restr_frame(eps, q + 1, d, S)
 
     # and on each of 5 constructed corruptions it fires; the uneven growth
     # gives one doubled edge fibre so an out-of-range cell index exists
@@ -261,19 +261,19 @@ def test_criterion_8_transport_shadow():
     bad = parse_value("{[{1} {0}] 0}", 2, 2, 1, "painting")
 
     with pytest.raises(CoherenceMismatch):
-        restr_layer(0, 1, 3, 1, d31, LayerVal(3, 1, (bad, good)), SU)
+        restr_layer(0, 1, d31, LayerVal(3, 1, (bad, good)), SU)
     with pytest.raises(CoherenceMismatch):
-        restr_layer(1, 1, 3, 1, d31, LayerVal(3, 1, (good, bad)), SU)
+        restr_layer(1, 1, d31, LayerVal(3, 1, (good, bad)), SU)
     with pytest.raises(CoherenceMismatch):
-        restr_frame(0, 2, 3, 2,
-                    FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))), SU)
+        restr_frame(0, 2, FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))),
+                    SU)
     lay2 = parse_value("[{0} {0}]", 2, 3, 2, "layer")
     with pytest.raises(CoherenceMismatch):
-        restr_painting(0, 2, 3, 1, d31,
+        restr_painting(0, 2, d31,
                        PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2),
                                    0), SU)
     sq_bad = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {1}] 0}",
                          2, 2, 0, "painting")
     with pytest.raises(CoherenceMismatch):
-        restr_layer(0, 1, 3, 0, FrameVal(3, 0, ()),
+        restr_layer(0, 1, FrameVal(3, 0, ()),
                     LayerVal(3, 0, (sq_bad, sqB)), SU)

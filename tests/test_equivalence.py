@@ -49,7 +49,7 @@ def _collect(S, offsets, base, c, acc):
     D = base
     for j, layer in enumerate(c.layers):
         for tau, sub in enumerate(layer.components):
-            sub_base = restr_frame(tau, c.p + j, m, c.p + j, D, S)
+            sub_base = restr_frame(tau, c.p + j, D, S)
             _collect(S, offsets, sub_base, sub, acc)
         D = D.extend(layer)
 
@@ -60,7 +60,7 @@ def cells_in_frame(S, d):
     acc = {}
     for q in range(d.p):
         for omega, c in enumerate(d.layers[q].components):
-            base = restr_frame(omega, q, d.n, q, d.prefix(q), S)
+            base = restr_frame(omega, q, d.prefix(q), S)
             _collect(S, offsets, base, c, acc)
     return acc
 
@@ -162,11 +162,10 @@ def test_boundary_restriction_compatibility():
                             y = P.face(m, w)[x]
                             dy = boundary_frame(P, m - 1, y)
                             slot = d.layers[q].components[omega]
-                            base = restr_frame(omega, q, m, q, d.prefix(q), S)
+                            base = restr_frame(omega, q, d.prefix(q), S)
                             assert full_frame(base, slot) == dy
                             for p in range(q + 1):
-                                got = restr_frame(omega, q, m, p,
-                                                  d.prefix(p), S)
+                                got = restr_frame(omega, q, d.prefix(p), S)
                                 assert got == dy.prefix(p)
 
 

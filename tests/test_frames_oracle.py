@@ -43,7 +43,7 @@ def _product_enumerator(S):
         return tables[key]
 
     def layers(n, p, d):
-        per_direction = [paintings(n - 1, p, restr_frame(w, p, n, p, d, S))
+        per_direction = [paintings(n - 1, p, restr_frame(w, p, d, S))
                          for w in range(S.nu)]
         return [_intern(S, LayerVal(n, p, combo))
                 for combo in product(*per_direction)]
@@ -137,7 +137,7 @@ def _agree(S):
         compared += len(ours)
         if n <= S.trunc:
             for d in ours:
-                ours_p = enumerate_paintings(S, n, p, d)
+                ours_p = enumerate_paintings(S, d)
                 theirs_p = paintings(n, p, d)
                 assert len(ours_p) == len(theirs_p), (n, p, frame_key(d))
                 assert all(a is b for a, b in zip(ours_p, theirs_p))
@@ -172,7 +172,7 @@ def _restricted_face(S, d, q, w):
     """The index at n-1 of the cell on face (q, w) of a frame d at n, by
     checked restriction: the cell that component w of layer q names, over
     the (w, q)-restriction of d's q-prefix."""
-    base = restr_frame(w, q, d.n, q, _intern(S, d.prefix(q)), S)
+    base = restr_frame(w, q, _intern(S, d.prefix(q)), S)
     pt = d.layers[q].components[w]
     return _cells(S, d.n - 1)[full_frame(base, pt)] + pt.cell
 

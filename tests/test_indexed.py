@@ -14,19 +14,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nusets.equivalence import to_indexed
 from nusets.errors import (
-    CoherenceMismatch, DimensionOutOfRange, ParseError, SideConditionViolated,
-    UnknownFrame,
+    CoherenceMismatch, DimensionOutOfRange, IndexOutOfRange, ParseError,
+    SideConditionViolated, UnknownFrame,
 )
 from nusets.fileformat import FinSet
 from nusets.frames import (
     IndexedNuSet, enumerate_frames, enumerate_paintings, grow_indexed,
 )
 from nusets.indexed import (
-    check_coh_frame, check_coh_painting, restr_frame, restr_layer,
-    restr_painting, validate_indexed,
+    check_coh_frame, check_coh_painting, coherence_sweep, restr_frame,
+    restr_layer, restr_painting, validate_indexed,
 )
 from nusets.indexedfile import emit_indexed, parse_indexed
+from nusets.shapes import standard_shape
 from nusets.values import (
     FrameVal, LayerVal, PaintingVal, frame_key, parse_value,
 )
@@ -79,7 +81,7 @@ def test_frame_prefix_extend_roundtrip(S22):
 
 def test_full_frame_stacks_painting_layers(S22):
     base = FrameVal(2, 0, ())
-    c = next(iter(enumerate_paintings(S22, 2, 0, base)))
+    c = next(iter(enumerate_paintings(S22, base)))
     f = full_frame(base, c)
     assert f == FrameVal(2, 2, c.layers)
 
@@ -98,9 +100,9 @@ def test_counts_nu2_two_points(S22):
     assert len(list(enumerate_frames(S22, 1, 1))) == k ** 2
     assert len(list(enumerate_frames(S22, 2, 2))) == k ** 4
     unit1 = FrameVal(1, 0, ())
-    assert len(list(enumerate_paintings(S22, 1, 0, unit1))) == k ** 2
+    assert len(list(enumerate_paintings(S22, unit1))) == k ** 2
     unit2 = FrameVal(2, 0, ())
-    assert len(list(enumerate_paintings(S22, 2, 0, unit2))) == k ** 4
+    assert len(list(enumerate_paintings(S22, unit2))) == k ** 4
 
 
 def test_counts_nu1_two_points(S13):
@@ -130,7 +132,7 @@ def test_enumerate_dimension_bounds(S22):
     with pytest.raises(DimensionOutOfRange):
         list(enumerate_frames(S22, 4, 0))
     with pytest.raises(DimensionOutOfRange):
-        list(enumerate_paintings(S22, 3, 0, FrameVal(3, 0, ())))
+        list(enumerate_paintings(S22, FrameVal(3, 0, ())))
 
 
 # ------------------------------------------------------------ restriction
@@ -156,25 +158,63 @@ def test_restr_frame_frozen_example():
     e01 = parse_value("{[{0} {1}] 0}", 2, 1, 0, "painting")
     e10 = parse_value("{[{1} {0}] 0}", 2, 1, 0, "painting")
     d = _square_frame(e01, e10)
-    got = restr_frame(0, 1, 2, 1, d.prefix(1), S)
+    got = restr_frame(0, 1, d.prefix(1), S)
     assert frame_key(got) == "([{0} {1}])"
-    got_r = restr_frame(1, 1, 2, 1, d.prefix(1), S)
+    got_r = restr_frame(1, 1, d.prefix(1), S)
     assert frame_key(got_r) == "([{1} {0}])"
 
 
 def test_restr_side_conditions(S22):
     d = next(iter(enumerate_frames(S22, 2, 1)))
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 0, 2, 1, d, S22)                 # q < p
+        restr_frame(0, 0, d, S22)                   # q < p
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 2, 2, 1, d, S22)                 # q > n-1
-    c = next(iter(enumerate_paintings(S22, 2, 1, d)))
+        restr_frame(0, 2, d, S22)                   # q > n-1
+    c = next(iter(enumerate_paintings(S22, d)))
     with pytest.raises(SideConditionViolated):
-        restr_layer(0, 1, 2, 1, d, c.first_layer, S22)  # q > n-2
+        restr_layer(0, 1, d, c.first_layer, S22)    # q > n-2
     with pytest.raises(SideConditionViolated):
-        restr_painting(0, 0, 2, 1, d, c, S22)           # q < p
+        restr_painting(0, 0, d, c, S22)             # q < p
+
+
+def test_layer_or_painting_at_another_shape_than_its_frame(S22):
+    """A layer or painting is restricted over a frame of its own (n, p);
+    one at another (n, p) is refused, even where the restriction would
+    be legal at either shape."""
+    d30, d31 = (enumerate_frames(S22, 3, p)[0] for p in (0, 1))
     with pytest.raises(SideConditionViolated):
-        restr_frame(0, 1, 2, 2, d, S22)                 # value at wrong (n, p)
+        restr_layer(0, 1, d31, d31.layers[0], S22)  # layer at (3, 0)
+    d20, d21 = (enumerate_frames(S22, 2, p)[0] for p in (0, 1))
+    c20, c21 = (enumerate_paintings(S22, d)[0] for d in (d20, d21))
+    with pytest.raises(SideConditionViolated):
+        restr_layer(0, 0, d30, c20.first_layer, S22)  # layer at (2, 0)
+    with pytest.raises(SideConditionViolated):
+        restr_painting(0, 1, d21, c20, S22)         # painting at (2, 0)
+    with pytest.raises(SideConditionViolated):
+        restr_painting(0, 0, d20, c21, S22)         # painting at (2, 1)
+
+
+def test_directions_outside_the_arity_are_refused():
+    """A negative direction, or one past the arity, is refused and never
+    read as another direction: by restriction of the empty frame, of a
+    frame above it, and of a painting at p == q, cold or after a sweep
+    filled the set's memo."""
+    S = to_indexed(standard_shape(2, 3))
+    f32 = enumerate_frames(S, 3, 2)[0]
+    empty = enumerate_frames(S, 3, 0)[0]
+    d21, c = next((d, c) for d in enumerate_frames(S, 2, 1)
+                  for c in enumerate_paintings(S, d))
+    for warm in (False, True):
+        if warm:
+            assert coherence_sweep(S).ok
+        for eps in (-1, 2):
+            with pytest.raises(IndexOutOfRange):
+                restr_frame(eps, 2, f32, S)
+            with pytest.raises(IndexOutOfRange):
+                restr_frame(eps, 0, empty, S)
+            with pytest.raises(IndexOutOfRange):
+                restr_painting(eps, 1, d21, c, S)
+    assert restr_frame(1, 2, f32, S) != restr_frame(0, 2, f32, S)
 
 
 def test_restriction_typing_exhaustive(S22):
@@ -187,18 +227,18 @@ def test_restriction_typing_exhaustive(S22):
             for d in enumerate_frames(S22, n, p):
                 for q in range(p, n):
                     for eps in range(2):
-                        out = restr_frame(eps, q, n, p, d, S22)
+                        out = restr_frame(eps, q, d, S22)
                         assert frame_key(out) in lower
                 if n > S22.trunc:
                     continue
-                for c in enumerate_paintings(S22, n, p, d):
+                for c in enumerate_paintings(S22, d):
                     for q in range(p, n):
                         for eps in range(2):
-                            base = restr_frame(eps, q, n, p, d, S22)
-                            out = restr_painting(eps, q, n, p, d, c, S22)
+                            base = restr_frame(eps, q, d, S22)
+                            out = restr_painting(eps, q, d, c, S22)
                             members = {
                                 frame_key(x) for x in
-                                enumerate_paintings(S22, n - 1, p, base)}
+                                enumerate_paintings(S22, base)}
                             assert frame_key(out) in members
 
 
@@ -212,7 +252,7 @@ def test_serialize_injective_and_roundtrip(S22):
     for d, key in zip(frames, keys):
         assert parse_value(key, 2, 2, 2, "frame") == d
     unit = FrameVal(2, 0, ())
-    for c in enumerate_paintings(S22, 2, 0, unit):
+    for c in enumerate_paintings(S22, unit):
         assert parse_value(frame_key(c), 2, 2, 0, "painting") == c
 
 
@@ -288,7 +328,7 @@ def _value_pool(nu, trunc, seed):
         for p in range(n + 1):
             for d in enumerate_frames(S, n, p):
                 pool.update(dict.fromkeys((d,) + d.layers))
-                pool.update(dict.fromkeys(enumerate_paintings(S, n, p, d)))
+                pool.update(dict.fromkeys(enumerate_paintings(S, d)))
     return list(pool)
 
 
@@ -363,26 +403,26 @@ def test_transport_never_fires_on_valid_corpus(SU):
             for d in enumerate_frames(SU, n, p):
                 for q in range(p, n - 1):
                     for eps in range(2):
-                        restr_frame(eps, q + 1, n, p, d, SU)
+                        restr_frame(eps, q + 1, d, SU)
 
 
 def test_corruption_component_left(SU, corpus):
     d31, _, good, bad, _ = corpus
     with pytest.raises(CoherenceMismatch):
-        restr_layer(0, 1, 3, 1, d31, LayerVal(3, 1, (bad, good)), SU)
+        restr_layer(0, 1, d31, LayerVal(3, 1, (bad, good)), SU)
 
 
 def test_corruption_component_right(SU, corpus):
     d31, _, good, bad, _ = corpus
     with pytest.raises(CoherenceMismatch):
-        restr_layer(1, 1, 3, 1, d31, LayerVal(3, 1, (good, bad)), SU)
+        restr_layer(1, 1, d31, LayerVal(3, 1, (good, bad)), SU)
 
 
 def test_corruption_inside_frame(SU, corpus):
     d31, l0, good, bad, _ = corpus
     bad32 = FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good))))
     with pytest.raises(CoherenceMismatch):
-        restr_frame(0, 2, 3, 2, bad32, SU)
+        restr_frame(0, 2, bad32, SU)
 
 
 def test_corruption_inside_painting(SU, corpus):
@@ -391,10 +431,10 @@ def test_corruption_inside_painting(SU, corpus):
     lay2 = parse_value("[{0} {0}]", 2, 3, 2, "layer")
     c_bad = PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2), 0)
     with pytest.raises(CoherenceMismatch):
-        restr_painting(0, 2, 3, 1, d31, c_bad, SU)
+        restr_painting(0, 2, d31, c_bad, SU)
     # the uncorrupted counterpart passes
     c = PaintingVal(3, 1, (good_l1, lay2), 0)
-    restr_painting(0, 2, 3, 1, d31, c, SU)
+    restr_painting(0, 2, d31, c, SU)
 
 
 def test_corruption_out_of_range_cell(SU, corpus):
@@ -403,16 +443,16 @@ def test_corruption_out_of_range_cell(SU, corpus):
     sq_bad = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {1}] 0}",
                          2, 2, 0, "painting")
     with pytest.raises(CoherenceMismatch):
-        restr_layer(0, 1, 3, 0, FrameVal(3, 0, ()),
+        restr_layer(0, 1, FrameVal(3, 0, ()),
                     LayerVal(3, 0, (sq_bad, sqB)), SU)
 
 
 def test_clean_counterparts_do_not_fire(SU, corpus):
     d31, l0, good, _, sqB = corpus
     good_l1 = LayerVal(3, 1, (good, good))
-    restr_layer(0, 1, 3, 1, d31, good_l1, SU)
-    restr_frame(0, 2, 3, 2, FrameVal(3, 2, (l0, good_l1)), SU)
-    restr_layer(0, 1, 3, 0, FrameVal(3, 0, ()), l0, SU)
+    restr_layer(0, 1, d31, good_l1, SU)
+    restr_frame(0, 2, FrameVal(3, 2, (l0, good_l1)), SU)
+    restr_layer(0, 1, FrameVal(3, 0, ()), l0, SU)
 
 
 # ------------------------------------------------------------ coherence
@@ -433,9 +473,24 @@ def test_coh_index_guards(S22):
         check_coh_frame(S22, 0, 1, 0, 1, 2, 0)   # r > q
     with pytest.raises(SideConditionViolated):
         check_coh_frame(S22, 0, 1, 1, 0, 2, 0)   # q > n-2
-    from nusets.errors import IndexOutOfRange
     with pytest.raises(IndexOutOfRange):
         check_coh_frame(S22, 2, 0, 0, 0, 2, 0)   # eps out of range
+
+
+def test_coh_overrides_at_another_shape_are_refused(S22):
+    """An override states the check's (n, p) apart from its values, so a
+    frame at another (n, p) is refused, also where each restriction the
+    check makes would be legal at the frame's own shape."""
+    d20, d21 = (enumerate_frames(S22, 2, p)[0] for p in (0, 1))
+    c20, c21 = (enumerate_paintings(S22, d)[0] for d in (d20, d21))
+    for frames in ([d21], [d20]):
+        with pytest.raises(SideConditionViolated):
+            check_coh_frame(S22, 0, 1, 0, 0, 3, 0, frames=frames)
+    for items in ([(d21, c21)], [(d20, c20)], [(d20, c21)]):
+        with pytest.raises(SideConditionViolated):
+            check_coh_painting(S22, 0, 1, 0, 0, 3, 0, items=items)
+    assert check_coh_painting(S22, 0, 1, 0, 0, 2, 0,
+                              items=[(d20, c20)]).ok
 
 
 def test_coh_frame_reports_injected_corruption(SU, corpus):
@@ -494,7 +549,7 @@ def test_checked_composites_stay_in_the_tables(SU):
         for p in range(n + 1):
             for d in enumerate_frames(SU, n, p):
                 pool.setdefault((n, p), []).extend(
-                    enumerate_paintings(SU, n, p, d))
+                    enumerate_paintings(SU, d))
     # a few of each shape, and out-of-range cells: fibres have 2 at most
     pool = {k: v[:3] for k, v in pool.items()}
     for n in range(SU.trunc + 1):
@@ -507,14 +562,14 @@ def test_checked_composites_stay_in_the_tables(SU):
         for (a, i), (b, j) in (((omega, r), (eps, q)),
                                ((eps, q + 1), (omega, r))):
             try:
-                base = restr_frame(a, i, n, p, d, SU)
-                frame = restr_frame(b, j, n - 1, p, base, SU)
+                base = restr_frame(a, i, d, SU)
+                frame = restr_frame(b, j, base, SU)
                 if c is None:
                     out.append((frame, enumerate_frames(SU, n - 2, p)))
                     continue
-                inner = restr_painting(a, i, n, p, d, c, SU)
-                value = restr_painting(b, j, n - 1, p, base, inner, SU)
-                out.append((value, enumerate_paintings(SU, n - 2, p, frame)))
+                inner = restr_painting(a, i, d, c, SU)
+                value = restr_painting(b, j, base, inner, SU)
+                out.append((value, enumerate_paintings(SU, frame)))
             except CoherenceMismatch:
                 out.append(None)
         return out
@@ -529,7 +584,7 @@ def test_checked_composites_stay_in_the_tables(SU):
         for d in enumerate_frames(SU, n, p)[::step]:
             cases = [(m, None) for m in _swapped(d, pool)]
             if n <= SU.trunc:
-                cases += [(d, m) for c in enumerate_paintings(SU, n, p, d)
+                cases += [(d, m) for c in enumerate_paintings(SU, d)
                           for m in _swapped(c, pool)]
             for frame, painting in cases:
                 for square in squares:

@@ -56,14 +56,14 @@ def _cases(S):
             for d in enumerate_frames(S, n, p):
                 for q in range(p, n):
                     for eps in range(S.nu):
-                        yield restr_frame, (eps, q, n, p), (d,)
-                        for c in enumerate_paintings(S, n, p, d):
-                            yield restr_painting, (eps, q, n, p), (d, c)
+                        yield restr_frame, (eps, q), (d,)
+                        for c in enumerate_paintings(S, d):
+                            yield restr_painting, (eps, q), (d, c)
                 if p < n:
                     for layer in layers.get(d, ()):
                         for q in range(p, n - 1):
                             for eps in range(S.nu):
-                                yield restr_layer, (eps, q, n, p), (d, layer)
+                                yield restr_layer, (eps, q), (d, layer)
 
 
 def test_three_restriction_modes_agree(text):
@@ -114,28 +114,28 @@ def test_membership_by_value_agrees_with_text_keys(text):
             checked += _agrees(frames + foreign, _frames(S, n, p),
                                frames)
             shape = [c for d in frames
-                     for c in enumerate_paintings(S, n, p, d)]
+                     for c in enumerate_paintings(S, d)]
             for d in frames:
-                checked += _agrees(shape, _paintings(S, n, p, d),
-                                   enumerate_paintings(S, n, p, d))
+                checked += _agrees(shape, _paintings(S, d),
+                                   enumerate_paintings(S, d))
     for n in range(2, S.trunc + 1):
         for p in range(n - 1):
             for r in range(p, n - 1):
                 for q in range(r, n - 1):
                     for eps, omega in product(range(S.nu), repeat=2):
                         for d in enumerate_frames(S, n, p):
-                            base = restr_frame(omega, r, n, p, d, S)
-                            lhs = restr_frame(eps, q, n - 1, p, base, S)
+                            base = restr_frame(omega, r, d, S)
+                            lhs = restr_frame(eps, q, base, S)
                             checked += _agrees(
                                 [lhs], _frames(S, n - 2, p),
                                 enumerate_frames(S, n - 2, p))
-                            tops = [restr_painting(
-                                eps, q, n - 1, p, base,
-                                restr_painting(omega, r, n, p, d, c, S), S)
-                                for c in enumerate_paintings(S, n, p, d)]
+                            tops = [
+                                restr_painting(eps, q, base, restr_painting(
+                                    omega, r, d, c, S), S)
+                                for c in enumerate_paintings(S, d)]
                             checked += _agrees(
-                                tops, _paintings(S, n - 2, p, lhs),
-                                enumerate_paintings(S, n - 2, p, lhs))
+                                tops, _paintings(S, lhs),
+                                enumerate_paintings(S, lhs))
     assert checked > 100
     assert coherence_sweep(S).ok
 
@@ -168,17 +168,14 @@ def test_corruptions_caught_after_the_sweep_filled_the_memo():
     sq_bad = parse_value("{[{[{0} {1}] 0} {[{0} {1}] 0}] [{0} {1}] 0}",
                          2, 2, 0, "painting")
     corruptions = [
-        lambda: restr_layer(0, 1, 3, 1, d31, LayerVal(3, 1, (bad, good)),
-                            SU),
-        lambda: restr_layer(1, 1, 3, 1, d31, LayerVal(3, 1, (good, bad)),
-                            SU),
+        lambda: restr_layer(0, 1, d31, LayerVal(3, 1, (bad, good)), SU),
+        lambda: restr_layer(1, 1, d31, LayerVal(3, 1, (good, bad)), SU),
         lambda: restr_frame(
-            0, 2, 3, 2, FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))),
-            SU),
+            0, 2, FrameVal(3, 2, (l0, LayerVal(3, 1, (bad, good)))), SU),
         lambda: restr_painting(
-            0, 2, 3, 1, d31,
+            0, 2, d31,
             PaintingVal(3, 1, (LayerVal(3, 1, (bad, good)), lay2), 0), SU),
-        lambda: restr_layer(0, 1, 3, 0, FrameVal(3, 0, ()),
+        lambda: restr_layer(0, 1, FrameVal(3, 0, ()),
                             LayerVal(3, 0, (sq_bad, sqB)), SU),
     ]
     for corrupt in corruptions:
@@ -193,12 +190,12 @@ def test_enumerations_return_fresh_lists():
     frames.clear()
     assert enumerate_frames(S, 2, 1) == expected
     d = expected[0]
-    paintings = enumerate_paintings(S, 2, 1, d)
+    paintings = enumerate_paintings(S, d)
     assert paintings
     expected = list(paintings)
     paintings.append(paintings[0])
     paintings.reverse()
-    assert enumerate_paintings(S, 2, 1, d) == expected
+    assert enumerate_paintings(S, d) == expected
 
 
 def test_memo_per_set_and_handed_on_by_extended(text):
@@ -235,14 +232,14 @@ def test_prefix_keeps_its_range_after_an_extension():
                     for d in enumerate_frames(S, top + 1, top + 1)})
     d = enumerate_frames(T, top + 2, top + 2)[0]
     empty = enumerate_frames(T, top + 1, 0)[0]
-    assert enumerate_paintings(T, top + 1, 0, empty)
-    assert restr_frame(0, top + 1, top + 2, top + 1, d.prefix(top + 1), T)
+    assert enumerate_paintings(T, empty)
+    assert restr_frame(0, top + 1, d.prefix(top + 1), T)
     with pytest.raises(DimensionOutOfRange):
         enumerate_frames(S, top + 2, top + 2)
     with pytest.raises(DimensionOutOfRange):
-        enumerate_paintings(S, top + 1, 0, empty)
+        enumerate_paintings(S, empty)
     with pytest.raises(DimensionOutOfRange):
-        restr_frame(0, top + 1, top + 2, top + 1, d.prefix(top + 1), S)
+        restr_frame(0, top + 1, d.prefix(top + 1), S)
 
 
 def _sized(prefix, n, size):
@@ -293,7 +290,7 @@ def test_one_object_per_value_within_a_set(text):
         for p in range(n):
             for d in enumerate_frames(S, n, p):
                 assert values[d] is d
-                for c in _paintings(S, n, p, d):
+                for c in _paintings(S, d):
                     assert values[c] is c
                     checked += 1
     assert checked > 100
@@ -390,7 +387,7 @@ def test_no_module_level_memo():
         assert validate_indexed(S).ok
         to_fibred(S)
         for d in enumerate_frames(S, 2, 1):
-            restr_frame(0, 1, 2, 1, d, S)
+            restr_frame(0, 1, d, S)
         values = S._memo[_VALUES]
         assert values and gc.get_referrers(values) == [S._memo]
         T = parse_indexed(emit_indexed(S))
