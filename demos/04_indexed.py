@@ -4,9 +4,10 @@ Indexed nu-sets
 
 The indexed form stores one finite fibre per frame. A frame is the fully
 glued boundary shell of a would-be cell, a value that files write as an
-s-expression; fibres are looked up by the frame itself, restriction acts on
-these values directly, and the transport steps a dependent formalization
-would discharge by rewriting become runtime checks.
+s-expression; fibres are looked up by the frame itself, and restriction acts
+on these values directly. Where a dependent formalization transports a
+layer along the frame law, restriction checks that each component is a
+painting of the set over its frame; the law itself is checked by the sweep.
 """
 
 from nusets.errors import CoherenceMismatch, SideConditionViolated
@@ -52,7 +53,7 @@ except SideConditionViolated as exc:
 print("coherence at (2,0):", check_coh_frame(S, 0, 1, 0, 0, 2, 0))
 print("validation:", validate_indexed(S))
 
-# the runtime transport check has teeth. Uneven growth doubles exactly one
+# restriction's membership check has teeth. Uneven growth doubles exactly one
 # edge fibre, so the edge painting {[{1} {0}] 0} exists but only over the
 # base ([{0} {0}]); planting it in the direction-0 slot of a layer whose
 # base restricts elsewhere is a type error, and restriction refuses it.

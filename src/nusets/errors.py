@@ -35,9 +35,9 @@ class SideConditionViolated(NuSetError):
 
 
 class CoherenceMismatch(NuSetError):
-    """The runtime shadow of a transport: two frame computations that must
-    agree came out different. Signals corrupted input or an implementation
-    bug, never a property of valid data."""
+    """A layer component that is not a painting of the set over the frame
+    it sits on, found by restriction's membership check. Signals corrupted
+    input or an implementation bug, never a property of valid data."""
 
 
 class UnknownFrame(NuSetError):

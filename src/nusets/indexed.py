@@ -11,11 +11,12 @@ conditions ``p <= q <= n-1`` (frames, paintings) and ``p <= q <= n-2``
 SideConditionViolated; a direction past the arity raises IndexOutOfRange.
 
 Restricting a layer requires, in dependent type theory, a transport along
-the commutation of two restrictions. Here, with finite values and decidable
-equality, the transport is realized as an assertion: both frame computations
-it equates are evaluated and compared, and a disagreement raises
-CoherenceMismatch. On well-formed values the assertion never fires; it
-exists to catch corrupted values and implementation bugs.
+the commutation of two frame restrictions. That equation is the frame law
+at r = p, which the coherence sweep checks over every frame a set
+enumerates, so restriction does not check it again. Restriction checks
+membership: each layer component must be a painting of the set over the
+frame it sits on, and one that is not raises CoherenceMismatch. On
+well-formed values the check never fires; it catches corrupted values.
 
 The coherence sweep checks that any two restrictions commute, over every
 frame and painting a set enumerates; ``validate_indexed`` is totality
@@ -23,7 +24,7 @@ frame and painting a set enumerates; ``validate_indexed`` is totality
 """
 
 from .errors import (
-    CoherenceMismatch, IndexOutOfRange, SideConditionViolated, UnknownFrame,
+    CoherenceMismatch, IndexOutOfRange, SideConditionViolated,
 )
 from .frames import (
     _paintings, check_totality, enumerate_frames, enumerate_paintings,
@@ -38,13 +39,14 @@ from .values import FrameVal, LayerVal, PaintingVal, _intern, frame_key
 # and never consult the fibres. A consequence (mirroring the fact that the
 # commutation equations hold by a word-level identity) is that any two
 # restriction routes extract the same positions from any same-shaped tree,
-# so a corrupted value cannot be detected by comparing routes alone. The
-# runtime shadow of the type-theoretic transport therefore takes the
-# indexed set as context (``within``): restr_layer checks that every layer
+# so a corrupted value cannot be detected by comparing routes alone; the
+# equation the transport rewrites along is checked once, by the sweep, as
+# check_coh_frame at r = p. Restriction takes the indexed set as context
+# (``within``) for membership only: restr_layer checks that every layer
 # component is one of the paintings enumerable over the restricted frame
-# it must sit over (one lookup in the set's painting table), a component
-# over the wrong frame raises CoherenceMismatch, and results go into
-# within._memo, which the recursion shares, so each face is computed once.
+# it must sit over (one lookup in the set's painting table), raising
+# CoherenceMismatch otherwise, and results go into within._memo, which
+# the recursion shares, so each face is computed once.
 
 
 def _direction(eps, size, of="width"):
@@ -90,11 +92,11 @@ def restr_layer(eps, q, d, layer, within):
     """Face of a layer over the p-frame d at n; p <= q <= n-2.
 
     Component w of the result is the (eps, q)-restriction of component w,
-    computed over the w-restriction of d. The transport this step needs in
-    dependent type theory is realized as a runtime check: each component
-    must be a painting of ``within`` over the w-restriction of d, and the
-    two frame computations the transport equates must agree
-    (CoherenceMismatch otherwise).
+    computed over the w-restriction of d, of which each component must be
+    a painting of ``within`` (CoherenceMismatch otherwise). The transport
+    this step needs in dependent type theory rewrites along the frame law
+    at r = p, which check_coh_frame checks; a set that is not total raises
+    UnknownFrame from the painting lookup.
     """
     n, p = d.n, d.p
     if not p <= q <= n - 2:
@@ -105,29 +107,14 @@ def restr_layer(eps, q, d, layer, within):
     hit = within._memo.get(key)
     if hit is not None:
         return hit
-    expected_base = restr_frame(eps, q + 1, d, within)
     comps = []
     for omega, comp in enumerate(layer.components):
         base = restr_frame(omega, p, d, within)
-        try:
-            ok = comp in _paintings(within, base)
-        except UnknownFrame as exc:
-            raise CoherenceMismatch(
-                f"component {omega} sits over a frame that does not "
-                f"exist in the indexed set: {exc}")
-        if not ok:
+        if comp not in _paintings(within, base):
             raise CoherenceMismatch(
                 f"component {omega} is not a painting over "
                 f"{frame_key(base)}: {frame_key(comp)}")
-        out = restr_painting(eps, q, base, comp, within)
-        via_projection = restr_frame(eps, q, base, within)
-        via_restriction = restr_frame(omega, p, expected_base, within)
-        if via_projection != via_restriction:
-            raise CoherenceMismatch(
-                f"transport failed at direction {omega}: "
-                f"{frame_key(via_projection)} vs "
-                f"{frame_key(via_restriction)}")
-        comps.append(out)
+        comps.append(restr_painting(eps, q, base, comp, within))
     result = within._memo[key] = _intern(within,
                                          LayerVal(n - 1, p, tuple(comps)))
     return result
@@ -176,15 +163,17 @@ def check_coh_frame(S, eps, omega, q, r, n, p, frames=None):
     """Commutation of two frame restrictions over every p-frame at n.
 
     restr(eps, q) after restr(omega, r) must equal restr(omega, r) after
-    restr(eps, q+1). Corrupted values raise the transport assertion; that
-    is reported, not propagated. ``frames``, a list of p-frames at n,
-    overrides the enumeration (used to inject corrupted values in tests).
+    restr(eps, q+1). A corrupted value raises CoherenceMismatch in
+    restriction; that is reported, not propagated. At r = p this is the
+    equation restr_layer's transport rewrites along. ``frames``, a list of
+    p-frames at n, overrides the enumeration (used to inject corrupted
+    values in tests).
 
     A composite needs no membership test: checked restriction maps
     members of the set's tables to members, since every layer it
-    restricts has its components looked up in the painting tables and its
-    transport checked, and a component that fails either raises. So a
-    composite is enumerable or the assertion fired first.
+    restricts has its components looked up in the painting tables, and a
+    component that fails the lookup raises. So a composite is enumerable
+    or the check fired first.
     """
     _legal_coh_indices(eps, omega, q, r, n, p, S.nu)
     rep = Report(
@@ -213,7 +202,9 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
     membership test for the same reason. Restriction at stratum r only
     projects layer r of the painting, unchecked, but the right-hand route
     restricts layers p..q checked, and r <= q, so when both routes
-    succeed both composites are restrictions of members.
+    succeed both composites are restrictions of members. The frames the
+    composites sit over are check_coh_frame's composites of the same frame
+    with the same indices, so they are compared there, not here.
 
     ``items``, a list of such pairs, overrides them (corruption injection).
     """
@@ -232,18 +223,12 @@ def check_coh_painting(S, eps, omega, q, r, n, p, items=None):
             base_r = restr_frame(omega, r, d, S)
             lhs = restr_painting(eps, q, base_r,
                                  restr_painting(omega, r, d, c, S), S)
-            over_lhs = restr_frame(eps, q, base_r, S)
             base_q = restr_frame(eps, q + 1, d, S)
             rhs = restr_painting(omega, r, base_q,
                                  restr_painting(eps, q + 1, d, c, S), S)
-            over_rhs = restr_frame(omega, r, base_q, S)
         except CoherenceMismatch as exc:
             rep.add("transport-mismatch", frame=frame_key(d),
                     painting=frame_key(c), detail=str(exc))
-            continue
-        if over_lhs != over_rhs:
-            rep.add("coh-frame", frame=frame_key(d), painting=frame_key(c),
-                    lhs=frame_key(over_lhs), rhs=frame_key(over_rhs))
             continue
         if lhs != rhs:
             rep.add("coh-painting", frame=frame_key(d), painting=frame_key(c),

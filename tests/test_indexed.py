@@ -1,5 +1,6 @@
 """Indexed structures: enumeration counts, restriction, coherence,
-serialization, and the corruption behaviour of the transport check.
+serialization, and the corruption behaviour of restriction's membership
+check, which stands in for the transport of a dependent formalization.
 
 Counting oracles are closed-form and derived independently of the
 enumerators: with every fibre a singleton except |X_0| = k, a frame at
@@ -10,10 +11,12 @@ per-test comments for the exact small cases used.
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nusets import indexed
 from nusets.equivalence import to_indexed
 from nusets.errors import (
     CoherenceMismatch, DimensionOutOfRange, IndexOutOfRange, ParseError,
@@ -360,12 +363,12 @@ def test_reader_reads_exactly_canonical_text(shape, seed, data):
 
 # ------------------------------------------------------------ transport
 
-# The two frame computations compared inside restr_layer are projections
-# along one and the same word, so they agree on anything well-shaped; what
-# gives the check teeth is the `within` context, under which each layer
-# component must be enumerable over the restricted frame it sits on. A
-# cell index is fibre-relative, so the observable corruptions are exactly
-# the out-of-range ones; the fixture gives one edge fibre size 2 (over the
+# The equation a layer's transport rewrites along is the frame law at
+# r = p, which the sweep checks (check_coh_frame); restriction itself only
+# checks membership: under the `within` context each layer component must
+# be enumerable over the restricted frame it sits on. A cell index is
+# fibre-relative, so the observable corruptions are exactly the
+# out-of-range ones; the fixture gives one edge fibre size 2 (over the
 # endpoint pair (0,0)) and all others size 1 to make room for them.
 
 
@@ -404,6 +407,24 @@ def test_transport_never_fires_on_valid_corpus(SU):
                 for q in range(p, n - 1):
                     for eps in range(2):
                         restr_frame(eps, q + 1, d, SU)
+
+
+def test_sweep_catches_a_broken_restriction(monkeypatch):
+    """With no comparison inside restriction, the frame law still catches
+    a restriction that takes the wrong face: here the direction is swapped
+    at q = n-1 on 1-frames."""
+    real = indexed.restr_frame
+
+    def broken(eps, q, d, within):
+        if q == d.n - 1 and d.p == 1:
+            eps = 1 - eps
+        return real(eps, q, d, within)
+
+    monkeypatch.setattr(indexed, "restr_frame", broken)
+    rep = coherence_sweep(to_indexed(standard_shape(2, 3)))
+    assert not rep.ok
+    kinds = Counter(v["kind"] for v in rep.violations)
+    assert kinds["coh-frame"] == 144
 
 
 def test_corruption_component_left(SU, corpus):

@@ -1,22 +1,35 @@
-"""Every small indexed set, both ways: an exhaustive small-scope check.
+"""Every small structure, both ways: an exhaustive small-scope check.
 
-The scopes are nu 1-3 and truncation 2-3, with at most 5 cells (4 at
-nu 3) and at most 2 cells per fibre. Each set of a scope is built level by
-level over the frames ``_frames`` enumerates, so every set is total, and
-every one is checked: the coherence sweep and ``validate_indexed`` are
-ok, the round trip through the fibred form gives the set back and its
-report is ok, and the file format reads it back equal. Bugs of this code
-show on small inputs (the small scope hypothesis, Jackson 2006), so the
-scopes are enumerated rather than sampled.
+Indexed side: the scopes are nu 1-3 and truncation 2-3, with at most 5
+cells (4 at nu 3) and at most 2 cells per fibre. Each set of a scope is
+built level by level over the frames ``_frames`` enumerates, so every set
+is total, and every one is checked: the coherence sweep and
+``validate_indexed`` are ok, the round trip through the fibred form gives
+the set back and its report is ok, and the file format reads it back
+equal.
+
+Fibred side: every choice of face maps for fixed carrier sizes. The
+functor laws hold exactly when ``to_indexed`` succeeds, and then the
+round trip is ok, the file format reads the indexed set back equal, and
+it validates.
+
+Bugs of this code show on small inputs (the small scope hypothesis,
+Jackson 2006), so the scopes are enumerated rather than sampled.
 """
+
+from itertools import product
 
 import pytest
 
 from nusets.equivalence import round_trip_report, to_fibred, to_indexed
+from nusets.errors import LawViolation
+from nusets.fileformat import FinSet
 from nusets.frames import _frames, grow_indexed
 from nusets.indexed import coherence_sweep, validate_indexed
 from nusets.indexedfile import emit_indexed, parse_indexed
+from nusets.presheaf import TruncatedPresheaf, check_functor_laws
 from nusets.values import FrameVal
+from nusets.words import hom_enumerate
 
 
 def _sizes(count, left):
@@ -65,3 +78,40 @@ def test_every_small_total_set_is_lawful_both_ways(nu, trunc, cells, count,
         assert round_trip_report(S).ok
         assert parse_indexed(emit_indexed(S)) == S
     assert (seen, with_squares) == (count, squares)
+
+
+def _structures(nu, sizes):
+    """Every fibred structure at arity nu with these carrier sizes: one per
+    choice of its codimension-1 face maps."""
+    slots = [(n, str(w)) for n in range(1, len(sizes))
+             for w in hom_enumerate(nu, n - 1, n)]
+    for maps in product(*(product(range(sizes[n - 1]), repeat=sizes[n])
+                          for n, _ in slots)):
+        faces = {n: {} for n in range(1, len(sizes))}
+        for (n, word), images in zip(slots, maps):
+            faces[n][word] = images
+        yield TruncatedPresheaf(nu, len(sizes) - 1,
+                                [FinSet(k) for k in sizes], faces)
+
+
+@pytest.mark.parametrize("nu, sizes, count, lawful", [
+    (2, (2, 3, 1), 5184, 768), (3, (2, 2, 1), 4096, 192),
+    (1, (2, 2, 2, 1), 512, 112),
+], ids=["nu2-2.3.1", "nu3-2.2.1", "nu1-2.2.2.1"])
+def test_every_small_fibred_structure_converts_exactly_when_lawful(
+        nu, sizes, count, lawful):
+    """``count`` structures with these carrier sizes, of which ``lawful``
+    satisfy the functor laws."""
+    seen = ok = 0
+    for P in _structures(nu, sizes):
+        seen += 1
+        if not check_functor_laws(P).ok:
+            with pytest.raises(LawViolation):
+                to_indexed(P)
+            continue
+        ok += 1
+        S = to_indexed(P)
+        assert round_trip_report(P).ok
+        assert parse_indexed(emit_indexed(S)) == S
+        assert validate_indexed(S).ok
+    assert (seen, ok) == (count, lawful)
